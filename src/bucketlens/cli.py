@@ -31,6 +31,7 @@ from .evaluation import (
     render_report,
     report_to_dict,
     scan_fleet,
+    write_json,
 )
 from .fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet, load_mix_file
 from .model import import_aws_artifacts, load_fleet, serialize_snapshot_line
@@ -142,10 +143,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "rules": args.rules,
         "scan_id": scan_id,
         "total_alerts": len(alerts),
-        "alerts": [alert_to_dict(a) for a in alerts],
+        "alerts": map(alert_to_dict, alerts),
         "diff": diff_doc,
     }
-    _emit(json.dumps(document, indent=2))
+    write_json(sys.stdout, document)
     if args.fail_on_findings and alerts:
         return 1
     return 0
@@ -265,9 +266,9 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
         "rule": ast.name,
         "severity": ast.severity.value,
         "total_alerts": len(alerts),
-        "alerts": [alert_to_dict(a) for a in alerts],
+        "alerts": map(alert_to_dict, alerts),
     }
-    _emit(json.dumps(document, indent=2))
+    write_json(sys.stdout, document)
     return 0
 
 

@@ -232,6 +232,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
 
 
 _CATALOG = _build_catalog()
+_CATALOG_BY_ID = tuple(sorted(_CATALOG, key=lambda r: r.id))
 
 
 def default_catalog() -> tuple[DefaultRule, ...]:
@@ -242,7 +243,7 @@ def default_catalog() -> tuple[DefaultRule, ...]:
 def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[Alert]:
     """Evaluate every catalog rule; one alert per match, ordered by rule id."""
     alerts: list[Alert] = []
-    for rule in sorted(_CATALOG, key=lambda r: r.id):
+    for rule in _CATALOG_BY_ID:
         evidence = rule.predicate(config, derived)
         if evidence is not None:
             alerts.append(

@@ -6,9 +6,12 @@ sensitive-exposure alerts score as intended. Precision and the reduction rate
 are kept as exact rationals on the report object and rendered to four decimal
 places.
 
-Alert state persists as a single JSON document with a schema-version field;
-a sidecar ``.lock`` file enforces the single-writer contract for scans that
-update state.
+Alert state persists as a single JSON document with a schema-version field,
+replaced atomically on every save; a sidecar ``.lock`` file enforces the
+single-writer contract for scans that update state.
+
+Indented JSON documents (scan and rules-run output, alert state) are written
+row by row by ``write_json``, so no whole document is held in memory.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TextIO
 
 from .defaults import evaluate_default
 from .errors import StateCorruptionError, StateLockError, UnknownBucketError
@@ -246,6 +251,90 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
 
 
 # ---------------------------------------------------------------------------
+# Streamed JSON output
+# ---------------------------------------------------------------------------
+
+# Pieces joined into one write. An unbuffered stdout (``python -u``,
+# PYTHONUNBUFFERED) makes every write a system call, which costs more than
+# the writer's own work when each piece is written on its own.
+_WRITE_BATCH = 4096
+
+
+def write_json(out: TextIO, document: object) -> None:
+    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, piece by piece.
+
+    Supported values are str (dict keys too), int, bool, None, and dicts,
+    lists and tuples of them. An iterator is written as an array, taking one
+    element at a time, so ``map(alert_to_dict, alerts)`` holds one alert dict
+    at a time instead of all of them. Any other type (floats included)
+    raises ``TypeError``.
+    """
+    pieces: list[str] = []
+    for piece in _json_pieces(document, "\n"):
+        pieces.append(piece)
+        if len(pieces) >= _WRITE_BATCH:
+            out.write("".join(pieces))
+            pieces.clear()
+    pieces.append("\n")
+    out.write("".join(pieces))
+
+
+def _json_scalar(value: object) -> str | None:
+    """The JSON text of a str, int, bool or None; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _json_pieces(value: object, newline: str) -> Iterator[str]:
+    """The text of ``value`` as json.dumps(indent=2) lays it out at the depth ``newline`` ends at.
+
+    Scalar members are joined to the text before them here rather than
+    recursed into, which saves a generator per scalar.
+    """
+    text = _json_scalar(value)
+    if text is not None:
+        yield text
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opener = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = opener + encode_basestring_ascii(key) + ": "
+            text = _json_scalar(item)
+            if text is None:
+                yield head
+                yield from _json_pieces(item, inner)
+            else:
+                yield head + text
+            opener = "," + inner
+        yield "{}" if opener[0] == "{" else newline + "}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        opener = "[" + inner
+        for item in value:
+            text = _json_scalar(item)
+            if text is None:
+                yield opener
+                yield from _json_pieces(item, inner)
+            else:
+                yield opener + text
+            opener = "," + inner
+        yield "[]" if opener[0] == "[" else newline + "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# ---------------------------------------------------------------------------
 # Stateful alerting
 # ---------------------------------------------------------------------------
 
@@ -326,11 +415,26 @@ def load_state(path: str | Path) -> AlertState:
 
 
 def save_state(state: AlertState, path: str | Path) -> None:
+    """Replace the state file atomically: a crash leaves the old or the new state, whole.
+
+    The document goes to a temp file beside ``path``, is flushed and fsynced,
+    then renamed over ``path``; on any error the temp file is removed.
+    """
+    path = Path(path)
     payload = {
         "schema_version": STATE_SCHEMA_VERSION,
         "first_seen": {fp: state.first_seen[fp] for fp in sorted(state.first_seen)},
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            write_json(handle, payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

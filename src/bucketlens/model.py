@@ -383,15 +383,17 @@ def _load_json_file(path: Path) -> Any:
 
 def _import_acl(path: Path) -> tuple[AclGrant, ...]:
     raw = _load_json_file(path)
-    if not isinstance(raw, dict) or "Grants" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("Grants"), list):
         raise SchemaError(f"{path.name}: expected an object with a 'Grants' array")
     grants: list[AclGrant] = []
     for entry in raw["Grants"]:
         if not isinstance(entry, dict) or "Grantee" not in entry or "Permission" not in entry:
             raise SchemaError(f"{path.name}: each grant needs 'Grantee' and 'Permission'")
         grantee = entry["Grantee"]
+        if not isinstance(grantee, dict):
+            raise SchemaError(f"{path.name}: 'Grantee' must be an object", field="Grantee")
         gtype_raw = grantee.get("Type")
-        if gtype_raw not in _AWS_GRANTEE_TYPES:
+        if not isinstance(gtype_raw, str) or gtype_raw not in _AWS_GRANTEE_TYPES:
             raise SchemaError(f"{path.name}: unknown grantee type {gtype_raw!r}", field="Grantee.Type")
         gtype = _AWS_GRANTEE_TYPES[gtype_raw]
         if gtype is GranteeType.GROUP:
@@ -400,7 +402,7 @@ def _import_acl(path: Path) -> tuple[AclGrant, ...]:
             identifier = grantee.get("ID")
         else:
             identifier = grantee.get("EmailAddress")
-        if not identifier:
+        if not isinstance(identifier, str) or not identifier:
             raise SchemaError(f"{path.name}: grantee is missing its identifier", field="Grantee")
         grants.append(
             AclGrant(
@@ -436,7 +438,7 @@ def _flatten_condition(raw: Any, path: Path) -> dict[str, tuple[str, ...]] | Non
         if not isinstance(operator_block, dict):
             raise SchemaError(f"{path.name}: condition operator value must be an object", field="Condition")
         for key, values in operator_block.items():
-            flat.setdefault(key, []).extend([values] if isinstance(values, str) else list(values))
+            flat.setdefault(key, []).extend(_string_list(values, f"Condition.{key}", None))
     return {k: tuple(v) for k, v in flat.items()} or None
 
 
@@ -448,9 +450,13 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
         document = json.loads(raw["Policy"])
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path.name}: embedded policy document is invalid JSON: {exc.msg}") from None
+    if not isinstance(document, dict):
+        raise SchemaError(f"{path.name}: embedded policy document must be a JSON object")
     statements_raw = document.get("Statement", [])
     if isinstance(statements_raw, dict):
         statements_raw = [statements_raw]
+    if not isinstance(statements_raw, list):
+        raise SchemaError(f"{path.name}: 'Statement' must be an object or an array", field="Statement")
     statements: list[PolicyStatement] = []
     for stmt in statements_raw:
         if not isinstance(stmt, dict):
@@ -497,9 +503,12 @@ def _import_tags(path: Path) -> dict[str, str]:
     for entry in raw["TagSet"]:
         if not isinstance(entry, dict) or "Key" not in entry or "Value" not in entry:
             raise SchemaError(f"{path.name}: each TagSet entry needs 'Key' and 'Value'")
-        if entry["Key"] in tags:
-            raise SchemaError(f"{path.name}: duplicate tag key {entry['Key']!r}", field="TagSet")
-        tags[str(entry["Key"])] = str(entry["Value"])
+        key, value = entry["Key"], entry["Value"]
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise SchemaError(f"{path.name}: tag 'Key' and 'Value' must be strings", field="TagSet")
+        if key in tags:
+            raise SchemaError(f"{path.name}: duplicate tag key {key!r}", field="TagSet")
+        tags[key] = value
     return tags
 
 

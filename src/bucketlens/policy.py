@@ -39,8 +39,9 @@ RESTRICTIVE_CONDITION_KEYS: frozenset[str] = frozenset(
     }
 )
 
-_PUBLIC_URI_MARKERS = ("global/AllUsers", "global/AuthenticatedUsers")
-_PUBLIC_URI_SUFFIXES = ("global/AllUsers", "global/AuthenticatedUsers")
+# The oracle matches these as URI suffixes and the exposure heuristic as
+# substrings, so every grant the oracle counts the heuristic counts too.
+_PUBLIC_GROUP_URIS = ("global/AllUsers", "global/AuthenticatedUsers")
 
 
 class Exposure(enum.Enum):
@@ -203,7 +204,7 @@ def effective_anonymous_access(
     acl_access = AccessSet()
     if not bpa.ignore_public_acls:
         for grant in config.acl_grants:
-            if grant.grantee_uri.endswith(_PUBLIC_URI_SUFFIXES):
+            if grant.grantee_uri.endswith(_PUBLIC_GROUP_URIS):
                 acl_access = acl_access.union(_ACL_CAPABILITIES[grant.permission])
 
     policy_access = AccessSet()
@@ -225,7 +226,7 @@ def effective_anonymous_access(
 
 def _has_public_group_grant(config: BucketConfig) -> bool:
     return any(
-        any(marker in grant.grantee_uri for marker in _PUBLIC_URI_MARKERS)
+        any(marker in grant.grantee_uri for marker in _PUBLIC_GROUP_URIS)
         for grant in config.acl_grants
     )
 

@@ -120,6 +120,37 @@ def test_scan_stateful_cycle(small_fleet, tmp_path, capsys):
     assert not state.with_name(state.name + ".lock").exists()
 
 
+def _as_json_dumps_writes_it(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_streamed_documents_are_byte_equal_to_json_dumps(small_fleet, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s1"]) == 0
+    stateful = capsys.readouterr().out
+    assert json.loads(stateful)["total_alerts"] > 0
+    assert _as_json_dumps_writes_it(stateful)
+    assert _as_json_dumps_writes_it(state.read_text(encoding="utf-8"))
+
+    assert main(["scan", "--input", str(small_fleet)]) == 0
+    stateless = capsys.readouterr().out
+    assert json.loads(stateless)["diff"] is None
+    assert _as_json_dumps_writes_it(stateless)
+
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text('{"name":"quiet-bucket","public_access_block":{"block_public_acls":true,"ignore_public_acls":true,"block_public_policy":true,"restrict_public_buckets":true}}\n')
+    assert main(["scan", "--input", str(clean), "--state", str(tmp_path / "clean-state.json")]) == 0
+    silent = capsys.readouterr().out
+    assert json.loads(silent)["alerts"] == []
+    assert _as_json_dumps_writes_it(silent)
+    assert _as_json_dumps_writes_it((tmp_path / "clean-state.json").read_text(encoding="utf-8"))
+
+    rule_file = tmp_path / "always.rule"
+    rule_file.write_text("RULE always SEVERITY Low WHEN TRUE\n")
+    assert main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)]) == 0
+    assert _as_json_dumps_writes_it(capsys.readouterr().out)
+
+
 def test_scan_rejects_held_lock(small_fleet, tmp_path, capsys):
     state = tmp_path / "state.json"
     lock = tmp_path / "state.json.lock"

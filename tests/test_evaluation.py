@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from bucketlens import evaluation
 from bucketlens.errors import StateCorruptionError, StateLockError, UnknownBucketError
 from bucketlens.evaluation import (
     CSV_HEADER,
@@ -21,6 +25,7 @@ from bucketlens.evaluation import (
     save_state,
     scan_fleet,
     state_lock,
+    write_json,
 )
 from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
 from bucketlens.model import Severity
@@ -243,6 +248,26 @@ def test_state_save_load_round_trip(tmp_path):
     assert payload["schema_version"] == 1
 
 
+def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_state(diff_alerts(empty_state(), [_alert("a-bucket")], "scan-1").state, path)
+    before = path.read_bytes()
+    real_write_json = evaluation.write_json
+
+    def write_half_then_fail(out, document):
+        text = io.StringIO()
+        real_write_json(text, document)
+        out.write(text.getvalue()[: len(text.getvalue()) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(evaluation, "write_json", write_half_then_fail)
+    larger = diff_alerts(empty_state(), [_alert("a-bucket"), _alert("b-bucket")], "scan-2").state
+    with pytest.raises(OSError, match="disk full"):
+        save_state(larger, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
 @pytest.mark.parametrize(
     "content",
     ["not json", "[]", '{"schema_version": 99, "first_seen": {}}', '{"schema_version": 1, "first_seen": [1]}'],
@@ -263,3 +288,48 @@ def test_state_lock_is_exclusive(tmp_path):
     # released on exit
     with state_lock(path):
         pass
+
+
+# ---------------------------------------------------------------------------
+# streamed JSON writer
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.text(st.characters(exclude_categories=())),  # surrogates and control characters too
+        st.integers(),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def _with_arrays_as(value, container):
+    """``value`` with every list rebuilt by ``container`` (``list``, ``tuple`` or ``iter``)."""
+    if isinstance(value, list):
+        return container([_with_arrays_as(item, container) for item in value])
+    if isinstance(value, dict):
+        return {key: _with_arrays_as(item, container) for key, item in value.items()}
+    return value
+
+
+@given(_JSON_VALUES)
+@example({"quote\"back\\slash": ["\x00\x1f\u00e9\U0001f600", -(2**70), True, None, {}, []]})
+@example(list(range(10_000)))  # more pieces than one write takes
+def test_write_json_matches_json_dumps(value):
+    expected = json.dumps(value, indent=2) + "\n"
+    for container in (list, tuple, iter):
+        out = io.StringIO()
+        write_json(out, _with_arrays_as(value, container))
+        assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.25]}, {1: "x"}, {"a": {1, 2}}])
+def test_write_json_rejects_unsupported_values(value):
+    with pytest.raises(TypeError):
+        write_json(io.StringIO(), value)

@@ -203,6 +203,48 @@ def test_import_rejects_malformed_policy(tmp_path):
         import_aws_artifacts(bucket)
 
 
+_NO_GRANTS = '{"Grants": []}'
+
+
+def _policy_file(document: str) -> str:
+    return json.dumps({"Policy": document})
+
+
+@pytest.mark.parametrize(
+    "files",
+    [
+        pytest.param({"acl.json": '{"Grants": [{"Grantee": "x", "Permission": "READ"}]}'}, id="string-grantee"),
+        pytest.param(
+            {"acl.json": '{"Grants": [{"Grantee": {"Type": ["Group"]}, "Permission": "READ"}]}'},
+            id="list-grantee-type",
+        ),
+        pytest.param({"acl.json": _NO_GRANTS, "policy.json": _policy_file("[]")}, id="policy-document-array"),
+        pytest.param(
+            {
+                "acl.json": _NO_GRANTS,
+                "policy.json": _policy_file(json.dumps({"Statement": [{
+                    "Effect": "Allow", "Principal": "*", "Action": "s3:GetObject",
+                    "Condition": {"Bool": {"aws:SecureTransport": True}},
+                }]})),
+            },
+            id="boolean-condition-value",
+        ),
+        pytest.param({"acl.json": _NO_GRANTS, "policy.json": _policy_file('{"Statement": 5}')}, id="statement-number"),
+        pytest.param(
+            {"acl.json": _NO_GRANTS, "tagging.json": '{"TagSet": [{"Key": ["team"], "Value": "data"}]}'},
+            id="list-tag-key",
+        ),
+    ],
+)
+def test_import_rejects_malformed_artifacts_with_schema_error(tmp_path, files):
+    bucket = tmp_path / "malformed-bucket"
+    bucket.mkdir()
+    for name, text in files.items():
+        (bucket / name).write_text(text)
+    with pytest.raises(SchemaError):
+        import_aws_artifacts(bucket)
+
+
 def test_bucket_config_validates_name():
     with pytest.raises(SchemaError):
         BucketConfig(name="NO")
