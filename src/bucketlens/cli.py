@@ -3,8 +3,7 @@
 Subcommands: generate, import, scan, evaluate, explain, rules. Machine output
 goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 findings
 present (``scan --fail-on-findings``), 2 usage error, 3 input/schema/state
-error. All bucket-keyed output is sorted by bucket name, so bytes do not
-depend on ``--jobs``.
+error. All bucket-keyed output is sorted by bucket name.
 
 The environment variable ``BUCKETLENS_RESTRICTIVE_KEYS`` may point at a JSON
 file (array of strings) overriding the built-in restrictive condition-key
@@ -118,7 +117,7 @@ def _default_scan_id(path: str | Path) -> str:
 def cmd_scan(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
     buckets = load_fleet(args.input)
-    alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys, jobs=args.jobs)
+    alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys)
     scan_id = args.scan_id or _default_scan_id(args.input)
 
     diff_doc = None
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit with code 1 when any alert fires",
     )
-    p.add_argument("--jobs", type=int, default=1, help="concurrent per-bucket evaluation threads")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("evaluate", help="score both rulesets against ground truth")

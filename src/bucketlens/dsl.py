@@ -1,4 +1,4 @@
-"""A small SQL-flavored rule language: lexer, parser, renderer, evaluator.
+"""A small SQL-flavored rule language: lexer, parser, renderer, compiler.
 
 Grammar (keywords case-insensitive, identifiers resolved case-insensitively):
 
@@ -26,17 +26,23 @@ Evaluation is two-valued. A path holding an absent optional value compares
 unequal to every literal, fails every LIKE, and satisfies IS NULL; EXISTS
 over an absent or empty collection is false. Comparisons against list-valued
 fields (Action, Principal_AWS, ...) hold if any element satisfies them.
+
+A ``RuleAst`` compiles its body once, on construction, into nested closures
+with every path resolved at compile time; ``bind_record`` only wraps the
+bucket, and fields are read when a rule reaches them. The interpreter
+``_eval`` over the dict form ``_flatten`` builds is the compiler's test
+oracle.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Union
 
 from .errors import LexError, ParseError, SchemaError
-from .model import BucketConfig, Severity
+from .model import BucketConfig, PolicyStatement, Severity
 from .policy import (
     RESTRICTIVE_CONDITION_KEYS,
     DerivedProperties,
@@ -219,93 +225,89 @@ class RuleAst:
     name: str
     severity: Severity
     body: Node
+    # the body compiled once; see ``_compile``
+    _match: _Matcher = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_match", _compile(self.body, ()))
 
 
 # ---------------------------------------------------------------------------
 # Record schema
 # ---------------------------------------------------------------------------
 
-# lowered name -> canonical spelling
-_SCALARS = {
-    "name": "Name",
-    "region": "Region",
-    "websiteenabled": "WebsiteEnabled",
-    "blockpublicacls": "BlockPublicAcls",
-    "ignorepublicacls": "IgnorePublicAcls",
-    "blockpublicpolicy": "BlockPublicPolicy",
-    "restrictpublicbuckets": "RestrictPublicBuckets",
-    "policystatuspublic": "PolicyStatusPublic",
-    "exposure": "Exposure",
-    "sensitivedata": "SensitiveData",
+def _restricted_access_keys(stmt: PolicyStatement, keys: frozenset[str]) -> list[str] | None:
+    if stmt.condition is None:
+        return None
+    return sorted(k for k in stmt.condition if k in keys) or None
+
+
+# The one schema table. Record fields (scalars and collections) read
+# (config, derived); element fields read (element, restrictive keys).
+_RECORD_FIELDS: dict[str, Callable[[BucketConfig, DerivedProperties], Any]] = {
+    "Name": lambda c, d: c.name,
+    "Region": lambda c, d: c.region,
+    "WebsiteEnabled": lambda c, d: c.website_enabled,
+    "BlockPublicAcls": lambda c, d: c.public_access_block.block_public_acls,
+    "IgnorePublicAcls": lambda c, d: c.public_access_block.ignore_public_acls,
+    "BlockPublicPolicy": lambda c, d: c.public_access_block.block_public_policy,
+    "RestrictPublicBuckets": lambda c, d: c.public_access_block.restrict_public_buckets,
+    "PolicyStatusPublic": lambda c, d: d.policy_status_public,
+    "Exposure": lambda c, d: d.exposure.value,
+    "SensitiveData": lambda c, d: d.sensitive_data,
+    "AclGrants": lambda c, d: c.acl_grants,
+    "PolicyStatements": lambda c, d: c.policy,
 }
 
+_ELEMENT_FIELDS: dict[str, dict[str, Callable[[Any, frozenset[str]], Any]]] = {
+    "AclGrants": {
+        "GranteeType": lambda g, k: g.grantee_type.value,
+        "GranteeURI": lambda g, k: g.grantee_uri,
+        "Permission": lambda g, k: g.permission.value,
+    },
+    "PolicyStatements": {
+        "Sid": lambda s, k: s.sid,
+        "Effect": lambda s, k: s.effect.value,
+        "Principal_AWS": lambda s, k: s.principal_aws,
+        "Action": lambda s, k: s.actions,
+        "Resource": lambda s, k: s.resources,
+        "Condition": lambda s, k: s.condition,
+        "RestrictedAccessCondition": _restricted_access_keys,
+    },
+}
+
+# Element fields holding a sequence (or None): comparisons hold if any element does.
+_LIST_FIELDS = frozenset({"Principal_AWS", "Action", "Resource", "RestrictedAccessCondition"})
+
+# lowered name -> canonical spelling, for the parser and the compiler
+_SCALARS = {name.lower(): name for name in _RECORD_FIELDS if name not in _ELEMENT_FIELDS}
 _COLLECTIONS: dict[str, tuple[str, dict[str, str]]] = {
-    "aclgrants": (
-        "AclGrants",
-        {"granteetype": "GranteeType", "granteeuri": "GranteeURI", "permission": "Permission"},
-    ),
-    "policystatements": (
-        "PolicyStatements",
-        {
-            "sid": "Sid",
-            "effect": "Effect",
-            "principal_aws": "Principal_AWS",
-            "action": "Action",
-            "resource": "Resource",
-            "condition": "Condition",
-            "restrictedaccesscondition": "RestrictedAccessCondition",
-        },
-    ),
+    name.lower(): (name, {element_field.lower(): element_field for element_field in fields})
+    for name, fields in _ELEMENT_FIELDS.items()
 }
 
 _SEVERITIES = {"low": Severity.LOW, "medium": Severity.MEDIUM, "high": Severity.HIGH}
+
+
+class BoundRecord:
+    """One bucket as a rule sees it; fields are read only when a rule reaches them."""
+
+    __slots__ = ("config", "derived", "keys")
+
+    def __init__(self, config: BucketConfig, derived: DerivedProperties, keys: frozenset[str]) -> None:
+        self.config = config
+        self.derived = derived
+        self.keys = keys
 
 
 def bind_record(
     config: BucketConfig,
     derived: DerivedProperties,
     restrictive_keys: frozenset[str] | None = None,
-) -> Mapping[str, Any]:
-    """Flatten a bucket and its derived properties into the DSL record shape."""
+) -> BoundRecord:
+    """Bind a bucket and its derived properties for ``eval_rule``; O(1), copies nothing."""
     keys = RESTRICTIVE_CONDITION_KEYS if restrictive_keys is None else restrictive_keys
-    statements = None
-    if config.policy is not None:
-        statements = []
-        for stmt in config.policy:
-            matched = sorted(k for k in (stmt.condition or ()) if k in keys)
-            statements.append(
-                {
-                    "sid": stmt.sid,
-                    "effect": stmt.effect.value,
-                    "principal_aws": list(stmt.principal_aws),
-                    "action": list(stmt.actions),
-                    "resource": list(stmt.resources),
-                    "condition": dict(stmt.condition) if stmt.condition is not None else None,
-                    "restrictedaccesscondition": matched or None,
-                }
-            )
-    bpa = config.public_access_block
-    return {
-        "name": config.name,
-        "region": config.region,
-        "websiteenabled": config.website_enabled,
-        "blockpublicacls": bpa.block_public_acls,
-        "ignorepublicacls": bpa.ignore_public_acls,
-        "blockpublicpolicy": bpa.block_public_policy,
-        "restrictpublicbuckets": bpa.restrict_public_buckets,
-        "policystatuspublic": derived.policy_status_public,
-        "exposure": derived.exposure.value,
-        "sensitivedata": derived.sensitive_data,
-        "aclgrants": [
-            {
-                "granteetype": g.grantee_type.value,
-                "granteeuri": g.grantee_uri,
-                "permission": g.permission.value,
-            }
-            for g in config.acl_grants
-        ],
-        "policystatements": statements,
-    }
+    return BoundRecord(config, derived, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +555,166 @@ def render_rule(ast: RuleAst) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Compiler
 # ---------------------------------------------------------------------------
+
+# A compiled node takes the bound record and the elements bound by the
+# enclosing EXISTS clauses, outermost first.
+_Matcher = Callable[[BoundRecord, tuple], bool]
+
+
+def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
+    """One value against the literal, with ``_compare_scalar``'s semantics."""
+    if op is CompareOp.LIKE:
+        pattern = str(literal)
+        chunks = pattern.split("%")
+        if len(chunks) == 1:
+            return lambda v: isinstance(v, str) and v == pattern
+        if len(chunks) == 3 and not chunks[0] and not chunks[2]:
+            needle = chunks[1]
+            return lambda v: isinstance(v, str) and needle in v
+        return lambda v: isinstance(v, str) and _runs_match(chunks, v)
+    # bools only equal bools, and the two bools are singletons
+    if isinstance(literal, bool):
+        if op is CompareOp.EQ:
+            return lambda v: v is literal
+        return lambda v: v is not literal
+    # a str literal equals only an equal str; None is unequal
+    if isinstance(literal, str):
+        if op is CompareOp.EQ:
+            return lambda v: v == literal
+        return lambda v: v != literal
+    return lambda v: _compare_scalar(v, op, literal)
+
+
+def _resolve(path: tuple[str, ...], scopes: tuple[str, ...]) -> tuple[int | None, str]:
+    """(index of the binding EXISTS element or None for the record, canonical field)."""
+    key = path[0].lower()
+    for depth in range(len(scopes) - 1, -1, -1):
+        fields = _COLLECTIONS[scopes[depth].lower()][1]
+        if key in fields:
+            return depth, fields[key]
+    if key in _SCALARS:
+        return None, _SCALARS[key]
+    if key in _COLLECTIONS:
+        return None, _COLLECTIONS[key][0]
+    raise SchemaError(f"unresolvable path {'.'.join(path)!r}")
+
+
+def _compile_value(
+    path: tuple[str, ...], scopes: tuple[str, ...]
+) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
+    """(canonical field, reader of its value) for a path."""
+    depth, name = _resolve(path, scopes)
+    if depth is None:
+        get_field = _RECORD_FIELDS[name]
+        return name, lambda rec, env: get_field(rec.config, rec.derived)
+    get_element_field = _ELEMENT_FIELDS[scopes[depth]][name]
+    return name, lambda rec, env: get_element_field(env[depth], rec.keys)
+
+
+def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
+    """Compile a node into a closure; ``scopes`` names the enclosing EXISTS collections."""
+    if isinstance(node, (Or, And)):
+        children = tuple(_compile(child, scopes) for child in node.children)
+        if isinstance(node, Or):
+            def match_or(rec: BoundRecord, env: tuple) -> bool:
+                for child in children:
+                    if child(rec, env):
+                        return True
+                return False
+            return match_or
+
+        def match_and(rec: BoundRecord, env: tuple) -> bool:
+            for child in children:
+                if not child(rec, env):
+                    return False
+            return True
+        return match_and
+    if isinstance(node, Not):
+        child = _compile(node.child, scopes)
+        return lambda rec, env: not child(rec, env)
+    if isinstance(node, LiteralBool):
+        value = node.value
+        return lambda rec, env: value
+    if isinstance(node, Exists):
+        key = node.path[0].lower()
+        if key not in _COLLECTIONS:
+            raise SchemaError(f"EXISTS requires a collection path, got {'.'.join(node.path)!r}")
+        collection = _COLLECTIONS[key][0]
+        get_items = _RECORD_FIELDS[collection]
+        inner = _compile(node.inner, scopes + (collection,))
+
+        def match_exists(rec: BoundRecord, env: tuple) -> bool:
+            items = get_items(rec.config, rec.derived)
+            if items:
+                for item in items:
+                    if inner(rec, env + (item,)):
+                        return True
+            return False
+        return match_exists
+    if isinstance(node, (IsNull, IsNotNull)):
+        _, get = _compile_value(node.path, scopes)
+        if isinstance(node, IsNull):
+            return lambda rec, env: get(rec, env) is None
+        return lambda rec, env: get(rec, env) is not None
+    if isinstance(node, Compare):
+        name, get = _compile_value(node.path, scopes)
+        if name in _ELEMENT_FIELDS:
+            raise SchemaError(f"collection {name!r} cannot be compared to a literal")
+        test = _literal_test(node.op, node.literal)
+        if name not in _LIST_FIELDS:
+            return lambda rec, env: test(get(rec, env))
+
+        def match_any(rec: BoundRecord, env: tuple) -> bool:
+            values = get(rec, env)
+            if values is None:
+                return test(None)
+            for value in values:
+                if test(value):
+                    return True
+            return False
+        return match_any
+    raise TypeError(f"unknown node type {type(node).__name__}")
+
+
+def eval_rule(ast: RuleAst, record: BoundRecord) -> bool:
+    """Evaluate a parsed rule against one bound record (see ``bind_record``)."""
+    return ast._match(record, ())
+
+
+# ---------------------------------------------------------------------------
+# Reference interpreter: the compiler's test oracle
+# ---------------------------------------------------------------------------
+
+def _flatten(record: BoundRecord) -> dict[str, Any]:
+    """The record as one dict keyed by lowered field name, lists as lists."""
+    config, derived, keys = record.config, record.derived, record.keys
+    flat: dict[str, Any] = {}
+    for name, get_field in _RECORD_FIELDS.items():
+        value = get_field(config, derived)
+        if name in _ELEMENT_FIELDS and value is not None:
+            fields = _ELEMENT_FIELDS[name]
+            value = [
+                {
+                    field_name.lower(): _plain(field_name, get_element_field(element, keys))
+                    for field_name, get_element_field in fields.items()
+                }
+                for element in value
+            ]
+        flat[name.lower()] = value
+    return flat
+
+
+def _plain(name: str, value: Any) -> Any:
+    if value is None:
+        return None
+    if name in _LIST_FIELDS:
+        return list(value)
+    if name == "Condition":
+        return dict(value)
+    return value
+
 
 def _lookup(env: list[Mapping[str, Any]], path: tuple[str, ...]) -> Any:
     key = path[0].lower()
@@ -605,8 +765,3 @@ def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
             return any(_compare_scalar(v, node.op, node.literal) for v in value)
         return _compare_scalar(value, node.op, node.literal)
     raise TypeError(f"unknown node type {type(node).__name__}")
-
-
-def eval_rule(ast: RuleAst, record: Mapping[str, Any]) -> bool:
-    """Evaluate a parsed rule against one bound record (see ``bind_record``)."""
-    return _eval(ast.body, [record])

@@ -7,8 +7,9 @@ are kept as exact rationals on the report object and rendered to four decimal
 places.
 
 Alert state persists as a single JSON document with a schema-version field,
-replaced atomically on every save; a sidecar ``.lock`` file enforces the
-single-writer contract for scans that update state.
+replaced atomically on every save. Scans that update state hold an exclusive
+``flock`` on a sidecar ``<state>.lock`` file, which the kernel releases when
+the scan exits, however it exits.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
 row by row by ``write_json``, so no whole document is held in memory.
@@ -16,11 +17,11 @@ row by row by ``write_json``, so no whole document is held in memory.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,13 +64,8 @@ def scan_fleet(
     buckets: Sequence[BucketConfig],
     rules: str = "both",
     restrictive_keys: frozenset[str] | None = None,
-    jobs: int = 1,
 ) -> list[Alert]:
-    """Evaluate the chosen ruleset(s) over a fleet.
-
-    Per-bucket evaluation is pure, so it may run on several threads; results
-    are gathered and sorted, keeping output independent of parallelism.
-    """
+    """Evaluate the chosen ruleset(s) over a fleet; alerts sorted by (bucket, rule id)."""
     if rules not in ("default", "unified", "both"):
         raise ValueError(f"rules must be default, unified or both, got {rules!r}")
 
@@ -84,11 +80,7 @@ def scan_fleet(
                 alerts.append(alert)
         return alerts
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_bucket = list(pool.map(scan_one, buckets))
-    else:
-        per_bucket = [scan_one(config) for config in buckets]
+    per_bucket = [scan_one(config) for config in buckets]
     alerts = [alert for bucket_alerts in per_bucket for alert in bucket_alerts]
     alerts.sort(key=lambda a: (a.bucket_name, a.rule_id))
     return alerts
@@ -439,16 +431,20 @@ def save_state(state: AlertState, path: str | Path) -> None:
 
 @contextmanager
 def state_lock(path: str | Path) -> Iterator[None]:
-    """Advisory single-writer lock: a sidecar file created with O_EXCL."""
+    """Advisory single-writer lock: ``flock`` on the sidecar ``<state>.lock``.
+
+    The kernel drops the lock when its holder exits, killed or not, so a
+    crashed scan never locks out later ones. The sidecar is never removed: a
+    writer that unlinked it could let the next two writers lock two
+    different files.
+    """
     lock_path = Path(str(path) + ".lock")
+    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StateLockError(
-            f"alert state {path} is locked by another scan (remove {lock_path} if stale)"
-        ) from None
-    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StateLockError(f"alert state {path} is locked by another scan") from None
         yield
     finally:
         os.close(fd)
-        lock_path.unlink(missing_ok=True)

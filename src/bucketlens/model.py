@@ -23,6 +23,7 @@ back yields a field-by-field identical record.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -139,10 +140,16 @@ class BucketConfig:
 # Snapshot format (JSONL)
 # ---------------------------------------------------------------------------
 
+_ABSENT = object()
+
+
 def _require(obj: Mapping[str, Any], key: str, kind: type, *, line: int | None) -> Any:
-    if key not in obj:
+    value = obj.get(key, _ABSENT)
+    # json.loads yields exact builtin types, so this is the common case
+    if type(value) is kind:
+        return value
+    if value is _ABSENT:
         raise SchemaError(f"missing required field {key!r}", field=key, line=line)
-    value = obj[key]
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise SchemaError(
             f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
@@ -153,15 +160,24 @@ def _require(obj: Mapping[str, Any], key: str, kind: type, *, line: int | None) 
 
 
 def _optional(obj: Mapping[str, Any], key: str, kind: type, default: Any, *, line: int | None) -> Any:
-    if key not in obj:
+    value = obj.get(key, _ABSENT)
+    if type(value) is kind:
+        return value
+    if value is _ABSENT:
         return default
     return _require(obj, key, kind, line=line)
 
 
+_ENUM_MEMBERS: dict[type[enum.Enum], dict[Any, enum.Enum]] = {
+    enum_cls: {member.value: member for member in enum_cls}
+    for enum_cls in (GranteeType, Permission, Effect)
+}
+
+
 def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str, line: int | None) -> Any:
     try:
-        return enum_cls(raw)
-    except ValueError:
+        return _ENUM_MEMBERS[enum_cls][raw]
+    except (KeyError, TypeError):  # TypeError: an unhashable value such as a list
         allowed = ", ".join(m.value for m in enum_cls)
         raise SchemaError(
             f"unknown {fieldname} {raw!r} (allowed: {allowed})", field=fieldname, line=line
@@ -169,13 +185,10 @@ def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str, line: int |
 
 
 def _check_no_extra_keys(obj: Mapping[str, Any], allowed: frozenset[str], where: str, line: int | None) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise SchemaError(
-            f"unknown field(s) in {where}: {', '.join(sorted(extra))}",
-            field=sorted(extra)[0],
-            line=line,
-        )
+    if allowed.issuperset(obj):
+        return
+    extra = sorted(set(obj) - allowed)
+    raise SchemaError(f"unknown field(s) in {where}: {', '.join(extra)}", field=extra[0], line=line)
 
 
 _TOP_KEYS = frozenset(
@@ -238,18 +251,22 @@ def _parse_statement(raw: Any, line: int | None) -> PolicyStatement:
     )
 
 
+# The 16 possible flag sets, built once and shared: PublicAccessBlock is immutable.
+_BPA_BY_FLAGS = {flags: PublicAccessBlock(*flags) for flags in itertools.product((False, True), repeat=4)}
+
+
 def _parse_bpa(raw: Any, line: int | None) -> PublicAccessBlock:
     if raw is None:
         return PublicAccessBlock()
     if not isinstance(raw, dict):
         raise SchemaError("field 'public_access_block' must be an object", field="public_access_block", line=line)
     _check_no_extra_keys(raw, _BPA_KEYS, "public_access_block", line)
-    return PublicAccessBlock(
-        block_public_acls=_require(raw, "block_public_acls", bool, line=line),
-        ignore_public_acls=_require(raw, "ignore_public_acls", bool, line=line),
-        block_public_policy=_require(raw, "block_public_policy", bool, line=line),
-        restrict_public_buckets=_require(raw, "restrict_public_buckets", bool, line=line),
-    )
+    return _BPA_BY_FLAGS[(
+        _require(raw, "block_public_acls", bool, line=line),
+        _require(raw, "ignore_public_acls", bool, line=line),
+        _require(raw, "block_public_policy", bool, line=line),
+        _require(raw, "restrict_public_buckets", bool, line=line),
+    )]
 
 
 def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
@@ -438,8 +455,20 @@ def _flatten_condition(raw: Any, path: Path) -> dict[str, tuple[str, ...]] | Non
         if not isinstance(operator_block, dict):
             raise SchemaError(f"{path.name}: condition operator value must be an object", field="Condition")
         for key, values in operator_block.items():
+            if isinstance(values, list):
+                values = [_condition_text(v) for v in values]
+            else:
+                values = _condition_text(values)
             flat.setdefault(key, []).extend(_string_list(values, f"Condition.{key}", None))
     return {k: tuple(v) for k, v in flat.items()} or None
+
+
+def _condition_text(value: Any) -> Any:
+    # AWS accepts JSON booleans and numbers as condition values
+    # ({"Bool": {"aws:SecureTransport": false}}); the model keeps their JSON text.
+    if isinstance(value, (bool, int, float)):
+        return json.dumps(value)
+    return value
 
 
 def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:

@@ -14,6 +14,7 @@ from bucketlens.dsl import (
     Compare,
     CompareOp,
     Exists,
+    IsNotNull,
     IsNull,
     LiteralBool,
     Not,
@@ -27,7 +28,9 @@ from bucketlens.dsl import (
     render_rule,
     tokenize,
 )
+from bucketlens.dsl import _eval, _flatten
 from bucketlens.errors import LexError, ParseError, SchemaError
+from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import BucketConfig, Severity
 from bucketlens.policy import derive
 from bucketlens.unified import unified_dsl_source
@@ -346,6 +349,11 @@ def _random_ast(rng: random.Random, depth: int = 0):
             ("PolicyStatements",),
             And((Compare(("Effect",), CompareOp.EQ, "Allow"), IsNull(("RestrictedAccessCondition",)))),
         ),
+        IsNotNull(("PolicyStatements",)),
+        Exists(("PolicyStatements",), IsNotNull(("Sid",))),
+        Exists(("PolicyStatements",), Compare(("Action",), CompareOp.LIKE, "%s3:Get%")),
+        Exists(("PolicyStatements",), Compare(("Principal_AWS",), CompareOp.EQ, "*")),
+        Exists(("PolicyStatements",), Compare(("RestrictedAccessCondition",), CompareOp.NE, "aws:SourceIp")),
     ]
     if depth >= 3 or rng.random() < 0.35:
         return rng.choice(scalar_preds)
@@ -367,3 +375,84 @@ def test_round_trip_corpus():
         first = parse_rule(source)
         rendered = render_rule(first)
         assert parse_rule(rendered) == first
+
+
+# ---------------------------------------------------------------------------
+# compiled matcher vs the reference interpreter
+# ---------------------------------------------------------------------------
+
+# Cases where the two evaluators could plausibly part ways: dict-valued and
+# absent Condition, None Sid, bool fields against numbers, and an identifier
+# inside a nested EXISTS that resolves to the outer element.
+EDGE_RULES = [
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition = 'x')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != 'x')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%SourceIp%')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition IS NOT NULL)",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid != 'sid-0000')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid LIKE 'sid-%')",
+    "RULE e SEVERITY Low WHEN WebsiteEnabled = 1",
+    "RULE e SEVERITY Low WHEN WebsiteEnabled != 0",
+    "RULE e SEVERITY Low WHEN Region != TRUE",
+    "RULE e SEVERITY Low WHEN Exposure LIKE 'public%' AND Name LIKE '%-%'",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE RestrictedAccessCondition != 'aws:SourceIp')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Resource LIKE '%/*')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Principal_AWS != '*')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE "
+    "EXISTS(AclGrants WHERE Effect = 'Allow' AND Permission = 'READ'))",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Effect = 'Deny' AND "
+    "EXISTS(PolicyStatements WHERE Effect = 'Allow' AND Action LIKE 's3:%'))",
+    "RULE e SEVERITY Low WHEN EXISTS(AclGrants WHERE "
+    "EXISTS(PolicyStatements WHERE GranteeURI LIKE '%AllUsers' AND Sid IS NULL))",
+    "RULE e SEVERITY Low WHEN AclGrants IS NULL OR NOT EXISTS(AclGrants WHERE TRUE)",
+]
+
+
+def _compiler_corpus() -> list[RuleAst]:
+    rng = random.Random(2718)
+    rules = [parse_rule(source) for source in HAND_RULES + EDGE_RULES + [unified_dsl_source()]]
+    rules += [RuleAst(f"gen-{index}", Severity.LOW, _random_ast(rng)) for index in range(120)]
+    return rules
+
+
+def _compiler_configs() -> list[BucketConfig]:
+    rng = random.Random(1618)
+    configs = [random_bucket_config(rng) for _ in range(300)]
+    for mix in (PAPER_MIX, ADVERSARIAL_MIX):
+        configs += [config for config, _ in generate_fleet(MixSpec(dict(mix), total=1000, seed=42))]
+    return configs
+
+
+def test_compiled_rules_agree_with_the_interpreter():
+    records = [_record(config) for config in _compiler_configs()]
+    flat = [[_flatten(record)] for record in records]
+    for ast in _compiler_corpus():
+        for record, env in zip(records, flat):
+            assert eval_rule(ast, record) is _eval(ast.body, env), render_rule(ast)
+
+
+def test_compiled_rule_is_built_once_and_ignored_by_equality():
+    ast = parse_rule("RULE r SEVERITY High WHEN TRUE")
+    assert ast._match is ast._match
+    assert "_match" not in repr(ast)
+    assert ast == RuleAst("r", Severity.HIGH, LiteralBool(True))
+    assert hash(ast) == hash(RuleAst("r", Severity.HIGH, LiteralBool(True)))
+
+
+def test_flatten_is_todays_record_shape():
+    bucket = public_policy_bucket()
+    flat = _flatten(_record(bucket))
+    assert flat["name"] == bucket.name
+    assert flat["aclgrants"] == []
+    assert flat["policystatements"] == [
+        {
+            "sid": "AllowPublicRead",
+            "effect": "Allow",
+            "principal_aws": ["*"],
+            "action": ["s3:GetObject"],
+            "resource": [f"arn:aws:s3:::{bucket.name}/*"],
+            "condition": None,
+            "restrictedaccesscondition": None,
+        }
+    ]

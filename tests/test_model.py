@@ -210,6 +210,24 @@ def _policy_file(document: str) -> str:
     return json.dumps({"Policy": document})
 
 
+def _condition_policy(condition: dict) -> str:
+    return _policy_file(json.dumps({"Statement": [{
+        "Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", "Condition": condition,
+    }]}))
+
+
+def test_import_keeps_boolean_and_number_condition_values_as_json_text(tmp_path):
+    bucket = tmp_path / "condition-bucket"
+    bucket.mkdir()
+    (bucket / "acl.json").write_text(_NO_GRANTS)
+    (bucket / "policy.json").write_text(_condition_policy({
+        "Bool": {"aws:SecureTransport": True},
+        "NumericLessThanEquals": {"s3:max-keys": [10, "20"]},
+    }))
+    (statement,) = import_aws_artifacts(bucket).policy
+    assert statement.condition == {"aws:SecureTransport": ("true",), "s3:max-keys": ("10", "20")}
+
+
 @pytest.mark.parametrize(
     "files",
     [
@@ -220,14 +238,8 @@ def _policy_file(document: str) -> str:
         ),
         pytest.param({"acl.json": _NO_GRANTS, "policy.json": _policy_file("[]")}, id="policy-document-array"),
         pytest.param(
-            {
-                "acl.json": _NO_GRANTS,
-                "policy.json": _policy_file(json.dumps({"Statement": [{
-                    "Effect": "Allow", "Principal": "*", "Action": "s3:GetObject",
-                    "Condition": {"Bool": {"aws:SecureTransport": True}},
-                }]})),
-            },
-            id="boolean-condition-value",
+            {"acl.json": _NO_GRANTS, "policy.json": _condition_policy({"Bool": {"aws:SecureTransport": None}})},
+            id="null-condition-value",
         ),
         pytest.param({"acl.json": _NO_GRANTS, "policy.json": _policy_file('{"Statement": 5}')}, id="statement-number"),
         pytest.param(
