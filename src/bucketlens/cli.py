@@ -238,7 +238,10 @@ def cmd_rules_list(args: argparse.Namespace) -> int:
 
 def cmd_rules_run(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
-    source = Path(args.file).read_text(encoding="utf-8")
+    try:
+        source = Path(args.file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"rule file {args.file} is not UTF-8: {exc.reason}", offset=exc.start) from None
     try:
         ast = parse_rule(source)
     except (LexError, ParseError, SchemaError) as exc:

@@ -4,6 +4,9 @@ Each rule checks exactly one signal and deliberately ignores context (no BPA
 cross-checks, no condition-key awareness), so a single misconfigured bucket
 routinely trips many overlapping rules. That over-alerting is the behavior the
 unified rule is measured against, so keep these rules blunt.
+
+A rule that declares it reads ``acl_grants`` or ``policy`` must never fire
+when that input is empty: ``evaluate_default`` skips it on such buckets.
 """
 
 from __future__ import annotations
@@ -20,12 +23,17 @@ Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
 
 @dataclass(frozen=True, slots=True)
 class DefaultRule:
-    """One single-indicator rule; the predicate returns evidence or None."""
+    """One single-indicator rule; the predicate returns evidence or None.
+
+    ``reads`` names the config input the predicate depends on, ``"acl_grants"``
+    or ``"policy"``, or is None when it reads neither.
+    """
 
     id: str
     title: str
     severity: Severity
     predicate: Predicate
+    reads: str | None = None
 
 
 def _group_acl_rule(marker: str, permission: Permission) -> Predicate:
@@ -136,6 +144,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
                     title=f"ACL grants {permission.value} to the {label} group",
                     severity=severity,
                     predicate=_group_acl_rule(marker, permission),
+                    reads="acl_grants",
                 )
             )
 
@@ -145,6 +154,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
             title="ACL contains a grant to any group grantee",
             severity=Severity.LOW,
             predicate=_any_group_grantee,
+            reads="acl_grants",
         )
     )
     rules.append(
@@ -153,6 +163,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
             title="ACL contains a grant to a non-owner grantee",
             severity=Severity.LOW,
             predicate=_any_non_owner_grant,
+            reads="acl_grants",
         )
     )
 
@@ -186,6 +197,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
             title="Policy contains a wildcard principal in any statement",
             severity=Severity.MEDIUM,
             predicate=_wildcard_any_effect,
+            reads="policy",
         )
     )
     for rule_id, action, severity in (
@@ -199,6 +211,7 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
                 title=f"Policy allows {action} to a wildcard principal",
                 severity=severity,
                 predicate=_wildcard_allow_action(action),
+                reads="policy",
             )
         )
     rules.append(
@@ -228,11 +241,23 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
     )
 
     assert len(rules) == 24 and len({r.id for r in rules}) == 24
+    assert all(r.reads in (None, "acl_grants", "policy") for r in rules)
     return tuple(rules)
 
 
 _CATALOG = _build_catalog()
-_CATALOG_BY_ID = tuple(sorted(_CATALOG, key=lambda r: r.id))
+
+# The rules worth running on a bucket, in rule-id order, keyed by
+# (has ACL grants, has policy statements).
+_RULES_BY_INPUTS = {
+    (has_grants, has_policy): tuple(
+        rule
+        for rule in sorted(_CATALOG, key=lambda r: r.id)
+        if (has_grants or rule.reads != "acl_grants") and (has_policy or rule.reads != "policy")
+    )
+    for has_grants in (False, True)
+    for has_policy in (False, True)
+}
 
 
 def default_catalog() -> tuple[DefaultRule, ...]:
@@ -241,9 +266,13 @@ def default_catalog() -> tuple[DefaultRule, ...]:
 
 
 def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[Alert]:
-    """Evaluate every catalog rule; one alert per match, ordered by rule id."""
+    """Evaluate every catalog rule; one alert per match, ordered by rule id.
+
+    Rules whose declared input is empty on this bucket cannot fire and are
+    not run.
+    """
     alerts: list[Alert] = []
-    for rule in _CATALOG_BY_ID:
+    for rule in _RULES_BY_INPUTS[bool(config.acl_grants), bool(config.policy)]:
         evidence = rule.predicate(config, derived)
         if evidence is not None:
             alerts.append(

@@ -500,7 +500,11 @@ class _Parser:
 
 def parse_rule(source: str) -> RuleAst:
     """Parse and schema-validate one rule; paths are stored canonically cased."""
-    return _Parser(tokenize(source)).parse_rule()
+    tokens = tokenize(source)
+    try:
+        return _Parser(tokens).parse_rule()
+    except RecursionError:
+        raise ParseError("rule is nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

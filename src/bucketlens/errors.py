@@ -14,8 +14,9 @@ class BucketlensError(Exception):
 class SchemaError(BucketlensError):
     """Input data violates a documented schema.
 
-    Carries optional context: the offending field, the input line number
-    (JSONL sources) and a byte offset (rule sources).
+    Carries the bare message and optional context: the offending field, the
+    input line number (JSONL sources) and an offset (rule sources, or the
+    byte offset of undecodable input).
     """
 
     def __init__(
@@ -26,6 +27,7 @@ class SchemaError(BucketlensError):
         line: int | None = None,
         offset: int | None = None,
     ) -> None:
+        self.message = message
         self.field = field
         self.line = line
         self.offset = offset

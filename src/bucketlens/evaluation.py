@@ -392,7 +392,7 @@ def diff_alerts(previous: AlertState, current: Sequence[Alert], scan_id: str) ->
 def load_state(path: str | Path) -> AlertState:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise StateCorruptionError(f"cannot read alert state {path}: {exc}") from None
     if not isinstance(raw, dict) or raw.get("schema_version") != STATE_SCHEMA_VERSION:
         raise StateCorruptionError(

@@ -33,6 +33,7 @@ from .model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
+    invalid_utf8_error,
 )
 from .policy import Exposure, derive, effective_anonymous_access
 
@@ -484,25 +485,30 @@ def write_truth(pairs: Iterable[tuple[BucketConfig, GroundTruth]], path: str | P
 def load_truth(path: str | Path) -> dict[str, GroundTruth]:
     truths: dict[str, GroundTruth] = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, text in enumerate(handle, start=1):
-            if not text.strip():
-                continue
-            try:
-                raw = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(raw, dict):
-                raise SchemaError("truth line must be a JSON object", line=lineno)
-            for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
-                if not isinstance(raw.get(key), kind):
-                    raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
-            if raw["name"] in truths:
-                raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
-            truths[raw["name"]] = GroundTruth(
-                exploitable=raw["exploitable"],
-                business_risk=raw["business_risk"],
-                reason=raw["reason"],
-            )
+        try:
+            for lineno, text in enumerate(handle, start=1):
+                if not text.strip():
+                    continue
+                try:
+                    raw = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
+                except RecursionError:
+                    raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
+                if not isinstance(raw, dict):
+                    raise SchemaError("truth line must be a JSON object", line=lineno)
+                for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
+                    if not isinstance(raw.get(key), kind):
+                        raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+                if raw["name"] in truths:
+                    raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
+                truths[raw["name"]] = GroundTruth(
+                    exploitable=raw["exploitable"],
+                    business_risk=raw["business_risk"],
+                    reason=raw["reason"],
+                )
+        except UnicodeDecodeError:
+            raise invalid_utf8_error(path) from None
     return truths
 
 
@@ -512,6 +518,8 @@ def load_mix_file(path: str | Path) -> dict[str, float]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MixError(f"mix file is invalid JSON: {exc.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise MixError(f"mix file is unreadable: {exc}") from None
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
         for k, v in raw.items()

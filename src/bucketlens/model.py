@@ -34,6 +34,9 @@ from .errors import DuplicateNameError, MissingArtifactError, SchemaError
 
 _NAME_RE = re.compile(r"^[a-z0-9.-]{3,63}$")
 
+# json raises RecursionError on deeply nested documents
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
 ALL_USERS_URI = "http://acs.amazonaws.com/groups/global/AllUsers"
 AUTHENTICATED_USERS_URI = "http://acs.amazonaws.com/groups/global/AuthenticatedUsers"
 LOG_DELIVERY_URI = "http://acs.amazonaws.com/groups/s3/LogDelivery"
@@ -143,29 +146,27 @@ class BucketConfig:
 _ABSENT = object()
 
 
-def _require(obj: Mapping[str, Any], key: str, kind: type, *, line: int | None) -> Any:
+def _require(obj: Mapping[str, Any], key: str, kind: type) -> Any:
     value = obj.get(key, _ABSENT)
     # json.loads yields exact builtin types, so this is the common case
     if type(value) is kind:
         return value
     if value is _ABSENT:
-        raise SchemaError(f"missing required field {key!r}", field=key, line=line)
+        raise SchemaError(f"missing required field {key!r}", field=key)
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise SchemaError(
-            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
-            field=key,
-            line=line,
+            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}", field=key
         )
     return value
 
 
-def _optional(obj: Mapping[str, Any], key: str, kind: type, default: Any, *, line: int | None) -> Any:
+def _optional(obj: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
     value = obj.get(key, _ABSENT)
     if type(value) is kind:
         return value
     if value is _ABSENT:
         return default
-    return _require(obj, key, kind, line=line)
+    return _require(obj, key, kind)
 
 
 _ENUM_MEMBERS: dict[type[enum.Enum], dict[Any, enum.Enum]] = {
@@ -174,21 +175,19 @@ _ENUM_MEMBERS: dict[type[enum.Enum], dict[Any, enum.Enum]] = {
 }
 
 
-def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str, line: int | None) -> Any:
+def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str) -> Any:
     try:
         return _ENUM_MEMBERS[enum_cls][raw]
     except (KeyError, TypeError):  # TypeError: an unhashable value such as a list
         allowed = ", ".join(m.value for m in enum_cls)
-        raise SchemaError(
-            f"unknown {fieldname} {raw!r} (allowed: {allowed})", field=fieldname, line=line
-        ) from None
+        raise SchemaError(f"unknown {fieldname} {raw!r} (allowed: {allowed})", field=fieldname) from None
 
 
-def _check_no_extra_keys(obj: Mapping[str, Any], allowed: frozenset[str], where: str, line: int | None) -> None:
+def _check_no_extra_keys(obj: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
     if allowed.issuperset(obj):
         return
     extra = sorted(set(obj) - allowed)
-    raise SchemaError(f"unknown field(s) in {where}: {', '.join(extra)}", field=extra[0], line=line)
+    raise SchemaError(f"unknown field(s) in {where}: {', '.join(extra)}", field=extra[0])
 
 
 _TOP_KEYS = frozenset(
@@ -201,53 +200,50 @@ _BPA_KEYS = frozenset(
 )
 
 
-def _string_list(raw: Any, fieldname: str, line: int | None) -> tuple[str, ...]:
+def _string_list(raw: Any, fieldname: str) -> tuple[str, ...]:
     if isinstance(raw, str):
         return (raw,)
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise SchemaError(f"field {fieldname!r} must be a list of strings", field=fieldname, line=line)
+        raise SchemaError(f"field {fieldname!r} must be a list of strings", field=fieldname)
     return tuple(raw)
 
 
-def _parse_condition(raw: Any, line: int | None) -> dict[str, tuple[str, ...]] | None:
+def _parse_condition(raw: Any) -> dict[str, tuple[str, ...]] | None:
     if raw is None:
         return None
     if not isinstance(raw, dict):
-        raise SchemaError("field 'condition' must be an object", field="condition", line=line)
+        raise SchemaError("field 'condition' must be an object", field="condition")
     out: dict[str, tuple[str, ...]] = {}
     for key, values in raw.items():
-        out[key] = _string_list(values, f"condition.{key}", line)
+        out[key] = _string_list(values, f"condition.{key}")
     return out or None
 
 
-def _parse_grant(raw: Any, line: int | None) -> AclGrant:
+def _parse_grant(raw: Any) -> AclGrant:
     if not isinstance(raw, dict):
-        raise SchemaError("each acl_grants entry must be an object", field="acl_grants", line=line)
-    _check_no_extra_keys(raw, _GRANT_KEYS, "acl_grants entry", line)
+        raise SchemaError("each acl_grants entry must be an object", field="acl_grants")
+    _check_no_extra_keys(raw, _GRANT_KEYS, "acl_grants entry")
     return AclGrant(
-        grantee_type=_enum_value(_require(raw, "grantee_type", str, line=line), GranteeType, "grantee_type", line),
-        grantee_uri=_require(raw, "grantee_uri", str, line=line),
-        permission=_enum_value(_require(raw, "permission", str, line=line), Permission, "permission", line),
+        grantee_type=_enum_value(_require(raw, "grantee_type", str), GranteeType, "grantee_type"),
+        grantee_uri=_require(raw, "grantee_uri", str),
+        permission=_enum_value(_require(raw, "permission", str), Permission, "permission"),
     )
 
 
-def _parse_statement(raw: Any, line: int | None) -> PolicyStatement:
+def _parse_statement(raw: Any) -> PolicyStatement:
     if not isinstance(raw, dict):
-        raise SchemaError("each policy entry must be an object", field="policy", line=line)
-    _check_no_extra_keys(raw, _STMT_KEYS, "policy statement", line)
+        raise SchemaError("each policy entry must be an object", field="policy")
+    _check_no_extra_keys(raw, _STMT_KEYS, "policy statement")
     sid = raw.get("sid")
     if sid is not None and not isinstance(sid, str):
-        raise SchemaError("field 'sid' must be a string", field="sid", line=line)
-    actions = _string_list(_require(raw, "actions", list, line=line), "actions", line)
-    if not actions:
-        raise SchemaError("statement actions must be non-empty", field="actions", line=line)
+        raise SchemaError("field 'sid' must be a string", field="sid")
     return PolicyStatement(
-        effect=_enum_value(_require(raw, "effect", str, line=line), Effect, "effect", line),
-        principal_aws=_string_list(_require(raw, "principal_aws", list, line=line), "principal_aws", line),
-        actions=actions,
-        resources=_string_list(_optional(raw, "resources", list, [], line=line), "resources", line),
+        effect=_enum_value(_require(raw, "effect", str), Effect, "effect"),
+        principal_aws=_string_list(_require(raw, "principal_aws", list), "principal_aws"),
+        actions=_string_list(_require(raw, "actions", list), "actions"),
+        resources=_string_list(_optional(raw, "resources", list, []), "resources"),
         sid=sid,
-        condition=_parse_condition(raw.get("condition"), line),
+        condition=_parse_condition(raw.get("condition")),
     )
 
 
@@ -255,17 +251,17 @@ def _parse_statement(raw: Any, line: int | None) -> PolicyStatement:
 _BPA_BY_FLAGS = {flags: PublicAccessBlock(*flags) for flags in itertools.product((False, True), repeat=4)}
 
 
-def _parse_bpa(raw: Any, line: int | None) -> PublicAccessBlock:
+def _parse_bpa(raw: Any) -> PublicAccessBlock:
     if raw is None:
         return PublicAccessBlock()
     if not isinstance(raw, dict):
-        raise SchemaError("field 'public_access_block' must be an object", field="public_access_block", line=line)
-    _check_no_extra_keys(raw, _BPA_KEYS, "public_access_block", line)
+        raise SchemaError("field 'public_access_block' must be an object", field="public_access_block")
+    _check_no_extra_keys(raw, _BPA_KEYS, "public_access_block")
     return _BPA_BY_FLAGS[(
-        _require(raw, "block_public_acls", bool, line=line),
-        _require(raw, "ignore_public_acls", bool, line=line),
-        _require(raw, "block_public_policy", bool, line=line),
-        _require(raw, "restrict_public_buckets", bool, line=line),
+        _require(raw, "block_public_acls", bool),
+        _require(raw, "ignore_public_acls", bool),
+        _require(raw, "block_public_policy", bool),
+        _require(raw, "restrict_public_buckets", bool),
     )]
 
 
@@ -276,39 +272,44 @@ def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
     Raises SchemaError naming the offending field (and line, when given).
     """
     try:
+        return _parse_record(text)
+    except SchemaError as exc:
+        # the one place line numbers are added, for the checks in _parse_record
+        # and in the model classes' __post_init__ alike
+        if line is None:
+            raise
+        raise SchemaError(exc.message, field=exc.field, line=line) from None
+
+
+def _parse_record(text: str) -> BucketConfig:
+    try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", line=line) from None
+        raise SchemaError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError(_TOO_DEEP) from None
     if not isinstance(raw, dict):
-        raise SchemaError("snapshot line must be a JSON object", line=line)
-    _check_no_extra_keys(raw, _TOP_KEYS, "bucket record", line)
+        raise SchemaError("snapshot line must be a JSON object")
+    _check_no_extra_keys(raw, _TOP_KEYS, "bucket record")
 
-    name = _require(raw, "name", str, line=line)
-    if not _NAME_RE.match(name):
-        raise SchemaError(
-            f"invalid bucket name {name!r}: expected 3-63 chars of lowercase "
-            "letters, digits, dots, hyphens",
-            field="name",
-            line=line,
-        )
-
-    grants_raw = _optional(raw, "acl_grants", list, [], line=line)
+    name = _require(raw, "name", str)
+    grants_raw = _optional(raw, "acl_grants", list, [])
     policy_raw = raw.get("policy")
     if policy_raw is not None and not isinstance(policy_raw, list):
-        raise SchemaError("field 'policy' must be an array", field="policy", line=line)
-    tags_raw = _optional(raw, "tags", dict, {}, line=line)
+        raise SchemaError("field 'policy' must be an array", field="policy")
+    tags_raw = _optional(raw, "tags", dict, {})
     for key, value in tags_raw.items():
         if not isinstance(key, str) or not isinstance(value, str):
-            raise SchemaError("tags must map strings to strings", field="tags", line=line)
+            raise SchemaError("tags must map strings to strings", field="tags")
 
     return BucketConfig(
-        name=name,
-        region=_optional(raw, "region", str, "us-east-1", line=line),
-        acl_grants=tuple(_parse_grant(g, line) for g in grants_raw),
-        policy=None if policy_raw is None else tuple(_parse_statement(s, line) for s in policy_raw),
-        public_access_block=_parse_bpa(raw.get("public_access_block"), line),
+        name=name,  # validated by BucketConfig
+        region=_optional(raw, "region", str, "us-east-1"),
+        acl_grants=tuple(_parse_grant(g) for g in grants_raw),
+        policy=None if policy_raw is None else tuple(_parse_statement(s) for s in policy_raw),
+        public_access_block=_parse_bpa(raw.get("public_access_block")),
         tags=dict(tags_raw),
-        website_enabled=_optional(raw, "website_enabled", bool, False, line=line),
+        website_enabled=_optional(raw, "website_enabled", bool, False),
     )
 
 
@@ -362,15 +363,33 @@ def load_fleet(path: str | Path) -> list[BucketConfig]:
     buckets: list[BucketConfig] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
-        for lineno, text in enumerate(handle, start=1):
-            if not text.strip():
-                continue
-            config = parse_snapshot_line(text, line=lineno)
-            if config.name in seen:
-                raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
-            seen.add(config.name)
-            buckets.append(config)
+        try:
+            for lineno, text in enumerate(handle, start=1):
+                if not text.strip():
+                    continue
+                config = parse_snapshot_line(text, line=lineno)
+                if config.name in seen:
+                    raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
+                seen.add(config.name)
+                buckets.append(config)
+        except UnicodeDecodeError:
+            raise invalid_utf8_error(path) from None
     return buckets
+
+
+def invalid_utf8_error(path: str | Path) -> SchemaError:
+    """The SchemaError for a JSONL file that is not UTF-8, naming its first bad line.
+
+    Text reads decode in blocks, so the decode error does not tell which
+    line failed; the file is read again, as bytes, to find it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno)
+    return SchemaError("invalid UTF-8")
 
 
 def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:
@@ -396,6 +415,10 @@ def _load_json_file(path: Path) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path.name}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path.name}: invalid UTF-8: {exc.reason}", offset=exc.start) from None
+    except RecursionError:
+        raise SchemaError(f"{path.name}: {_TOO_DEEP}") from None
 
 
 def _import_acl(path: Path) -> tuple[AclGrant, ...]:
@@ -425,7 +448,7 @@ def _import_acl(path: Path) -> tuple[AclGrant, ...]:
             AclGrant(
                 grantee_type=gtype,
                 grantee_uri=identifier,
-                permission=_enum_value(entry["Permission"], Permission, "Permission", None),
+                permission=_enum_value(entry["Permission"], Permission, "Permission"),
             )
         )
     return tuple(grants)
@@ -459,7 +482,7 @@ def _flatten_condition(raw: Any, path: Path) -> dict[str, tuple[str, ...]] | Non
                 values = [_condition_text(v) for v in values]
             else:
                 values = _condition_text(values)
-            flat.setdefault(key, []).extend(_string_list(values, f"Condition.{key}", None))
+            flat.setdefault(key, []).extend(_string_list(values, f"Condition.{key}"))
     return {k: tuple(v) for k, v in flat.items()} or None
 
 
@@ -479,6 +502,8 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
         document = json.loads(raw["Policy"])
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path.name}: embedded policy document is invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError(f"{path.name}: embedded policy document is {_TOO_DEEP}") from None
     if not isinstance(document, dict):
         raise SchemaError(f"{path.name}: embedded policy document must be a JSON object")
     statements_raw = document.get("Statement", [])
@@ -500,10 +525,10 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
             raise SchemaError(f"{path.name}: 'Sid' must be a string", field="Sid")
         statements.append(
             PolicyStatement(
-                effect=_enum_value(stmt.get("Effect"), Effect, "Effect", None),
+                effect=_enum_value(stmt.get("Effect"), Effect, "Effect"),
                 principal_aws=_normalize_principal(stmt["Principal"], path),
-                actions=_string_list(actions, "Action", None),
-                resources=_string_list(stmt.get("Resource", []), "Resource", None),
+                actions=_string_list(actions, "Action"),
+                resources=_string_list(stmt.get("Resource", []), "Resource"),
                 sid=sid,
                 condition=_flatten_condition(stmt.get("Condition"), path),
             )
@@ -516,12 +541,14 @@ def _import_bpa(path: Path) -> PublicAccessBlock:
     if not isinstance(raw, dict) or not isinstance(raw.get("PublicAccessBlockConfiguration"), dict):
         raise SchemaError(f"{path.name}: expected a 'PublicAccessBlockConfiguration' object")
     cfg = raw["PublicAccessBlockConfiguration"]
-    return PublicAccessBlock(
-        block_public_acls=bool(cfg.get("BlockPublicAcls", False)),
-        ignore_public_acls=bool(cfg.get("IgnorePublicAcls", False)),
-        block_public_policy=bool(cfg.get("BlockPublicPolicy", False)),
-        restrict_public_buckets=bool(cfg.get("RestrictPublicBuckets", False)),
-    )
+    flags = []
+    for key in ("BlockPublicAcls", "IgnorePublicAcls", "BlockPublicPolicy", "RestrictPublicBuckets"):
+        # only JSON booleans: "false" or 1 must not pass for a setting
+        value = cfg.get(key, False)
+        if not isinstance(value, bool):
+            raise SchemaError(f"{path.name}: {key} must be true or false, got {value!r}", field=key)
+        flags.append(value)
+    return _BPA_BY_FLAGS[tuple(flags)]
 
 
 def _import_tags(path: Path) -> dict[str, str]:

@@ -96,6 +96,8 @@ def load_restrictive_keys(path: str | Path) -> frozenset[str]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"restrictive-key file is invalid JSON: {exc.msg}") from None
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"restrictive-key file is unreadable: {exc}") from None
     if not isinstance(raw, list) or not all(isinstance(k, str) for k in raw):
         raise SchemaError("restrictive-key file must be a JSON array of strings")
     return frozenset(raw)
@@ -240,14 +242,15 @@ def classify_exposure(
     (b) a public policy not neutralized by RestrictPublicBuckets;
     (c) static-website hosting not neutralized by RestrictPublicBuckets.
     """
+    return _exposure(config, is_policy_public(config.policy, restrictive_keys))
+
+
+def _exposure(config: BucketConfig, policy_public: bool) -> Exposure:
     bpa = config.public_access_block
     if _has_public_group_grant(config) and not bpa.ignore_public_acls:
         return Exposure.PUBLIC_FACING
-    if not bpa.restrict_public_buckets:
-        if is_policy_public(config.policy, restrictive_keys):
-            return Exposure.PUBLIC_FACING
-        if config.website_enabled:
-            return Exposure.PUBLIC_FACING
+    if not bpa.restrict_public_buckets and (policy_public or config.website_enabled):
+        return Exposure.PUBLIC_FACING
     return Exposure.INTERNAL
 
 
@@ -263,8 +266,9 @@ def derive(
     config: BucketConfig, restrictive_keys: frozenset[str] | None = None
 ) -> DerivedProperties:
     """Compute the derived-property bundle for one bucket."""
+    policy_public = is_policy_public(config.policy, restrictive_keys)
     return DerivedProperties(
-        policy_status_public=is_policy_public(config.policy, restrictive_keys),
-        exposure=classify_exposure(config, restrictive_keys),
+        policy_status_public=policy_public,
+        exposure=_exposure(config, policy_public),
         sensitive_data=is_sensitive(config),
     )

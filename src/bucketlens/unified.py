@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BucketConfig, Effect, Permission, Severity
+from .model import BucketConfig, Effect, Permission, PolicyStatement, Severity
 from .policy import DerivedProperties, Exposure, has_restrictive_condition, has_wildcard_principal
 
 UNIFIED_RULE_ID = "UNIFIED-S3-PUBLIC-ACCESS"
@@ -75,91 +75,121 @@ def _grant_matches_c1(uri: str, permission: Permission) -> bool:
     return False
 
 
-def condition_verdicts(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None = None,
-) -> list[ConditionVerdict]:
-    """Evaluate all five conditions with human-readable evidence."""
-    verdicts: list[ConditionVerdict] = []
-    bpa = config.public_access_block
-    public_facing = derived.exposure is Exposure.PUBLIC_FACING
-
-    c1_grants = [g for g in config.acl_grants if _grant_matches_c1(g.grantee_uri, g.permission)]
-    if c1_grants:
-        c1_detail = "public ACL grant(s): " + "; ".join(
-            f"{g.grantee_uri} ({g.permission.value})" for g in c1_grants
-        )
-    else:
-        c1_detail = "no qualifying ACL grant"
-    verdicts.append(ConditionVerdict(1, bool(c1_grants), c1_detail))
-
-    verdicts.append(
-        ConditionVerdict(
-            2,
-            derived.policy_status_public and public_facing,
-            f"policy_status_public={str(derived.policy_status_public).lower()}, "
-            f"exposure={derived.exposure.value}",
-        )
-    )
-
-    def _sid(stmt) -> str:
-        return stmt.sid or "<no sid>"
-
-    risky_stmts = []
-    for stmt in config.policy or ():
-        if stmt.effect is not Effect.ALLOW or not has_wildcard_principal(stmt):
-            continue
-        if has_restrictive_condition(stmt, restrictive_keys):
-            continue
-        matched = sorted(
-            {m for m in RISKY_ACTION_MARKERS for action in stmt.actions if m in action}
-        )
-        if matched:
-            risky_stmts.append((stmt, matched))
-    c3 = public_facing and not bpa.restrict_public_buckets and bool(risky_stmts)
-    if c3:
-        detail = "risky wildcard statement(s): " + "; ".join(
-            f"{_sid(stmt)} matches {', '.join(matched)}" for stmt, matched in risky_stmts
-        )
-    elif not public_facing:
-        detail = "bucket is not public-facing"
-    elif bpa.restrict_public_buckets:
-        detail = "RestrictPublicBuckets is enabled"
-    else:
-        detail = "no unrestricted wildcard Allow statement over a risky action"
-    verdicts.append(ConditionVerdict(3, c3, detail))
-
-    open_stmts = [
+def _open_statements(
+    config: BucketConfig, restrictive_keys: frozenset[str] | None
+) -> list[PolicyStatement]:
+    """Wildcard-principal Allow statements without a restrictive condition."""
+    return [
         stmt
         for stmt in config.policy or ()
         if stmt.effect is Effect.ALLOW
         and has_wildcard_principal(stmt)
         and not has_restrictive_condition(stmt, restrictive_keys)
     ]
-    c4 = bool(open_stmts) and not bpa.restrict_public_buckets
-    if c4:
-        detail = (
-            "unrestricted wildcard Allow statement(s) "
-            + ", ".join(_sid(s) for s in open_stmts)
-            + " while RestrictPublicBuckets is disabled"
-        )
-    elif not open_stmts:
-        detail = "no unrestricted wildcard Allow statement"
-    else:
-        detail = "RestrictPublicBuckets is enabled"
-    verdicts.append(ConditionVerdict(4, c4, detail))
 
-    c5 = public_facing and derived.sensitive_data
-    verdicts.append(
-        ConditionVerdict(
-            5,
-            c5,
-            f"exposure={derived.exposure.value}, "
-            f"sensitive_data={str(derived.sensitive_data).lower()}",
+
+def _risky_markers(stmt: PolicyStatement) -> list[str]:
+    return sorted({m for m in RISKY_ACTION_MARKERS for action in stmt.actions if m in action})
+
+
+def _fired_conditions(
+    config: BucketConfig,
+    derived: DerivedProperties,
+    restrictive_keys: frozenset[str] | None = None,
+) -> tuple[int, ...]:
+    """The numbers of the conditions that hold, ascending; no evidence text.
+
+    This is the only place the five conditions are decided. Most buckets
+    fire none, so it touches ACL grants and policy statements only when
+    the bucket has them.
+    """
+    fired: list[int] = []
+    for grant in config.acl_grants:
+        if _grant_matches_c1(grant.grantee_uri, grant.permission):
+            fired.append(1)
+            break
+    public_facing = derived.exposure is Exposure.PUBLIC_FACING
+    if public_facing and derived.policy_status_public:
+        fired.append(2)
+    if config.policy and not config.public_access_block.restrict_public_buckets:
+        open_stmts = _open_statements(config, restrictive_keys)
+        if open_stmts:
+            if public_facing and any(map(_risky_markers, open_stmts)):
+                fired.append(3)
+            fired.append(4)
+    if public_facing and derived.sensitive_data:
+        fired.append(5)
+    return tuple(fired)
+
+
+def _sid(stmt: PolicyStatement) -> str:
+    return stmt.sid or "<no sid>"
+
+
+def _evidence(
+    number: int,
+    config: BucketConfig,
+    derived: DerivedProperties,
+    restrictive_keys: frozenset[str] | None,
+    fired: bool,
+) -> str:
+    """Evidence for one condition, given whether it fired.
+
+    Built only for an alerting bucket or for ``explain``.
+    """
+    bpa = config.public_access_block
+    if number == 1:
+        if not fired:
+            return "no qualifying ACL grant"
+        return "public ACL grant(s): " + "; ".join(
+            f"{g.grantee_uri} ({g.permission.value})"
+            for g in config.acl_grants
+            if _grant_matches_c1(g.grantee_uri, g.permission)
         )
+    if number == 2:
+        return (
+            f"policy_status_public={str(derived.policy_status_public).lower()}, "
+            f"exposure={derived.exposure.value}"
+        )
+    if number == 3:
+        if fired:
+            risky = ((stmt, _risky_markers(stmt)) for stmt in _open_statements(config, restrictive_keys))
+            return "risky wildcard statement(s): " + "; ".join(
+                f"{_sid(stmt)} matches {', '.join(matched)}" for stmt, matched in risky if matched
+            )
+        if derived.exposure is not Exposure.PUBLIC_FACING:
+            return "bucket is not public-facing"
+        if bpa.restrict_public_buckets:
+            return "RestrictPublicBuckets is enabled"
+        return "no unrestricted wildcard Allow statement over a risky action"
+    if number == 4:
+        open_stmts = _open_statements(config, restrictive_keys)
+        if fired:
+            return (
+                "unrestricted wildcard Allow statement(s) "
+                + ", ".join(_sid(s) for s in open_stmts)
+                + " while RestrictPublicBuckets is disabled"
+            )
+        if not open_stmts:
+            return "no unrestricted wildcard Allow statement"
+        return "RestrictPublicBuckets is enabled"
+    return (
+        f"exposure={derived.exposure.value}, "
+        f"sensitive_data={str(derived.sensitive_data).lower()}"
     )
-    return verdicts
+
+
+def condition_verdicts(
+    config: BucketConfig,
+    derived: DerivedProperties,
+    restrictive_keys: frozenset[str] | None = None,
+) -> list[ConditionVerdict]:
+    """Evaluate all five conditions with human-readable evidence."""
+    fired = _fired_conditions(config, derived, restrictive_keys)
+    return [
+        ConditionVerdict(number, number in fired, _evidence(number, config, derived, restrictive_keys, number in fired))
+        for number in range(1, 6)
+    ]
 
 
 def evaluate_unified(
@@ -168,16 +198,17 @@ def evaluate_unified(
     restrictive_keys: frozenset[str] | None = None,
 ) -> Alert | None:
     """Emit at most one High alert per bucket, listing every fired condition."""
-    verdicts = condition_verdicts(config, derived, restrictive_keys)
-    fired = [v for v in verdicts if v.fired]
+    fired = _fired_conditions(config, derived, restrictive_keys)
     if not fired:
         return None
-    explanation = "; ".join(f"C{v.number}: {v.detail}" for v in fired)
+    explanation = "; ".join(
+        f"C{number}: {_evidence(number, config, derived, restrictive_keys, True)}" for number in fired
+    )
     return Alert(
         bucket_name=config.name,
         rule_id=UNIFIED_RULE_ID,
         severity=Severity.HIGH,
-        fired_conditions=frozenset(v.number for v in fired),
+        fired_conditions=frozenset(fired),
         explanation=explanation,
     )
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
 import pytest
 
+from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
@@ -118,6 +120,16 @@ def random_bucket_config(rng: random.Random) -> BucketConfig:
 @pytest.fixture
 def config_gen():
     return random_bucket_config
+
+
+@functools.lru_cache(maxsize=1)
+def agreement_configs() -> tuple[BucketConfig, ...]:
+    """300 random buckets plus the seed-42 1k paper and adversarial fleets."""
+    rng = random.Random(1618)
+    configs = [random_bucket_config(rng) for _ in range(300)]
+    for mix in (PAPER_MIX, ADVERSARIAL_MIX):
+        configs += [config for config, _ in generate_fleet(MixSpec(dict(mix), total=1000, seed=42))]
+    return tuple(configs)
 
 
 def locked_bucket(name: str = "locked-bucket") -> BucketConfig:

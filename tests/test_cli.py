@@ -349,3 +349,98 @@ def test_help_documents_spec_flags():
     parser = build_parser()
     text = parser.format_help()
     assert "generate" in text and "evaluate" in text and "explain" in text
+
+
+_DEEP = "[" * 100_000
+_BAD_UTF8 = b'{"name":"bad-\xff-bucket"}\n'
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _artifact_dir(tmp_path, files):
+    bucket = tmp_path / "malformed-bucket"
+    bucket.mkdir()
+    for name, content in files.items():
+        _write(bucket / name, content)
+    return str(bucket)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(lambda t, fleet: ["scan", "--input", _write(t / "in.jsonl", _BAD_UTF8)], id="input-not-utf8"),
+        pytest.param(lambda t, fleet: ["scan", "--input", _write(t / "in.jsonl", _DEEP + "\n")], id="input-deep"),
+        pytest.param(
+            lambda t, fleet: ["evaluate", "--input", str(fleet), "--truth", _write(t / "t.jsonl", _BAD_UTF8)],
+            id="truth-not-utf8",
+        ),
+        pytest.param(
+            lambda t, fleet: ["evaluate", "--input", str(fleet), "--truth", _write(t / "t.jsonl", _DEEP + "\n")],
+            id="truth-deep",
+        ),
+        pytest.param(
+            lambda t, fleet: ["rules", "run", "--file", _write(t / "r.rule", b"RULE r SEVERITY High WHEN \xff"),
+                              "--input", str(fleet)],
+            id="rule-file-not-utf8",
+        ),
+        pytest.param(
+            lambda t, fleet: ["scan", "--input", str(fleet), "--state", _write(t / "state.json", _DEEP)],
+            id="state-deep",
+        ),
+        pytest.param(
+            lambda t, fleet: ["scan", "--input", str(fleet), "--state", _write(t / "state.json", b"\xff\xfe{}")],
+            id="state-not-utf8",
+        ),
+        pytest.param(
+            lambda t, fleet: ["import", _artifact_dir(t, {"acl.json": b'{"Grants": ["\xff"]}'})],
+            id="artifact-not-utf8",
+        ),
+        pytest.param(lambda t, fleet: ["import", _artifact_dir(t, {"acl.json": _DEEP})], id="artifact-deep"),
+        pytest.param(
+            lambda t, fleet: ["import", _artifact_dir(t, {
+                "acl.json": '{"Grants": []}', "policy.json": json.dumps({"Policy": _DEEP}),
+            })],
+            id="embedded-policy-deep",
+        ),
+        pytest.param(
+            lambda t, fleet: ["import", _artifact_dir(t, {
+                "acl.json": '{"Grants": []}',
+                "public-access-block.json": '{"PublicAccessBlockConfiguration": {"BlockPublicAcls": "false"}}',
+            })],
+            id="bpa-flag-string",
+        ),
+        pytest.param(
+            lambda t, fleet: ["generate", "--total", "5", "--mix", _write(t / "mix.json", b"\xff"),
+                              "--out", str(t / "out.jsonl")],
+            id="mix-not-utf8",
+        ),
+    ],
+)
+def test_malformed_input_exits_three_without_traceback(make_argv, small_fleet, tmp_path, capsys):
+    argv = make_argv(tmp_path, small_fleet)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_rule_is_a_parse_error(small_fleet, tmp_path, capsys):
+    rule_file = tmp_path / "deep.rule"
+    rule_file.write_text("RULE deep SEVERITY High WHEN " + "(" * 5000 + "TRUE" + ")" * 5000)
+    assert main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)]) == 3
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_restrictive_keys_file_not_utf8_exits_three(small_fleet, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, _write(tmp_path / "keys.json", b'["\xff"]'))
+    assert main(["scan", "--input", str(small_fleet)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

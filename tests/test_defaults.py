@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+
+import pytest
 
 from bucketlens.defaults import default_catalog, evaluate_default
 from bucketlens.model import (
@@ -17,9 +20,9 @@ from bucketlens.model import (
     PublicAccessBlock,
 )
 from bucketlens.policy import derive
-from bucketlens.unified import evaluate_unified
+from bucketlens.unified import Alert, evaluate_unified
 
-from conftest import allusers_read_bucket, locked_bucket, random_bucket_config
+from conftest import agreement_configs, allusers_read_bucket, locked_bucket, random_bucket_config
 
 
 def test_catalog_size_and_unique_ids():
@@ -135,3 +138,37 @@ def test_allusers_grant_fires_every_permission_variant():
         ids = {a.rule_id for a in evaluate_default(config, derive(config))}
         token = permission.value.replace("_", "-")
         assert f"ACL-ALLUSERS-{token}" in ids
+
+
+def _every_rule(config, derived) -> list[Alert]:
+    # the reference: all 24 predicates, no rule skipped
+    alerts = []
+    for rule in sorted(default_catalog(), key=lambda r: r.id):
+        evidence = rule.predicate(config, derived)
+        if evidence is not None:
+            alerts.append(Alert(config.name, rule.id, rule.severity, frozenset(), f"{rule.title}: {evidence}"))
+    return alerts
+
+
+def test_skipping_rules_on_empty_inputs_changes_no_alert():
+    for config in agreement_configs():
+        derived = derive(config)
+        assert evaluate_default(config, derived) == _every_rule(config, derived)
+
+
+def test_rule_inputs_are_declared():
+    reads = {rule.id: rule.reads for rule in default_catalog()}
+    assert sum(r == "acl_grants" for r in reads.values()) == 12
+    assert sum(r == "policy" for r in reads.values()) == 4
+    assert all(r in (None, "acl_grants", "policy") for r in reads.values())
+
+
+@pytest.mark.parametrize("empty", [{"acl_grants": ()}, {"policy": None}, {"policy": ()}], ids=repr)
+def test_rules_never_fire_on_their_empty_input(empty):
+    (name,) = empty
+    declared = [rule for rule in default_catalog() if rule.reads == name]
+    for config in agreement_configs():
+        emptied = dataclasses.replace(config, **empty)
+        for derived in (derive(config), derive(emptied)):
+            for rule in declared:
+                assert rule.predicate(emptied, derived) is None, rule.id

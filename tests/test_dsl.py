@@ -30,12 +30,17 @@ from bucketlens.dsl import (
 )
 from bucketlens.dsl import _eval, _flatten
 from bucketlens.errors import LexError, ParseError, SchemaError
-from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import BucketConfig, Severity
 from bucketlens.policy import derive
 from bucketlens.unified import unified_dsl_source
 
-from conftest import allusers_read_bucket, locked_bucket, public_policy_bucket, random_bucket_config
+from conftest import (
+    agreement_configs,
+    allusers_read_bucket,
+    locked_bucket,
+    public_policy_bucket,
+    random_bucket_config,
+)
 
 
 def _record(config: BucketConfig):
@@ -416,16 +421,8 @@ def _compiler_corpus() -> list[RuleAst]:
     return rules
 
 
-def _compiler_configs() -> list[BucketConfig]:
-    rng = random.Random(1618)
-    configs = [random_bucket_config(rng) for _ in range(300)]
-    for mix in (PAPER_MIX, ADVERSARIAL_MIX):
-        configs += [config for config, _ in generate_fleet(MixSpec(dict(mix), total=1000, seed=42))]
-    return configs
-
-
 def test_compiled_rules_agree_with_the_interpreter():
-    records = [_record(config) for config in _compiler_configs()]
+    records = [_record(config) for config in agreement_configs()]
     flat = [[_flatten(record)] for record in records]
     for ast in _compiler_corpus():
         for record, env in zip(records, flat):

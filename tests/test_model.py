@@ -76,24 +76,72 @@ def test_unknown_permission_rejected():
     assert "line 7" in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "line,needle",
-    [
-        ("not json", "invalid JSON"),
-        ("[1]", "object"),
-        ('{"region":"us-east-1"}', "name"),
-        ('{"name":"UPPER"}', "invalid bucket name"),
-        ('{"name":"ab"}', "invalid bucket name"),
-        ('{"name":"ok-bucket","bogus":1}', "bogus"),
-        ('{"name":"ok-bucket","policy":[{"effect":"Allow","principal_aws":[],"actions":[]}]}', "actions"),
-        ('{"name":"ok-bucket","public_access_block":{"block_public_acls":true}}', "ignore_public_acls"),
-        ('{"name":"ok-bucket","tags":{"a":1}}', "tags"),
-    ],
-)
+SCHEMA_ERROR_CASES = [
+    ("not json", "invalid JSON"),
+    ("[1]", "object"),
+    ('{"region":"us-east-1"}', "name"),
+    ('{"name":"UPPER"}', "invalid bucket name"),
+    ('{"name":"ab"}', "invalid bucket name"),
+    ('{"name":"ok-bucket","bogus":1}', "bogus"),
+    ('{"name":"ok-bucket","policy":[{"effect":"Allow","principal_aws":[],"actions":[]}]}', "actions"),
+    ('{"name":"ok-bucket","public_access_block":{"block_public_acls":true}}', "ignore_public_acls"),
+    ('{"name":"ok-bucket","tags":{"a":1}}', "tags"),
+    pytest.param("[" * 100_000, "nested too deeply", id="deep-nesting"),
+    pytest.param(
+        '{"name":"ok-bucket","acl_grants":[{"grantee_type":"Group","grantee_uri":"","permission":"READ"}]}',
+        "grantee_uri must be non-empty",
+        id="empty-grantee-uri",
+    ),
+]
+
+
+@pytest.mark.parametrize("line,needle", SCHEMA_ERROR_CASES)
 def test_schema_errors(line, needle):
     with pytest.raises(SchemaError) as exc:
         parse_snapshot_line(line)
     assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("line,needle", SCHEMA_ERROR_CASES)
+def test_every_snapshot_error_names_its_line(line, needle):
+    with pytest.raises(SchemaError) as exc:
+        parse_snapshot_line(line, line=41)
+    assert exc.value.line == 41
+    assert str(exc.value).endswith("(line 41)")
+    assert needle in str(exc.value)
+
+
+def test_bad_name_message_is_unchanged_and_checked_once(monkeypatch):
+    import bucketlens.model as model
+
+    calls = []
+    pattern = model._NAME_RE
+
+    class CountingPattern:
+        def match(self, text):
+            calls.append(text)
+            return pattern.match(text)
+
+    monkeypatch.setattr(model, "_NAME_RE", CountingPattern())
+    parse_snapshot_line('{"name":"good-name"}')
+    assert calls == ["good-name"]
+    with pytest.raises(SchemaError) as exc:
+        parse_snapshot_line('{"name":"Bad_Name"}', line=3)
+    assert str(exc.value) == (
+        "invalid bucket name 'Bad_Name': expected 3-63 chars of lowercase letters, "
+        "digits, dots, hyphens (field: name) (line 3)"
+    )
+
+
+def test_load_fleet_rejects_non_utf8_naming_the_line(tmp_path):
+    fleet = tmp_path / "fleet.jsonl"
+    good = b'{"name":"ok-bucket-%d"}\n'
+    # far past the first decode block, so the line is found by the byte scan
+    fleet.write_bytes(b"".join(good % i for i in range(2000)) + b'{"name":"bad-\xff"}\n')
+    with pytest.raises(SchemaError) as exc:
+        load_fleet(fleet)
+    assert exc.value.line == 2001
+    assert "invalid UTF-8" in str(exc.value)
 
 
 def test_snapshot_round_trip_on_random_configs():
@@ -255,6 +303,29 @@ def test_import_rejects_malformed_artifacts_with_schema_error(tmp_path, files):
         (bucket / name).write_text(text)
     with pytest.raises(SchemaError):
         import_aws_artifacts(bucket)
+
+
+def _bpa_bucket(tmp_path, configuration: dict):
+    bucket = tmp_path / "bpa-bucket"
+    bucket.mkdir()
+    (bucket / "acl.json").write_text(_NO_GRANTS)
+    (bucket / "public-access-block.json").write_text(
+        json.dumps({"PublicAccessBlockConfiguration": configuration})
+    )
+    return bucket
+
+
+@pytest.mark.parametrize("value", ["false", "no", "true", 1, 0, None, []], ids=repr)
+def test_import_accepts_only_json_booleans_as_bpa_flags(tmp_path, value):
+    bucket = _bpa_bucket(tmp_path, {"BlockPublicAcls": value, "IgnorePublicAcls": False})
+    with pytest.raises(SchemaError) as exc:
+        import_aws_artifacts(bucket)
+    assert "BlockPublicAcls" in str(exc.value)
+
+
+def test_import_bpa_flags_absent_keys_are_false(tmp_path):
+    bucket = _bpa_bucket(tmp_path, {"BlockPublicAcls": True, "RestrictPublicBuckets": False})
+    assert import_aws_artifacts(bucket).public_access_block == PublicAccessBlock(block_public_acls=True)
 
 
 def test_bucket_config_validates_name():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 from bucketlens.dsl import bind_record, eval_rule, parse_rule
 from bucketlens.model import (
@@ -21,11 +22,19 @@ from bucketlens.model import (
 from bucketlens.policy import derive
 from bucketlens.unified import (
     UNIFIED_RULE_ID,
+    _fired_conditions,
+    condition_verdicts,
     evaluate_unified,
     unified_dsl_source,
 )
 
-from conftest import allusers_read_bucket, locked_bucket, public_policy_bucket, random_bucket_config
+from conftest import (
+    agreement_configs,
+    allusers_read_bucket,
+    locked_bucket,
+    public_policy_bucket,
+    random_bucket_config,
+)
 
 
 def _eval(config: BucketConfig):
@@ -175,3 +184,44 @@ def test_dsl_text_mentions_each_risky_action():
         "s3:PutBucketAcl",
     ):
         assert f"'%{marker}%'" in source
+
+
+def test_alerts_and_verdicts_share_one_decision():
+    # evaluate_unified and condition_verdicts both take their flags from
+    # _fired_conditions; the alert text is the fired verdicts' evidence
+    for keys in (None, frozenset({"s3:prefix"})):
+        for config in agreement_configs():
+            derived = derive(config, keys)
+            fired = _fired_conditions(config, derived, keys)
+            verdicts = condition_verdicts(config, derived, keys)
+            assert [v.number for v in verdicts] == [1, 2, 3, 4, 5]
+            assert fired == tuple(v.number for v in verdicts if v.fired)
+            alert = evaluate_unified(config, derived, keys)
+            if not fired:
+                assert alert is None
+                continue
+            assert alert.fired_conditions == frozenset(fired)
+            assert alert.explanation == "; ".join(f"C{v.number}: {v.detail}" for v in verdicts if v.fired)
+
+
+def _condition_rules():
+    # the unified DSL text, cut at its "-- Condition N:" comments into one
+    # rule per condition
+    body = unified_dsl_source().split(" WHEN", 1)[1]
+    rules = {}
+    for number, chunk in re.findall(r"-- Condition (\d):(.*?)(?=-- Condition \d:|\Z)", body, re.S):
+        text = " ".join(line for line in chunk.splitlines()[1:] if not line.strip().startswith("--"))
+        text = re.sub(r"^\s*OR\b", "", text)
+        rules[int(number)] = parse_rule(f"RULE c{number} SEVERITY High WHEN {text}")
+    assert sorted(rules) == [1, 2, 3, 4, 5]
+    return rules
+
+
+def test_each_fired_condition_agrees_with_its_dsl_condition():
+    rules = _condition_rules()
+    for keys in (None, frozenset({"s3:prefix"})):
+        for config in agreement_configs():
+            derived = derive(config, keys)
+            record = bind_record(config, derived, keys)
+            expected = tuple(n for n, ast in sorted(rules.items()) if eval_rule(ast, record))
+            assert _fired_conditions(config, derived, keys) == expected, config.name
