@@ -17,11 +17,11 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import evaluation, fleetgen
+from . import evaluation
 from .defaults import default_catalog
-from .dsl import bind_record, eval_rule, parse_rule
 from .errors import BucketlensError, LexError, ParseError, SchemaError, UnknownBucketError
 from .evaluation import (
     alert_to_dict,
@@ -32,7 +32,6 @@ from .evaluation import (
     scan_fleet,
     write_json,
 )
-from .fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet, load_mix_file
 from .model import import_aws_artifacts, load_fleet, serialize_snapshot_line
 from .policy import derive, load_restrictive_keys
 from .unified import (
@@ -66,6 +65,15 @@ def _emit(text: str) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .fleetgen import (
+        ADVERSARIAL_MIX,
+        PAPER_MIX,
+        MixSpec,
+        generate_fleet,
+        load_mix_file,
+        write_truth,
+    )
+
     if args.mix == "paper":
         proportions = dict(PAPER_MIX)
     elif args.mix == "adversarial":
@@ -84,7 +92,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8") as handle:
         for config, _ in pairs:
             handle.write(serialize_snapshot_line(config) + "\n")
-    fleetgen.write_truth(pairs, truth_path)
+    write_truth(pairs, truth_path)
     risky = sum(1 for _, truth in pairs if truth.business_risk)
     print(
         f"wrote {len(pairs)} buckets to {out} ({risky} with business risk); truth in {truth_path}",
@@ -95,8 +103,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_import(args: argparse.Namespace) -> int:
     configs = [import_aws_artifacts(directory) for directory in args.directories]
-    names = [c.name for c in configs]
-    duplicates = {n for n in names if names.count(n) > 1}
+    duplicates = [name for name, count in Counter(c.name for c in configs).items() if count > 1]
     if duplicates:
         raise SchemaError(f"duplicate bucket directories: {', '.join(sorted(duplicates))}")
     lines = [serialize_snapshot_line(c) for c in sorted(configs, key=lambda c: c.name)]
@@ -152,9 +159,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .fleetgen import load_truth
+
     keys = _restrictive_keys()
     buckets = load_fleet(args.input)
-    truth = fleetgen.load_truth(args.truth)
+    truth = load_truth(args.truth)
     default_alerts = scan_fleet(buckets, rules="default", restrictive_keys=keys)
     unified_alerts = scan_fleet(buckets, rules="unified", restrictive_keys=keys)
     report = compute_metrics(
@@ -237,6 +246,8 @@ def cmd_rules_list(args: argparse.Namespace) -> int:
 
 
 def cmd_rules_run(args: argparse.Namespace) -> int:
+    from .dsl import bind_record, eval_rule, parse_rule
+
     keys = _restrictive_keys()
     try:
         source = Path(args.file).read_text(encoding="utf-8")

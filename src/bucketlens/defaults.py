@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import BucketConfig, GranteeType, Permission, Severity
-from .policy import DerivedProperties, Exposure, action_matches, has_wildcard_principal
+from .model import BucketConfig, Effect, GranteeType, Permission, Severity
+from .policy import DerivedProperties, Exposure, _runs_match, has_wildcard_principal
 from .unified import Alert
 
 Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
@@ -97,12 +97,15 @@ def _wildcard_any_effect(config: BucketConfig, derived: DerivedProperties) -> st
 
 
 def _wildcard_allow_action(target_action: str) -> Predicate:
+    # policy.action_matches with the fixed target lowercased once per rule.
+    target = target_action.lower()
+
     def check(config: BucketConfig, derived: DerivedProperties) -> str | None:
         for stmt in config.policy or ():
-            if stmt.effect.value != "Allow" or not has_wildcard_principal(stmt):
+            if stmt.effect is not Effect.ALLOW or not has_wildcard_principal(stmt):
                 continue
             for pattern in stmt.actions:
-                if action_matches(pattern, target_action):
+                if _runs_match(pattern.lower().split("*"), target):
                     sid = stmt.sid or "<no sid>"
                     return f"statement {sid} allows {target_action} (pattern {pattern!r}) to a wildcard principal"
         return None

@@ -12,7 +12,11 @@ replaced atomically on every save. Scans that update state hold an exclusive
 the scan exits, however it exits.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
-row by row by ``write_json``, so no whole document is held in memory.
+row by row by ``write_json``, so no whole document is held in memory. A row is
+a short container of scalars, such as one alert dict, rendered as one string;
+long scalar arrays and dicts, such as the diff's fingerprint lists and the
+state's ``first_seen`` map, are rendered in slices of ``_SLICE`` members. The
+text is written in batches of about ``_WRITE_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -25,16 +29,19 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .defaults import evaluate_default
 from .errors import StateCorruptionError, StateLockError, UnknownBucketError
-from .fleetgen import GroundTruth
-from .model import BucketConfig
+from .model import BucketConfig, Severity
 from .policy import derive
 from .unified import Alert, evaluate_unified
+
+if TYPE_CHECKING:
+    from .fleetgen import GroundTruth
 
 STATE_SCHEMA_VERSION = 1
 
@@ -246,103 +253,189 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
 # Streamed JSON output
 # ---------------------------------------------------------------------------
 
-# Pieces joined into one write. An unbuffered stdout (``python -u``,
-# PYTHONUNBUFFERED) makes every write a system call, which costs more than
-# the writer's own work when each piece is written on its own.
-_WRITE_BATCH = 4096
+# Members per piece. A dict, list or tuple of at most this many members,
+# each a scalar or a short container of scalars, is one row, rendered as one
+# string; longer containers and iterators are rendered in pieces of this many
+# rows. A whole long array as one string would hold the text of the diff's
+# fingerprint lists at once, and peak memory would grow with them.
+_SLICE = 256
+
+# Characters gathered before one write; the output is ASCII, so they are
+# bytes. An unbuffered stdout (``python -u``, PYTHONUNBUFFERED) makes every
+# write a system call, which costs more than the writer's own work when each
+# piece is written on its own.
+_WRITE_BUDGET = 64 * 1024
+
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def write_json(out: TextIO, document: object) -> None:
-    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, piece by piece.
+    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, row by row.
 
     Supported values are str (dict keys too), int, bool, None, and dicts,
     lists and tuples of them. An iterator is written as an array, taking one
     element at a time, so ``map(alert_to_dict, alerts)`` holds one alert dict
     at a time instead of all of them. Any other type (floats included)
     raises ``TypeError``.
+
+    A dict, list or tuple of at most ``_SLICE`` members, each a scalar or
+    such a container of scalars, is rendered as one string, a row: each
+    alert dict is one row. Longer containers and iterators are rendered in
+    pieces of up to ``_SLICE`` rows. Pieces are gathered until they reach
+    ``_WRITE_BUDGET`` characters and then written at once, so a write
+    exceeds the budget by less than its last piece.
     """
-    pieces: list[str] = []
-    for piece in _json_pieces(document, "\n"):
-        pieces.append(piece)
-        if len(pieces) >= _WRITE_BATCH:
-            out.write("".join(pieces))
-            pieces.clear()
-    pieces.append("\n")
-    out.write("".join(pieces))
+    # Dict row templates by key tuple and depth, for this document only.
+    templates: dict[tuple[tuple[str, ...], str], str] = {}
+    text = _row_text(document, "\n", templates)
+    pieces = (text,) if text is not None else _container_pieces(document, "\n", templates)
+    pending: list[str] = []
+    size = 0
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
+        if size >= _WRITE_BUDGET:
+            out.write("".join(pending))
+            pending.clear()
+            size = 0
+    pending.append("\n")
+    out.write("".join(pending))
 
 
 def _json_scalar(value: object) -> str | None:
     """The JSON text of a str, int, bool or None; None for any other value."""
+    render = _SCALAR_TEXT.get(type(value))
+    if render is not None:
+        return render(value)
+    # subclasses, such as str and int enum members
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     return None
 
 
-def _json_pieces(value: object, newline: str) -> Iterator[str]:
-    """The text of ``value`` as json.dumps(indent=2) lays it out at the depth ``newline`` ends at.
+def _key_heads(keys: Iterable[object], inner: str) -> Iterator[str]:
+    """The text before each member of a dict with ``keys``: separator, indent, key and colon."""
+    separator = "{" + inner
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        yield separator + encode_basestring_ascii(key) + ": "
+        separator = "," + inner
 
-    Scalar members are joined to the text before them here rather than
-    recursed into, which saves a generator per scalar.
+
+def _row_text(value: object, newline: str, templates: dict, nested: bool = True) -> str | None:
+    """The whole text of ``value`` at the depth ``newline`` ends at, if it is one row.
+
+    A row is a scalar, or a dict, list or tuple of at most ``_SLICE`` members
+    that are scalars or (when ``nested``) rows of scalars. Anything else
+    gives None. A dict row is filled into a ``%s`` template of its key heads,
+    built once per key tuple and depth and kept in ``templates``.
     """
-    text = _json_scalar(value)
-    if text is not None:
-        yield text
-        return
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if len(value) > _SLICE:
+            return None
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if len(value) > _SLICE:
+            return None
+        members = value
+    else:
+        return _json_scalar(value)
+    inner = newline + "  "
+    texts = []
+    scalar_text = _SCALAR_TEXT.get
+    for item in members:
+        render = scalar_text(type(item))
+        if render is not None:
+            text = render(item)
+        elif nested:
+            text = _row_text(item, inner, templates, False)
+        else:
+            text = _json_scalar(item)
+        if text is None:
+            return None
+        texts.append(text)
+    if not isinstance(value, dict):
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    key = (tuple(value), newline)
+    template = templates.get(key)
+    if template is None:
+        heads = "%s".join(head.replace("%", "%%") for head in _key_heads(value, inner))
+        template = templates[key] = heads + "%s" + newline + "}"
+    return template % tuple(texts)
+
+
+def _container_pieces(value: object, newline: str, templates: dict) -> Iterator[str]:
+    """The text of a container that is not one row, as json.dumps(indent=2) lays it out.
+
+    Members that are rows are joined, up to ``_SLICE`` of them per piece;
+    any other member is recursed into.
+    """
     inner = newline + "  "
     if isinstance(value, dict):
-        opener = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = opener + encode_basestring_ascii(key) + ": "
-            text = _json_scalar(item)
-            if text is None:
-                yield head
-                yield from _json_pieces(item, inner)
-            else:
-                yield head + text
-            opener = "," + inner
-        yield "{}" if opener[0] == "{" else newline + "}"
+        members = zip(_key_heads(value, inner), value.values())
+        brackets = "{}"
     elif isinstance(value, (list, tuple, Iterator)):
-        opener = "[" + inner
-        for item in value:
-            text = _json_scalar(item)
-            if text is None:
-                yield opener
-                yield from _json_pieces(item, inner)
-            else:
-                yield opener + text
-            opener = "," + inner
-        yield "[]" if opener[0] == "[" else newline + "]"
+        members = zip(chain(("[" + inner,), repeat("," + inner)), value)
+        brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    row: list[str] = []
+    head = None
+    scalar_text = _SCALAR_TEXT.get
+    for head, item in members:
+        render = scalar_text(type(item))
+        text = render(item) if render is not None else _row_text(item, inner, templates)
+        if text is None:
+            row.append(head)
+            yield "".join(row)
+            row.clear()
+            yield from _container_pieces(item, inner, templates)
+        else:
+            row += (head, text)
+            if len(row) >= 2 * _SLICE:
+                yield "".join(row)
+                row.clear()
+    if head is None:
+        yield brackets
+        return
+    row += (newline, brackets[1])
+    yield "".join(row)
 
 
 # ---------------------------------------------------------------------------
 # Stateful alerting
 # ---------------------------------------------------------------------------
 
+_SEVERITY_TEXT = {severity: severity.value for severity in Severity}
+
+
 def alert_fingerprint(alert: Alert) -> str:
     """Stable identity of a finding across scans of unchanged configurations."""
-    conditions = ",".join(str(n) for n in sorted(alert.fired_conditions))
+    fired = alert.fired_conditions
+    conditions = ",".join(map(str, sorted(fired))) if fired else ""
     payload = f"{alert.bucket_name}\n{alert.rule_id}\n{conditions}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def alert_to_dict(alert: Alert) -> dict:
+    fired = alert.fired_conditions
     return {
         "bucket_name": alert.bucket_name,
         "rule_id": alert.rule_id,
-        "severity": alert.severity.value,
-        "fired_conditions": sorted(alert.fired_conditions),
+        "severity": _SEVERITY_TEXT[alert.severity],
+        "fired_conditions": sorted(fired) if fired else [],
         "explanation": alert.explanation,
         "fingerprint": alert_fingerprint(alert),
     }

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import fcntl
+import importlib
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bucketlens
 from bucketlens.cli import RESTRICTIVE_KEYS_ENV, build_parser, main
 from bucketlens.evaluation import state_lock
 
@@ -80,6 +85,45 @@ def test_import_missing_acl_exits_three(tmp_path, capsys):
     bucket.mkdir()
     assert main(["import", str(bucket)]) == 3
     assert "acl.json" in capsys.readouterr().err
+
+
+def test_import_duplicate_names_exit_three(tmp_path, capsys):
+    acl = (FIXTURES / "aws" / "fixture-owner-only" / "acl.json").read_bytes()
+    dirs = []
+    for parent, name in (("a", "dup-x"), ("b", "dup-x"), ("a", "dup-y"), ("b", "dup-y"), ("c", "dup-y"), ("a", "solo")):
+        bucket = tmp_path / parent / name
+        bucket.mkdir(parents=True)
+        (bucket / "acl.json").write_bytes(acl)
+        dirs.append(str(bucket))
+    assert main(["import", *dirs]) == 3
+    assert capsys.readouterr().err == "error: duplicate bucket directories: dup-x, dup-y\n"
+
+
+def test_scan_imports_only_the_layers_it_runs(small_fleet):
+    # A fresh interpreter: this test process has imported every layer already.
+    script = (
+        "import sys\n"
+        "from bucketlens.cli import main\n"
+        f"assert main(['scan', '--input', {str(small_fleet)!r}, '--rules', 'both']) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('bucketlens'))), file=sys.stderr)\n"
+    )
+    src = str(Path(bucketlens.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stderr.split())
+    assert "bucketlens.evaluation" in loaded
+    assert "bucketlens.dsl" not in loaded and "bucketlens.fleetgen" not in loaded
+
+
+def test_package_exports_resolve():
+    namespace: dict = {}
+    exec("from bucketlens import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bucketlens.__all__)
+    for name, home in bucketlens._HOME.items():
+        assert getattr(bucketlens, name) is getattr(importlib.import_module(f"bucketlens.{home}"), name)
+    with pytest.raises(AttributeError):
+        bucketlens.no_such_name
 
 
 def test_scan_document_shape(small_fleet, capsys):

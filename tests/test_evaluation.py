@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -319,15 +322,50 @@ def _with_arrays_as(value, container):
 @given(_JSON_VALUES)
 @example({"quote\"back\\slash": ["\x00\x1f\u00e9\U0001f600", -(2**70), True, None, {}, []]})
 @example(list(range(10_000)))  # more pieces than one write takes
+@example([f"fp-{i:04d}" for i in range(1_000)])
+@example([*range(255), {"row": [1, 2]}, {"deep": {"list": [3]}}, *range(257)])  # dicts at slice ends
+@example({f"key-{i}": i for i in range(600)})
+@example({"fired_conditions": [1, 3], "total": 2})
+@example([True, 1, None])
+@example({"a": {}, "b": [], "c": [{}, []], "d": [[], {}]})
+@example({"percent %s and %%": "100%", "%(x)s": [1]})
 def test_write_json_matches_json_dumps(value):
     expected = json.dumps(value, indent=2) + "\n"
-    for container in (list, tuple, iter):
-        out = io.StringIO()
-        write_json(out, _with_arrays_as(value, container))
-        assert out.getvalue() == expected
+    # With slices of 2 members, hypothesis's short containers cross slice ends too.
+    for slice_size in (evaluation._SLICE, 2):
+        with patch.object(evaluation, "_SLICE", slice_size):
+            for container in (list, tuple, iter):
+                out = io.StringIO()
+                write_json(out, _with_arrays_as(value, container))
+                assert out.getvalue() == expected
 
 
-@pytest.mark.parametrize("value", [1.5, {"a": [0.25]}, {1: "x"}, {"a": {1, 2}}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.5,
+        {"a": [0.25]},
+        {1: "x"},
+        {"a": {1, 2}},
+        [{"ok": 1, 2: "x"}],  # a non-str key in a dict of scalars
+        {"row": {"ok": [1], None: 2}},
+        {**{f"k{i}": i for i in range(300)}, 3: "x"},  # in a dict longer than one slice
+    ],
+)
 def test_write_json_rejects_unsupported_values(value):
     with pytest.raises(TypeError):
         write_json(io.StringIO(), value)
+
+
+def test_write_json_bounds_each_write():
+    fingerprints = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(20_000)]
+    diff = {"new": fingerprints, "unchanged": [], "resolved": fingerprints[:5]}
+    state = {"schema_version": 1, "first_seen": dict.fromkeys(fingerprints, "scan-1")}
+    # the longest member line of each document; one slice holds _SLICE of them
+    for document, member in ((diff, f',\n    "{fingerprints[0]}"'), (state, f',\n    "{fingerprints[0]}": "scan-1"')):
+        writes: list[str] = []
+        write_json(SimpleNamespace(write=writes.append), document)
+        assert "".join(writes) == json.dumps(document, indent=2) + "\n"
+        assert len(writes) > 1
+        assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + evaluation._SLICE * len(member)
+        assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
