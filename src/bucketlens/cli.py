@@ -14,25 +14,24 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 from . import evaluation
-from .defaults import default_catalog
+from .defaults import default_catalog, evaluate_default
 from .errors import BucketlensError, LexError, ParseError, SchemaError, UnknownBucketError
 from .evaluation import (
     alert_to_dict,
     compute_metrics,
     diff_alerts,
     render_report,
-    report_to_dict,
     scan_fleet,
     write_json,
 )
-from .model import import_aws_artifacts, load_fleet, serialize_snapshot_line
+from .model import import_aws_artifacts, load_fleet, serialize_snapshot_line, write_fleet
 from .policy import derive, load_restrictive_keys
 from .unified import (
     UNIFIED_RULE_ID,
@@ -89,9 +88,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if out.name.endswith(".jsonl")
         else Path(str(out) + ".truth.jsonl")
     )
-    with open(out, "w", encoding="utf-8") as handle:
-        for config, _ in pairs:
-            handle.write(serialize_snapshot_line(config) + "\n")
+    write_fleet((config for config, _ in pairs), out)
     write_truth(pairs, truth_path)
     risky = sum(1 for _, truth in pairs if truth.business_risk)
     print(
@@ -106,13 +103,13 @@ def cmd_import(args: argparse.Namespace) -> int:
     duplicates = [name for name, count in Counter(c.name for c in configs).items() if count > 1]
     if duplicates:
         raise SchemaError(f"duplicate bucket directories: {', '.join(sorted(duplicates))}")
-    lines = [serialize_snapshot_line(c) for c in sorted(configs, key=lambda c: c.name)]
+    configs.sort(key=lambda c: c.name)
     if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        print(f"imported {len(lines)} bucket(s) to {args.out}", file=sys.stderr)
+        write_fleet(configs, args.out)
+        print(f"imported {len(configs)} bucket(s) to {args.out}", file=sys.stderr)
     else:
-        for line in lines:
-            _emit(line)
+        for config in configs:
+            _emit(serialize_snapshot_line(config))
     return 0
 
 
@@ -174,9 +171,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         minutes_per_alert_unified=args.minutes_unified,
     )
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report_to_dict(report), indent=2) + "\n", encoding="utf-8"
-        )
+        Path(args.report).write_text(render_report(report, "json"), encoding="utf-8")
     _emit(render_report(report, args.format))
     return 0
 
@@ -191,7 +186,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     derived = derive(config, keys)
     verdicts = condition_verdicts(config, derived, keys)
     unified_alert = evaluate_unified(config, derived, keys)
-    default_alerts = scan_fleet([config], rules="default", restrictive_keys=keys)
+    default_alerts = evaluate_default(config, derived)
 
     bpa = config.public_access_block
     lines = [
@@ -285,6 +280,16 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _minutes(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of minutes >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bucketlens",
@@ -342,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--minutes-default",
-        type=float,
+        type=_minutes,
         default=8.0,
         dest="minutes_default",
         help="modeled triage minutes per default-ruleset alert",
     )
     p.add_argument(
         "--minutes-unified",
-        type=float,
+        type=_minutes,
         default=1.0,
         dest="minutes_unified",
         help="modeled triage minutes per unified-rule alert",

@@ -18,9 +18,10 @@ OR binds looser than AND; NOT binds tightest. Strings are single-quoted with
 doubled-quote escaping; ``--`` starts a line comment.
 
 Rules range over one bucket record: the bucket configuration flattened
-together with its derived properties. Paths are validated against that
-schema at parse time. Inside EXISTS, bare identifiers resolve first against
-the bound collection element, then against the outer record.
+together with its derived properties. A path is one identifier; ``_resolve``
+is the only place it is resolved, against the innermost EXISTS element
+first, then the record, for the parser (which reports the token offset) and
+for the compiler of a directly built ``RuleAst`` alike.
 
 Evaluation is two-valued. A path holding an absent optional value compares
 unequal to every literal, fails every LIKE, and satisfies IS NULL; EXISTS
@@ -29,9 +30,8 @@ fields (Action, Principal_AWS, ...) hold if any element satisfies them.
 
 A ``RuleAst`` compiles its body once, on construction, into nested closures
 with every path resolved at compile time; ``bind_record`` only wraps the
-bucket, and fields are read when a rule reaches them. The interpreter
-``_eval`` over the dict form ``_flatten`` builds is the compiler's test
-oracle.
+bucket, and fields are read when a rule reaches them. The reference
+interpreter the compiler is tested against lives in ``tests/dsl_oracle.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Sequence, Union
 
 from .errors import LexError, ParseError, SchemaError
 from .model import BucketConfig, PolicyStatement, Severity
@@ -279,11 +279,10 @@ _ELEMENT_FIELDS: dict[str, dict[str, Callable[[Any, frozenset[str]], Any]]] = {
 # Element fields holding a sequence (or None): comparisons hold if any element does.
 _LIST_FIELDS = frozenset({"Principal_AWS", "Action", "Resource", "RestrictedAccessCondition"})
 
-# lowered name -> canonical spelling, for the parser and the compiler
-_SCALARS = {name.lower(): name for name in _RECORD_FIELDS if name not in _ELEMENT_FIELDS}
-_COLLECTIONS: dict[str, tuple[str, dict[str, str]]] = {
-    name.lower(): (name, {element_field.lower(): element_field for element_field in fields})
-    for name, fields in _ELEMENT_FIELDS.items()
+# lowered name -> canonical spelling: record fields, and each collection's element fields
+_RECORD_NAMES = {name.lower(): name for name in _RECORD_FIELDS}
+_ELEMENT_NAMES = {
+    collection: {name.lower(): name for name in fields} for collection, fields in _ELEMENT_FIELDS.items()
 }
 
 _SEVERITIES = {"low": Severity.LOW, "medium": Severity.MEDIUM, "high": Severity.HIGH}
@@ -298,6 +297,39 @@ class BoundRecord:
         self.config = config
         self.derived = derived
         self.keys = keys
+
+
+def _resolve(
+    path: tuple[str, ...], scopes: Sequence[str], use: str, offset: int | None = None
+) -> tuple[int | None, str]:
+    """Resolve a field path to (index of the binding EXISTS scope, or None for
+    the record; canonical field name).
+
+    ``scopes`` names the enclosing EXISTS collections, outermost first; the
+    innermost element that has the field wins, then the record. ``use`` is
+    ``"exists"`` (the path must be a record collection), ``"compare"`` (it
+    must not be one) or ``"null"`` (any field). Every failure is a
+    ``SchemaError`` at ``offset``.
+    """
+    depth, name = None, None
+    if len(path) == 1:
+        key = path[0].lower()
+        for index in range(len(scopes) - 1, -1, -1):
+            fields = _ELEMENT_NAMES[scopes[index]]
+            if key in fields:
+                depth, name = index, fields[key]
+                break
+        else:
+            name = _RECORD_NAMES.get(key)
+    is_collection = depth is None and name in _ELEMENT_FIELDS
+    if use == "exists":
+        if not is_collection:
+            raise SchemaError(f"EXISTS requires a collection path, got {'.'.join(path)!r}", offset=offset)
+    elif name is None:
+        raise SchemaError(f"unknown path {'.'.join(path)!r}", offset=offset)
+    elif is_collection and use == "compare":
+        raise SchemaError(f"collection {path[0]!r} cannot be compared to a literal", offset=offset)
+    return depth, name
 
 
 def bind_record(
@@ -318,7 +350,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
-        self._scopes: list[dict[str, str]] = []  # element-field scopes, innermost last
+        self._scopes: list[str] = []  # enclosing EXISTS collections, innermost last
 
     def _peek(self) -> Token:
         return self._tokens[self._pos]
@@ -396,10 +428,9 @@ class _Parser:
             self._advance()
             self._expect_punct("(")
             path_token = self._peek()
-            path = self._raw_path()
-            canonical, element_fields = self._resolve_collection(path, path_token.offset)
+            _, canonical = _resolve(self._raw_path(), self._scopes, "exists", path_token.offset)
             self._expect_keyword("WHERE")
-            self._scopes.append(element_fields)
+            self._scopes.append(canonical)
             try:
                 inner = self._expr()
             finally:
@@ -429,41 +460,17 @@ class _Parser:
             segments.append(self._advance().text)
         return tuple(segments)
 
-    def _resolve_collection(self, path: tuple[str, ...], offset: int) -> tuple[str, dict[str, str]]:
-        if len(path) == 1 and path[0].lower() in _COLLECTIONS:
-            canonical, fields = _COLLECTIONS[path[0].lower()]
-            return canonical, fields
-        raise SchemaError(
-            f"EXISTS requires a collection path, got {'.'.join(path)!r}", offset=offset
-        )
-
-    def _resolve_value_path(self, path: tuple[str, ...], offset: int, *, allow_collection: bool) -> tuple[str, ...]:
-        if len(path) == 1:
-            lowered = path[0].lower()
-            for scope in reversed(self._scopes):
-                if lowered in scope:
-                    return (scope[lowered],)
-            if lowered in _SCALARS:
-                return (_SCALARS[lowered],)
-            if lowered in _COLLECTIONS:
-                if allow_collection:
-                    return (_COLLECTIONS[lowered][0],)
-                raise SchemaError(
-                    f"collection {path[0]!r} cannot be compared to a literal", offset=offset
-                )
-        raise SchemaError(f"unknown path {'.'.join(path)!r}", offset=offset)
-
     def _predicate(self) -> Node:
         path_token = self._peek()
         raw = self._raw_path()
         token = self._peek()
         if token.kind is TokenKind.PUNCT and token.text in ("=", "!="):
-            path = self._resolve_value_path(raw, path_token.offset, allow_collection=False)
+            path = (_resolve(raw, self._scopes, "compare", path_token.offset)[1],)
             self._advance()
             literal = self._literal()
             return Compare(path, CompareOp.EQ if token.text == "=" else CompareOp.NE, literal)
         if token.kind is TokenKind.KEYWORD and token.text == "LIKE":
-            path = self._resolve_value_path(raw, path_token.offset, allow_collection=False)
+            path = (_resolve(raw, self._scopes, "compare", path_token.offset)[1],)
             self._advance()
             pattern_token = self._peek()
             literal = self._literal()
@@ -471,7 +478,7 @@ class _Parser:
                 raise ParseError("LIKE pattern must be a string", pattern_token.offset)
             return Compare(path, CompareOp.LIKE, literal)
         if token.kind is TokenKind.KEYWORD and token.text == "IS":
-            path = self._resolve_value_path(raw, path_token.offset, allow_collection=True)
+            path = (_resolve(raw, self._scopes, "null", path_token.offset)[1],)
             self._advance()
             negated = False
             if self._peek().kind is TokenKind.KEYWORD and self._peek().text == "NOT":
@@ -520,6 +527,12 @@ def _render_literal(literal: Literal) -> str:
         return "TRUE" if literal else "FALSE"
     if isinstance(literal, str):
         return _quote(literal)
+    if isinstance(literal, float):
+        from decimal import Decimal  # only rendering needs it; no command renders
+
+        # positional digits of the shortest repr: the lexer reads no exponent
+        text = format(Decimal(repr(literal)), "f")
+        return text if "." in text else text + ".0"
     return str(literal)
 
 
@@ -542,8 +555,7 @@ def _render(node: Node) -> str:
     if isinstance(node, Exists):
         return f"EXISTS({'.'.join(node.path)} WHERE {_render(node.inner)})"
     if isinstance(node, Compare):
-        op = "LIKE" if node.op is CompareOp.LIKE else node.op.value
-        return f"{'.'.join(node.path)} {op} {_render_literal(node.literal)}"
+        return f"{'.'.join(node.path)} {node.op.value} {_render_literal(node.literal)}"
     if isinstance(node, IsNull):
         return f"{'.'.join(node.path)} IS NULL"
     if isinstance(node, IsNotNull):
@@ -568,7 +580,8 @@ _Matcher = Callable[[BoundRecord, tuple], bool]
 
 
 def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
-    """One value against the literal, with ``_compare_scalar``'s semantics."""
+    """One value against the literal: bools equal only bools, ``None`` is
+    unequal to every literal, and LIKE holds only for strings."""
     if op is CompareOp.LIKE:
         pattern = str(literal)
         chunks = pattern.split("%")
@@ -588,28 +601,17 @@ def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
         if op is CompareOp.EQ:
             return lambda v: v == literal
         return lambda v: v != literal
-    return lambda v: _compare_scalar(v, op, literal)
-
-
-def _resolve(path: tuple[str, ...], scopes: tuple[str, ...]) -> tuple[int | None, str]:
-    """(index of the binding EXISTS element or None for the record, canonical field)."""
-    key = path[0].lower()
-    for depth in range(len(scopes) - 1, -1, -1):
-        fields = _COLLECTIONS[scopes[depth].lower()][1]
-        if key in fields:
-            return depth, fields[key]
-    if key in _SCALARS:
-        return None, _SCALARS[key]
-    if key in _COLLECTIONS:
-        return None, _COLLECTIONS[key][0]
-    raise SchemaError(f"unresolvable path {'.'.join(path)!r}")
+    # a number literal equals only an equal non-bool value
+    if op is CompareOp.EQ:
+        return lambda v: v == literal and not isinstance(v, bool)
+    return lambda v: v != literal or isinstance(v, bool)
 
 
 def _compile_value(
-    path: tuple[str, ...], scopes: tuple[str, ...]
+    path: tuple[str, ...], scopes: tuple[str, ...], use: str
 ) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
     """(canonical field, reader of its value) for a path."""
-    depth, name = _resolve(path, scopes)
+    depth, name = _resolve(path, scopes, use)
     if depth is None:
         get_field = _RECORD_FIELDS[name]
         return name, lambda rec, env: get_field(rec.config, rec.derived)
@@ -642,10 +644,7 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
         value = node.value
         return lambda rec, env: value
     if isinstance(node, Exists):
-        key = node.path[0].lower()
-        if key not in _COLLECTIONS:
-            raise SchemaError(f"EXISTS requires a collection path, got {'.'.join(node.path)!r}")
-        collection = _COLLECTIONS[key][0]
+        _, collection = _resolve(node.path, scopes, "exists")
         get_items = _RECORD_FIELDS[collection]
         inner = _compile(node.inner, scopes + (collection,))
 
@@ -658,14 +657,12 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
             return False
         return match_exists
     if isinstance(node, (IsNull, IsNotNull)):
-        _, get = _compile_value(node.path, scopes)
+        _, get = _compile_value(node.path, scopes, "null")
         if isinstance(node, IsNull):
             return lambda rec, env: get(rec, env) is None
         return lambda rec, env: get(rec, env) is not None
     if isinstance(node, Compare):
-        name, get = _compile_value(node.path, scopes)
-        if name in _ELEMENT_FIELDS:
-            raise SchemaError(f"collection {name!r} cannot be compared to a literal")
+        name, get = _compile_value(node.path, scopes, "compare")
         test = _literal_test(node.op, node.literal)
         if name not in _LIST_FIELDS:
             return lambda rec, env: test(get(rec, env))
@@ -685,87 +682,3 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
 def eval_rule(ast: RuleAst, record: BoundRecord) -> bool:
     """Evaluate a parsed rule against one bound record (see ``bind_record``)."""
     return ast._match(record, ())
-
-
-# ---------------------------------------------------------------------------
-# Reference interpreter: the compiler's test oracle
-# ---------------------------------------------------------------------------
-
-def _flatten(record: BoundRecord) -> dict[str, Any]:
-    """The record as one dict keyed by lowered field name, lists as lists."""
-    config, derived, keys = record.config, record.derived, record.keys
-    flat: dict[str, Any] = {}
-    for name, get_field in _RECORD_FIELDS.items():
-        value = get_field(config, derived)
-        if name in _ELEMENT_FIELDS and value is not None:
-            fields = _ELEMENT_FIELDS[name]
-            value = [
-                {
-                    field_name.lower(): _plain(field_name, get_element_field(element, keys))
-                    for field_name, get_element_field in fields.items()
-                }
-                for element in value
-            ]
-        flat[name.lower()] = value
-    return flat
-
-
-def _plain(name: str, value: Any) -> Any:
-    if value is None:
-        return None
-    if name in _LIST_FIELDS:
-        return list(value)
-    if name == "Condition":
-        return dict(value)
-    return value
-
-
-def _lookup(env: list[Mapping[str, Any]], path: tuple[str, ...]) -> Any:
-    key = path[0].lower()
-    for frame in reversed(env):
-        if key in frame:
-            return frame[key]
-    raise SchemaError(f"unresolvable path {'.'.join(path)!r}")  # unreachable post-parse
-
-
-def _scalar_eq(value: Any, literal: Literal) -> bool:
-    # bools only equal bools, so TRUE never equals the number 1
-    if isinstance(value, bool) or isinstance(literal, bool):
-        return isinstance(value, bool) and isinstance(literal, bool) and value == literal
-    return bool(value == literal)
-
-
-def _compare_scalar(value: Any, op: CompareOp, literal: Literal) -> bool:
-    if op is CompareOp.LIKE:
-        return isinstance(value, str) and like_match(str(literal), value)
-    if value is None:
-        return op is CompareOp.NE
-    if op is CompareOp.EQ:
-        return _scalar_eq(value, literal)
-    return not _scalar_eq(value, literal)
-
-
-def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
-    if isinstance(node, Or):
-        return any(_eval(child, env) for child in node.children)
-    if isinstance(node, And):
-        return all(_eval(child, env) for child in node.children)
-    if isinstance(node, Not):
-        return not _eval(node.child, env)
-    if isinstance(node, LiteralBool):
-        return node.value
-    if isinstance(node, Exists):
-        collection = _lookup(env, node.path)
-        if not collection:
-            return False
-        return any(_eval(node.inner, env + [element]) for element in collection)
-    if isinstance(node, IsNull):
-        return _lookup(env, node.path) is None
-    if isinstance(node, IsNotNull):
-        return _lookup(env, node.path) is not None
-    if isinstance(node, Compare):
-        value = _lookup(env, node.path)
-        if isinstance(value, list):
-            return any(_compare_scalar(v, node.op, node.literal) for v in value)
-        return _compare_scalar(value, node.op, node.literal)
-    raise TypeError(f"unknown node type {type(node).__name__}")

@@ -105,15 +105,6 @@ class PublicAccessBlock:
     block_public_policy: bool = False
     restrict_public_buckets: bool = False
 
-    @property
-    def all_enabled(self) -> bool:
-        return (
-            self.block_public_acls
-            and self.ignore_public_acls
-            and self.block_public_policy
-            and self.restrict_public_buckets
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class BucketConfig:

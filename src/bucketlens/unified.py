@@ -13,8 +13,9 @@ emitted, recording which conditions fired:
    RestrictPublicBuckets is disabled;
 5. public-facing bucket tagged as holding sensitive data.
 
-The same logic ships as a DSL rule (``unified_dsl_source``); the built-in
-evaluation and the parsed rule must agree on every bucket.
+The same logic ships as a DSL rule, kept once in ``rules/unified.rule`` and
+read through ``unified_dsl_source``; the built-in evaluation and the parsed
+rule must agree on every bucket.
 """
 
 from __future__ import annotations
@@ -213,53 +214,12 @@ def evaluate_unified(
     )
 
 
-_UNIFIED_DSL = """\
--- S3 Public Access Validation and Data Exposure
--- Consolidates the ACL, policy, BPA and sensitivity signals of the default
--- catalog into a single context-aware alert.
-RULE 'S3 Public Access Validation and Data Exposure' SEVERITY High WHEN
-    -- Condition 1: public ACL grants
-    EXISTS(AclGrants WHERE
-        GranteeURI LIKE '%global/AuthenticatedUsers%'
-        OR (GranteeURI LIKE '%global/AllUsers%' AND Permission = 'READ')
-        OR (GranteeURI LIKE '%groups/global/AuthenticatedUsers%' AND Permission LIKE 'READ'))
-
-    -- Condition 2: public policy on a public-facing bucket
-    OR (PolicyStatusPublic = TRUE AND Exposure = 'public_facing')
-
-    -- Condition 3: public-facing, RestrictPublicBuckets disabled, risky
-    -- actions allowed to a wildcard principal without restrictions
-    OR (Exposure = 'public_facing'
-        AND RestrictPublicBuckets = FALSE
-        AND EXISTS(PolicyStatements WHERE
-            Effect = 'Allow'
-            AND (Action LIKE '%s3:GetObject%'
-                 OR Action LIKE '%s3:GetObjectVersion%'
-                 OR Action LIKE '%s3:ListBucket%'
-                 OR Action LIKE '%s3:ListBucketVersions%'
-                 OR Action LIKE '%s3:PutObject%'
-                 OR Action LIKE '%s3:PutObjectAcl%'
-                 OR Action LIKE '%s3:DeleteObject%'
-                 OR Action LIKE '%s3:DeleteObjectVersion%'
-                 OR Action LIKE '%s3:GetBucketAcl%'
-                 OR Action LIKE '%s3:GetObjectAcl%'
-                 OR Action LIKE '%s3:PutBucketAcl%')
-            AND Principal_AWS LIKE '%*%'
-            AND RestrictedAccessCondition IS NULL))
-
-    -- Condition 4: any unrestricted public allow policy while
-    -- RestrictPublicBuckets is disabled
-    OR (EXISTS(PolicyStatements WHERE
-            Principal_AWS LIKE '%*%'
-            AND Effect = 'Allow'
-            AND RestrictedAccessCondition IS NULL)
-        AND RestrictPublicBuckets = FALSE)
-
-    -- Condition 5: public-facing bucket with sensitive data
-    OR (Exposure = 'public_facing' AND SensitiveData = TRUE)
-"""
-
-
 def unified_dsl_source() -> str:
-    """The unified rule as DSL text; identical to ``rules/unified.rule``."""
-    return _UNIFIED_DSL
+    """The unified rule as DSL text: the ``unified.rule`` package data file.
+
+    In a source checkout that file is a link to ``rules/unified.rule``, the
+    one copy of the text; builds ship it as a regular file.
+    """
+    from importlib import resources  # slow to import, and no command reads the text
+
+    return resources.files("bucketlens").joinpath("unified.rule").read_text(encoding="utf-8")

@@ -1,0 +1,111 @@
+"""Reference interpreter for the rule language: the compiler's test oracle.
+
+``_eval`` walks a rule body over the dict form of a record that ``_flatten``
+builds, resolving each path at evaluation time through the stack of bound
+EXISTS elements. It shares only the schema table with ``bucketlens.dsl``,
+so the compiled closures are checked against an independent evaluator.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Mapping
+
+from bucketlens.dsl import (
+    _ELEMENT_FIELDS,
+    _LIST_FIELDS,
+    _RECORD_FIELDS,
+    And,
+    BoundRecord,
+    Compare,
+    CompareOp,
+    Exists,
+    IsNotNull,
+    IsNull,
+    Literal,
+    LiteralBool,
+    Node,
+    Not,
+    Or,
+    like_match,
+)
+from bucketlens.errors import SchemaError
+
+
+def _flatten(record: BoundRecord) -> dict[str, Any]:
+    """The record as one dict keyed by lowered field name, lists as lists."""
+    config, derived, keys = record.config, record.derived, record.keys
+    flat: dict[str, Any] = {}
+    for name, get_field in _RECORD_FIELDS.items():
+        value = get_field(config, derived)
+        if name in _ELEMENT_FIELDS and value is not None:
+            fields = _ELEMENT_FIELDS[name]
+            value = [
+                {
+                    field_name.lower(): _plain(field_name, get_element_field(element, keys))
+                    for field_name, get_element_field in fields.items()
+                }
+                for element in value
+            ]
+        flat[name.lower()] = value
+    return flat
+
+
+def _plain(name: str, value: Any) -> Any:
+    if value is None:
+        return None
+    if name in _LIST_FIELDS:
+        return list(value)
+    if name == "Condition":
+        return dict(value)
+    return value
+
+
+def _lookup(env: list[Mapping[str, Any]], path: tuple[str, ...]) -> Any:
+    key = path[0].lower()
+    for frame in reversed(env):
+        if key in frame:
+            return frame[key]
+    raise SchemaError(f"unresolvable path {'.'.join(path)!r}")  # unreachable post-parse
+
+
+def _scalar_eq(value: Any, literal: Literal) -> bool:
+    # bools only equal bools, so TRUE never equals the number 1
+    if isinstance(value, bool) or isinstance(literal, bool):
+        return isinstance(value, bool) and isinstance(literal, bool) and value == literal
+    return bool(value == literal)
+
+
+def _compare_scalar(value: Any, op: CompareOp, literal: Literal) -> bool:
+    if op is CompareOp.LIKE:
+        return isinstance(value, str) and like_match(str(literal), value)
+    if value is None:
+        return op is CompareOp.NE
+    if op is CompareOp.EQ:
+        return _scalar_eq(value, literal)
+    return not _scalar_eq(value, literal)
+
+
+def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
+    if isinstance(node, Or):
+        return any(_eval(child, env) for child in node.children)
+    if isinstance(node, And):
+        return all(_eval(child, env) for child in node.children)
+    if isinstance(node, Not):
+        return not _eval(node.child, env)
+    if isinstance(node, LiteralBool):
+        return node.value
+    if isinstance(node, Exists):
+        collection = _lookup(env, node.path)
+        if not collection:
+            return False
+        return any(_eval(node.inner, env + [element]) for element in collection)
+    if isinstance(node, IsNull):
+        return _lookup(env, node.path) is None
+    if isinstance(node, IsNotNull):
+        return _lookup(env, node.path) is not None
+    if isinstance(node, Compare):
+        value = _lookup(env, node.path)
+        if isinstance(value, list):
+            return any(_compare_scalar(v, node.op, node.literal) for v in value)
+        return _compare_scalar(value, node.op, node.literal)
+    raise TypeError(f"unknown node type {type(node).__name__}")

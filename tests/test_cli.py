@@ -261,6 +261,28 @@ def test_evaluate_custom_minutes(small_fleet, capsys):
     assert doc["rulesets"]["default"]["modeled_triage_minutes"] == doc["rulesets"]["default"]["total_alerts"] * 10
 
 
+@pytest.mark.parametrize("flag", ["--minutes-default", "--minutes-unified"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_evaluate_rejects_minutes_that_are_not_finite_and_non_negative(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--input", "fleet.jsonl", "--truth", "truth.jsonl", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_evaluate_accepts_zero_minutes(small_fleet, capsys):
+    truth = small_fleet.with_name("fleet.truth.jsonl")
+    rc = main(
+        [
+            "evaluate", "--input", str(small_fleet), "--truth", str(truth),
+            "--format", "json", "--minutes-default", "0", "--minutes-unified", "0",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [ruleset["modeled_triage_minutes"] for ruleset in doc["rulesets"].values()] == [0, 0]
+
+
 def test_explain_fired_bucket(small_fleet, capsys):
     names = [json.loads(l)["name"] for l in small_fleet.read_text().splitlines()]
     target = next(n for n in names if n.startswith("s5-"))

@@ -28,7 +28,6 @@ from bucketlens.dsl import (
     render_rule,
     tokenize,
 )
-from bucketlens.dsl import _eval, _flatten
 from bucketlens.errors import LexError, ParseError, SchemaError
 from bucketlens.model import BucketConfig, Severity
 from bucketlens.policy import derive
@@ -41,6 +40,7 @@ from conftest import (
     public_policy_bucket,
     random_bucket_config,
 )
+from dsl_oracle import _eval, _flatten
 
 
 def _record(config: BucketConfig):
@@ -141,6 +141,30 @@ def test_exists_requires_collection():
 def test_collection_cannot_be_compared():
     with pytest.raises(SchemaError):
         _parse_body("AclGrants = 'x'")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Compare(("Exposure", "value"), CompareOp.EQ, "internal"),
+        IsNull(("PolicyStatements", "Sid")),
+        Exists(("PolicyStatements", "Action"), LiteralBool(True)),
+        Exists(("PolicyStatements",), Compare(("Action", "0"), CompareOp.LIKE, "s3:%")),
+    ],
+)
+def test_built_rule_with_a_dotted_path_is_a_schema_error(body):
+    # only single-identifier paths exist; the compiler must not read path[0] alone
+    with pytest.raises(SchemaError):
+        RuleAst("r", Severity.LOW, body)
+
+
+def test_built_rule_is_resolved_like_a_parsed_one():
+    with pytest.raises(SchemaError, match="cannot be compared"):
+        RuleAst("r", Severity.LOW, Compare(("AclGrants",), CompareOp.EQ, "x"))
+    with pytest.raises(SchemaError, match="EXISTS requires a collection"):
+        RuleAst("r", Severity.LOW, Exists(("Exposure",), LiteralBool(True)))
+    with pytest.raises(SchemaError, match="unknown path"):
+        RuleAst("r", Severity.LOW, IsNull(("Sid",)))
 
 
 def test_element_fields_only_resolve_inside_their_exists():
@@ -382,13 +406,23 @@ def test_round_trip_corpus():
         assert parse_rule(rendered) == first
 
 
+@given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+def test_float_literals_round_trip(number):
+    # the parser only produces non-negative finite floats
+    ast = RuleAst("f", Severity.LOW, Compare(("WebsiteEnabled",), CompareOp.EQ, number))
+    reparsed = parse_rule(render_rule(ast))
+    assert reparsed == ast
+    assert type(reparsed.body.literal) is float
+
+
 # ---------------------------------------------------------------------------
 # compiled matcher vs the reference interpreter
 # ---------------------------------------------------------------------------
 
 # Cases where the two evaluators could plausibly part ways: dict-valued and
-# absent Condition, None Sid, bool fields against numbers, and an identifier
-# inside a nested EXISTS that resolves to the outer element.
+# absent Condition, None Sid, number literals against None, bool and str
+# fields, and an identifier inside a nested EXISTS that resolves to the outer
+# element.
 EDGE_RULES = [
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition = 'x')",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != 'x')",
@@ -400,6 +434,14 @@ EDGE_RULES = [
     "RULE e SEVERITY Low WHEN WebsiteEnabled = 1",
     "RULE e SEVERITY Low WHEN WebsiteEnabled != 0",
     "RULE e SEVERITY Low WHEN Region != TRUE",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid != 3)",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid = 3)",
+    "RULE e SEVERITY Low WHEN WebsiteEnabled = 1.0",
+    "RULE e SEVERITY Low WHEN WebsiteEnabled != 1.0",
+    "RULE e SEVERITY Low WHEN Region != 0",
+    "RULE e SEVERITY Low WHEN Region = 0",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != 0)",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Action = 1)",
     "RULE e SEVERITY Low WHEN Exposure LIKE 'public%' AND Name LIKE '%-%'",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE RestrictedAccessCondition != 'aws:SourceIp')",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Resource LIKE '%/*')",

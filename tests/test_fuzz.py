@@ -1,0 +1,206 @@
+"""Malformed input ends in a BucketlensError, never in another exception.
+
+Each loader gets arbitrary text and bytes, JSON documents of any shape, and
+valid documents with one value replaced or one key removed.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bucketlens.dsl import parse_rule, tokenize
+from bucketlens.errors import BucketlensError
+from bucketlens.evaluation import load_state
+from bucketlens.fleetgen import load_mix_file, load_truth
+from bucketlens.model import (
+    ALL_USERS_URI,
+    import_aws_artifacts,
+    parse_snapshot_line,
+    to_snapshot_dict,
+)
+from bucketlens.policy import load_restrictive_keys
+
+from conftest import allusers_read_bucket, public_policy_bucket
+
+_SNAPSHOTS = [to_snapshot_dict(allusers_read_bucket()), to_snapshot_dict(public_policy_bucket())]
+
+_STATEMENT = {
+    "Sid": "Read",
+    "Effect": "Allow",
+    "Principal": {"AWS": ["*"]},
+    "Action": ["s3:GetObject"],
+    "Resource": "arn:aws:s3:::fuzz-bucket/*",
+    "Condition": {"IpAddress": {"aws:SourceIp": "10.0.0.0/8"}, "Bool": {"aws:SecureTransport": False}},
+}
+_ARTIFACTS = {
+    "acl.json": {"Grants": [{"Grantee": {"Type": "Group", "URI": ALL_USERS_URI}, "Permission": "READ"}]},
+    "public-access-block.json": {
+        "PublicAccessBlockConfiguration": {
+            "BlockPublicAcls": True,
+            "IgnorePublicAcls": False,
+            "BlockPublicPolicy": False,
+            "RestrictPublicBuckets": False,
+        }
+    },
+    "tagging.json": {"TagSet": [{"Key": "SensitiveData", "Value": "true"}]},
+    "website.json": {"IndexDocument": {"Suffix": "index.html"}},
+}
+_POLICY = {"Version": "2012-10-17", "Statement": [_STATEMENT]}
+_STATE = {"schema_version": 1, "first_seen": {"0" * 64: "scan-1"}}
+_TRUTH = {"name": "fuzz-bucket", "exploitable": True, "business_risk": False, "reason": "r"}
+_MIX = {"S1": 0.5, "S2": 0.5}
+_KEYS = ["aws:SourceIp", "aws:SourceVpce"]
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(
+        ["*", "Allow", "Deny", "READ", "Group", "CanonicalUser", ALL_USERS_URI, "s3:GetObject", "fuzz-bucket"]
+    )
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, prefix + (index,))
+
+
+@st.composite
+def _mutated(draw, document):
+    """``document`` with one value replaced by arbitrary JSON, or one key removed."""
+    document = copy.deepcopy(document)
+    path = draw(st.sampled_from(list(_paths(document))))
+    if not path:
+        return draw(_JSON)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return document
+
+
+def _file_content(document):
+    """Text or bytes for a file that should hold ``document``."""
+    mutated = _mutated(document).map(json.dumps)
+    return st.one_of(
+        mutated,
+        mutated,
+        mutated,
+        _JSON.map(json.dumps),
+        st.text(max_size=40),
+        st.binary(max_size=40),
+    )
+
+
+def _write(path: Path, content) -> Path:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+def _rejects_or_accepts(load, *args) -> None:
+    try:
+        load(*args)
+    except BucketlensError:
+        pass
+
+
+# about three seconds for the whole file
+_FUZZ = settings(max_examples=100, deadline=None)
+
+
+@settings(_FUZZ, max_examples=200)
+@given(st.one_of(st.sampled_from(_SNAPSHOTS).flatmap(_mutated).map(json.dumps), st.text(max_size=60)))
+def test_snapshot_line(text):
+    _rejects_or_accepts(parse_snapshot_line, text)
+
+
+_VALID_ARTIFACTS = {**_ARTIFACTS, "policy.json": {"Policy": json.dumps(_POLICY)}}
+_FUZZED_ARTIFACTS = {
+    **{name: _file_content(document) for name, document in _VALID_ARTIFACTS.items()},
+    # the policy document embedded as a string in policy.json
+    "policy document": _mutated(_POLICY).map(lambda policy: json.dumps({"Policy": json.dumps(policy)})),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_FUZZED_ARTIFACTS))
+def test_aws_artifact_file(target, tmp_path):
+    # every other artifact stays valid, so the fuzzed one is always read
+    bucket = tmp_path / "fuzz-bucket"
+    bucket.mkdir()
+    for name, document in _VALID_ARTIFACTS.items():
+        (bucket / name).write_text(json.dumps(document), encoding="utf-8")
+    name = "policy.json" if target == "policy document" else target
+    valid = (bucket / name).read_bytes()
+
+    @settings(_FUZZ, max_examples=60)
+    @given(_FUZZED_ARTIFACTS[target])
+    def check(content):
+        _write(bucket / name, content)
+        try:
+            _rejects_or_accepts(import_aws_artifacts, bucket)
+        finally:
+            (bucket / name).write_bytes(valid)
+
+    check()
+
+
+_RULE_WORDS = [
+    "RULE", "r", "SEVERITY", "High", "WHEN", "(", ")", "EXISTS", "WHERE", "AND", "OR", "NOT",
+    "=", "!=", "LIKE", "IS", "NULL", "TRUE", "FALSE", "'x%'", "'", "1", "1.5", ".", "--c\n",
+    "PolicyStatements", "AclGrants", "Action", "Exposure", "Sid", "é",
+]
+_RULE_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(_RULE_WORDS), max_size=16).map(" ".join),
+    st.lists(st.sampled_from(_RULE_WORDS), max_size=12).map(lambda words: "RULE r SEVERITY High WHEN " + " ".join(words)),
+)
+
+
+@settings(_FUZZ, max_examples=200)
+@given(_RULE_TEXT)
+def test_rule_text(source):
+    _rejects_or_accepts(tokenize, source)
+    _rejects_or_accepts(parse_rule, source)
+
+
+@_FUZZ
+@given(
+    _file_content(_STATE),
+    st.lists(_file_content(_TRUTH).map(lambda c: c if isinstance(c, bytes) else c.replace("\n", " ")), max_size=3),
+    _file_content(_MIX),
+    _file_content(_KEYS),
+)
+def test_state_truth_mix_and_key_files(state, truth_lines, mix, keys):
+    truth = b"\n".join(line if isinstance(line, bytes) else line.encode("utf-8") for line in truth_lines)
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        _rejects_or_accepts(load_state, _write(root / "state.json", state))
+        _rejects_or_accepts(load_truth, _write(root / "truth.jsonl", truth))
+        _rejects_or_accepts(load_mix_file, _write(root / "mix.json", mix))
+        _rejects_or_accepts(load_restrictive_keys, _write(root / "keys.json", keys))
