@@ -39,6 +39,7 @@ from .unified import (
     Alert,
     condition_verdicts,
     evaluate_unified,
+    new_alert,
 )
 
 RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
@@ -260,15 +261,8 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     for config in sorted(buckets, key=lambda c: c.name):
         derived = derive(config, keys)
         if eval_rule(ast, bind_record(config, derived, keys)):
-            alerts.append(
-                Alert(
-                    bucket_name=config.name,
-                    rule_id=ast.name,
-                    severity=ast.severity,
-                    fired_conditions=frozenset(),
-                    explanation=f"rule {ast.name!r} matched",
-                )
-            )
+            explanation = f"rule {ast.name!r} matched"
+            alerts.append(new_alert(config.name, ast.name, ast.severity, frozenset(), explanation))
     document = {
         "schema_version": 1,
         "rule": ast.name,

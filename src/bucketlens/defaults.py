@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .model import BucketConfig, Effect, GranteeType, Permission, Severity
-from .policy import DerivedProperties, Exposure, _runs_match, has_wildcard_principal
-from .unified import Alert
+from .policy import DerivedProperties, Exposure, _runs_match
+from .unified import Alert, new_alert
 
 Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
 
@@ -90,7 +90,7 @@ def _any_bpa_flag_off(config: BucketConfig, derived: DerivedProperties) -> str |
 
 def _wildcard_any_effect(config: BucketConfig, derived: DerivedProperties) -> str | None:
     for stmt in config.policy or ():
-        if has_wildcard_principal(stmt):
+        if stmt.wildcard_principal:
             sid = stmt.sid or "<no sid>"
             return f"statement {sid} uses a wildcard principal ({stmt.effect.value})"
     return None
@@ -102,7 +102,7 @@ def _wildcard_allow_action(target_action: str) -> Predicate:
 
     def check(config: BucketConfig, derived: DerivedProperties) -> str | None:
         for stmt in config.policy or ():
-            if stmt.effect is not Effect.ALLOW or not has_wildcard_principal(stmt):
+            if stmt.effect is not Effect.ALLOW or not stmt.wildcard_principal:
                 continue
             for pattern in stmt.actions:
                 if _runs_match(pattern.lower().split("*"), target):
@@ -268,6 +268,9 @@ def default_catalog() -> tuple[DefaultRule, ...]:
     return _CATALOG
 
 
+_NO_CONDITIONS: frozenset[int] = frozenset()
+
+
 def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[Alert]:
     """Evaluate every catalog rule; one alert per match, ordered by rule id.
 
@@ -278,13 +281,6 @@ def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[A
     for rule in _RULES_BY_INPUTS[bool(config.acl_grants), bool(config.policy)]:
         evidence = rule.predicate(config, derived)
         if evidence is not None:
-            alerts.append(
-                Alert(
-                    bucket_name=config.name,
-                    rule_id=rule.id,
-                    severity=rule.severity,
-                    fired_conditions=frozenset(),
-                    explanation=f"{rule.title}: {evidence}",
-                )
-            )
+            explanation = f"{rule.title}: {evidence}"
+            alerts.append(new_alert(config.name, rule.id, rule.severity, _NO_CONDITIONS, explanation))
     return alerts

@@ -418,7 +418,8 @@ def _container_pieces(value: object, newline: str, templates: dict) -> Iterator[
 # Stateful alerting
 # ---------------------------------------------------------------------------
 
-_SEVERITY_TEXT = {severity: severity.value for severity in Severity}
+# Keyed by identity: Severity.__hash__ is Python code, and members are singletons.
+_SEVERITY_TEXT = {id(severity): severity.value for severity in Severity}
 
 
 def alert_fingerprint(alert: Alert) -> str:
@@ -434,7 +435,7 @@ def alert_to_dict(alert: Alert) -> dict:
     return {
         "bucket_name": alert.bucket_name,
         "rule_id": alert.rule_id,
-        "severity": _SEVERITY_TEXT[alert.severity],
+        "severity": _SEVERITY_TEXT[id(alert.severity)],
         "fired_conditions": sorted(fired) if fired else [],
         "explanation": alert.explanation,
         "fingerprint": alert_fingerprint(alert),

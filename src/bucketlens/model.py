@@ -26,7 +26,7 @@ import enum
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -90,10 +90,18 @@ class PolicyStatement:
     resources: tuple[str, ...] = ()
     sid: str | None = None
     condition: Mapping[str, tuple[str, ...]] | None = None
+    #: True iff some principal entry contains ``*``; set from ``principal_aws``
+    #: once, when the statement is built, and left out of ==, hash and repr.
+    wildcard_principal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.actions:
             raise SchemaError("statement actions must be non-empty", field="actions")
+        object.__setattr__(self, "wildcard_principal", _any_wildcard(self.principal_aws))
+
+
+def _any_wildcard(principals: tuple[str, ...]) -> bool:
+    return any("*" in principal for principal in principals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,35 +143,30 @@ class BucketConfig:
 # ---------------------------------------------------------------------------
 
 _ABSENT = object()
+_NO_ITEMS: list = []  # the default of an absent array; only ever read
+
+# The parser below checks each value inline. json.loads yields only dict,
+# list, str, int, float, bool and None, with str keys, so ``type(v) is T``
+# accepts exactly what an isinstance check would; the helpers just below
+# run only after a check has failed, to build its error.
 
 
-def _require(obj: Mapping[str, Any], key: str, kind: type) -> Any:
-    value = obj.get(key, _ABSENT)
-    # json.loads yields exact builtin types, so this is the common case
-    if type(value) is kind:
-        return value
+def _field_error(key: str, kind: type, value: Any) -> SchemaError:
+    """The error for a field whose value is not a ``kind``: missing, or of another type."""
     if value is _ABSENT:
-        raise SchemaError(f"missing required field {key!r}", field=key)
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise SchemaError(
-            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}", field=key
-        )
-    return value
-
-
-def _optional(obj: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
-    value = obj.get(key, _ABSENT)
-    if type(value) is kind:
-        return value
-    if value is _ABSENT:
-        return default
-    return _require(obj, key, kind)
+        return SchemaError(f"missing required field {key!r}", field=key)
+    return SchemaError(f"field {key!r} must be {kind.__name__}, got {type(value).__name__}", field=key)
 
 
 _ENUM_MEMBERS: dict[type[enum.Enum], dict[Any, enum.Enum]] = {
     enum_cls: {member.value: member for member in enum_cls}
     for enum_cls in (GranteeType, Permission, Effect)
 }
+# Members are truthy, so ``_EFFECTS.get(v) or _enum_value(v, ...)`` runs the
+# helper only for an unknown value, and only to raise its error.
+_GRANTEE_TYPES = _ENUM_MEMBERS[GranteeType]
+_PERMISSIONS = _ENUM_MEMBERS[Permission]
+_EFFECTS = _ENUM_MEMBERS[Effect]
 
 
 def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str) -> Any:
@@ -174,11 +177,9 @@ def _enum_value(raw: Any, enum_cls: type[enum.Enum], fieldname: str) -> Any:
         raise SchemaError(f"unknown {fieldname} {raw!r} (allowed: {allowed})", field=fieldname) from None
 
 
-def _check_no_extra_keys(obj: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
-    if allowed.issuperset(obj):
-        return
+def _extra_keys_error(obj: Mapping[str, Any], allowed: frozenset[str], where: str) -> SchemaError:
     extra = sorted(set(obj) - allowed)
-    raise SchemaError(f"unknown field(s) in {where}: {', '.join(extra)}", field=extra[0])
+    return SchemaError(f"unknown field(s) in {where}: {', '.join(extra)}", field=extra[0])
 
 
 _TOP_KEYS = frozenset(
@@ -186,23 +187,72 @@ _TOP_KEYS = frozenset(
 )
 _GRANT_KEYS = frozenset({"grantee_type", "grantee_uri", "permission"})
 _STMT_KEYS = frozenset({"sid", "effect", "principal_aws", "actions", "resources", "condition"})
-_BPA_KEYS = frozenset(
-    {"block_public_acls", "ignore_public_acls", "block_public_policy", "restrict_public_buckets"}
-)
+_BPA_FIELDS = ("block_public_acls", "ignore_public_acls", "block_public_policy", "restrict_public_buckets")
+_BPA_KEYS = frozenset(_BPA_FIELDS)
 
 
 def _string_list(raw: Any, fieldname: str) -> tuple[str, ...]:
-    if isinstance(raw, str):
+    """A string or a list of strings, as a tuple."""
+    if type(raw) is str:
         return (raw,)
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise SchemaError(f"field {fieldname!r} must be a list of strings", field=fieldname)
-    return tuple(raw)
+    if type(raw) is list:
+        for item in raw:
+            if type(item) is not str:
+                break
+        else:
+            return tuple(raw)
+    raise SchemaError(f"field {fieldname!r} must be a list of strings", field=fieldname)
+
+
+# Frozen dataclasses set every field in __init__ through object.__setattr__.
+# The parser builds a BucketConfig for every bucket, and a PolicyStatement
+# for every third or so, so it sets their slots through the member
+# descriptors instead, in about a third of the time, after making the checks
+# of __post_init__ itself.
+_new = object.__new__
+
+
+def _slot_setters(cls: type) -> tuple[Any, ...]:
+    """The ``__set__`` of each field's member descriptor, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_STMT_SLOTS = _slot_setters(PolicyStatement)
+_BUCKET_SLOTS = _slot_setters(BucketConfig)
+
+
+def _parse_grant(raw: Any) -> AclGrant:
+    if type(raw) is not dict:
+        raise SchemaError("each acl_grants entry must be an object", field="acl_grants")
+    if not _GRANT_KEYS.issuperset(raw):
+        raise _extra_keys_error(raw, _GRANT_KEYS, "acl_grants entry")
+    get = raw.get
+    grantee_type = get("grantee_type", _ABSENT)
+    if type(grantee_type) is not str:
+        raise _field_error("grantee_type", str, grantee_type)
+    grantee_type = _GRANTEE_TYPES.get(grantee_type) or _enum_value(grantee_type, GranteeType, "grantee_type")
+    uri = get("grantee_uri", _ABSENT)
+    if type(uri) is not str:
+        raise _field_error("grantee_uri", str, uri)
+    permission = get("permission", _ABSENT)
+    if type(permission) is not str:
+        raise _field_error("permission", str, permission)
+    permission = _PERMISSIONS.get(permission) or _enum_value(permission, Permission, "permission")
+    return AclGrant(grantee_type, uri, permission)
+
+
+def _string_list_field(raw: dict, key: str, default: Any = _ABSENT) -> tuple[str, ...]:
+    """A field that must be a JSON array of strings, as a tuple."""
+    value = raw.get(key, default)
+    if type(value) is not list:
+        raise _field_error(key, list, value)
+    return _string_list(value, key)
 
 
 def _parse_condition(raw: Any) -> dict[str, tuple[str, ...]] | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise SchemaError("field 'condition' must be an object", field="condition")
     out: dict[str, tuple[str, ...]] = {}
     for key, values in raw.items():
@@ -210,50 +260,62 @@ def _parse_condition(raw: Any) -> dict[str, tuple[str, ...]] | None:
     return out or None
 
 
-def _parse_grant(raw: Any) -> AclGrant:
-    if not isinstance(raw, dict):
-        raise SchemaError("each acl_grants entry must be an object", field="acl_grants")
-    _check_no_extra_keys(raw, _GRANT_KEYS, "acl_grants entry")
-    return AclGrant(
-        grantee_type=_enum_value(_require(raw, "grantee_type", str), GranteeType, "grantee_type"),
-        grantee_uri=_require(raw, "grantee_uri", str),
-        permission=_enum_value(_require(raw, "permission", str), Permission, "permission"),
-    )
-
-
 def _parse_statement(raw: Any) -> PolicyStatement:
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise SchemaError("each policy entry must be an object", field="policy")
-    _check_no_extra_keys(raw, _STMT_KEYS, "policy statement")
-    sid = raw.get("sid")
-    if sid is not None and not isinstance(sid, str):
+    if not _STMT_KEYS.issuperset(raw):
+        raise _extra_keys_error(raw, _STMT_KEYS, "policy statement")
+    get = raw.get
+    sid = get("sid")
+    if sid is not None and type(sid) is not str:
         raise SchemaError("field 'sid' must be a string", field="sid")
-    return PolicyStatement(
-        effect=_enum_value(_require(raw, "effect", str), Effect, "effect"),
-        principal_aws=_string_list(_require(raw, "principal_aws", list), "principal_aws"),
-        actions=_string_list(_require(raw, "actions", list), "actions"),
-        resources=_string_list(_optional(raw, "resources", list, []), "resources"),
-        sid=sid,
-        condition=_parse_condition(raw.get("condition")),
-    )
+    effect = get("effect", _ABSENT)
+    if type(effect) is not str:
+        raise _field_error("effect", str, effect)
+    effect = _EFFECTS.get(effect) or _enum_value(effect, Effect, "effect")
+    principal = _string_list_field(raw, "principal_aws")
+    actions = _string_list_field(raw, "actions")
+    resources = _string_list_field(raw, "resources", _NO_ITEMS)
+    condition = _parse_condition(get("condition"))
+    if not actions:
+        PolicyStatement(effect, principal, actions)  # raises the model's empty-actions error
+    stmt = _new(PolicyStatement)
+    set_effect, set_principal, set_actions, set_resources, set_sid, set_condition, set_wildcard = _STMT_SLOTS
+    set_effect(stmt, effect)
+    set_principal(stmt, principal)
+    set_actions(stmt, actions)
+    set_resources(stmt, resources)
+    set_sid(stmt, sid)
+    set_condition(stmt, condition)
+    set_wildcard(stmt, _any_wildcard(principal))
+    return stmt
 
 
 # The 16 possible flag sets, built once and shared: PublicAccessBlock is immutable.
 _BPA_BY_FLAGS = {flags: PublicAccessBlock(*flags) for flags in itertools.product((False, True), repeat=4)}
+_NO_BPA = _BPA_BY_FLAGS[False, False, False, False]
 
 
 def _parse_bpa(raw: Any) -> PublicAccessBlock:
     if raw is None:
-        return PublicAccessBlock()
-    if not isinstance(raw, dict):
+        return _NO_BPA
+    if type(raw) is not dict:
         raise SchemaError("field 'public_access_block' must be an object", field="public_access_block")
-    _check_no_extra_keys(raw, _BPA_KEYS, "public_access_block")
-    return _BPA_BY_FLAGS[(
-        _require(raw, "block_public_acls", bool),
-        _require(raw, "ignore_public_acls", bool),
-        _require(raw, "block_public_policy", bool),
-        _require(raw, "restrict_public_buckets", bool),
-    )]
+    if not _BPA_KEYS.issuperset(raw):
+        raise _extra_keys_error(raw, _BPA_KEYS, "public_access_block")
+    get = raw.get
+    a, b, c, d = flags = (
+        get("block_public_acls", _ABSENT),
+        get("ignore_public_acls", _ABSENT),
+        get("block_public_policy", _ABSENT),
+        get("restrict_public_buckets", _ABSENT),
+    )
+    # exact bools only: 1 == True, so the table alone would take 1 for true
+    if not (type(a) is type(b) is type(c) is type(d) is bool):
+        for key, value in zip(_BPA_FIELDS, flags):
+            if type(value) is not bool:
+                raise _field_error(key, bool, value)
+    return _BPA_BY_FLAGS[flags]
 
 
 def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
@@ -272,36 +334,79 @@ def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
         raise SchemaError(exc.message, field=exc.field, line=line) from None
 
 
-def _parse_record(text: str) -> BucketConfig:
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(text: str) -> Any:
+    """``json.loads(text)``, with its errors as SchemaErrors.
+
+    A line that starts with its value and ends with it or with one newline
+    is decoded by the decoder's scanner directly, which skips json.loads'
+    Python-level wrapping. Any other text, and any text the scanner rejects,
+    goes through json.loads, which reads it again and raises its own error.
+    """
     try:
-        raw = json.loads(text)
+        value, end = _scan_once(text, 0)
+        if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
+            return value
+    except (ValueError, TypeError, StopIteration, RecursionError):  # ValueError: JSONDecodeError
+        pass
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise SchemaError(_TOO_DEEP) from None
-    if not isinstance(raw, dict):
+
+
+def _parse_record(text: str) -> BucketConfig:
+    raw = _decode(text)
+    if type(raw) is not dict:
         raise SchemaError("snapshot line must be a JSON object")
-    _check_no_extra_keys(raw, _TOP_KEYS, "bucket record")
+    if not _TOP_KEYS.issuperset(raw):
+        raise _extra_keys_error(raw, _TOP_KEYS, "bucket record")
+    get = raw.get
 
-    name = _require(raw, "name", str)
-    grants_raw = _optional(raw, "acl_grants", list, [])
-    policy_raw = raw.get("policy")
-    if policy_raw is not None and not isinstance(policy_raw, list):
+    name = get("name", _ABSENT)
+    if type(name) is not str:
+        raise _field_error("name", str, name)
+    grants_raw = get("acl_grants", _NO_ITEMS)
+    if type(grants_raw) is not list:
+        raise _field_error("acl_grants", list, grants_raw)
+    policy_raw = get("policy")
+    if policy_raw is not None and type(policy_raw) is not list:
         raise SchemaError("field 'policy' must be an array", field="policy")
-    tags_raw = _optional(raw, "tags", dict, {})
-    for key, value in tags_raw.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise SchemaError("tags must map strings to strings", field="tags")
+    tags = get("tags", _ABSENT)
+    if type(tags) is dict:
+        for value in tags.values():
+            if type(value) is not str:
+                raise SchemaError("tags must map strings to strings", field="tags")
+    elif tags is _ABSENT:
+        tags = {}
+    else:
+        raise _field_error("tags", dict, tags)
+    region = get("region", "us-east-1")
+    if type(region) is not str:
+        raise _field_error("region", str, region)
+    grants = tuple(map(_parse_grant, grants_raw)) if grants_raw else ()
+    policy = None if policy_raw is None else tuple(map(_parse_statement, policy_raw))
+    bpa = _parse_bpa(get("public_access_block"))
+    website = get("website_enabled", False)
+    if type(website) is not bool:
+        raise _field_error("website_enabled", bool, website)
+    if not _NAME_RE.match(name):
+        BucketConfig(name)  # raises the model's invalid-name error
 
-    return BucketConfig(
-        name=name,  # validated by BucketConfig
-        region=_optional(raw, "region", str, "us-east-1"),
-        acl_grants=tuple(_parse_grant(g) for g in grants_raw),
-        policy=None if policy_raw is None else tuple(_parse_statement(s) for s in policy_raw),
-        public_access_block=_parse_bpa(raw.get("public_access_block")),
-        tags=dict(tags_raw),
-        website_enabled=_optional(raw, "website_enabled", bool, False),
-    )
+    bucket = _new(BucketConfig)
+    set_name, set_region, set_grants, set_policy, set_bpa, set_tags, set_website = _BUCKET_SLOTS
+    set_name(bucket, name)
+    set_region(bucket, region)
+    set_grants(bucket, grants)
+    set_policy(bucket, policy)
+    set_bpa(bucket, bpa)
+    set_tags(bucket, tags)  # the decoder's own dict: nothing else holds it
+    set_website(bucket, website)
+    return bucket
 
 
 def to_snapshot_dict(config: BucketConfig) -> dict[str, Any]:
@@ -506,19 +611,29 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
     for stmt in statements_raw:
         if not isinstance(stmt, dict):
             raise SchemaError(f"{path.name}: each Statement entry must be an object")
-        if "Principal" not in stmt:
+        for key in ("Principal", "Action"):
+            if key in stmt and f"Not{key}" in stmt:
+                raise SchemaError(f"{path.name}: statement has both '{key}' and 'Not{key}'", field=key)
+        if "Principal" not in stmt and "NotPrincipal" not in stmt:
             raise SchemaError(f"{path.name}: bucket-policy statement is missing 'Principal'", field="Principal")
         actions = stmt.get("Action")
-        if actions is None:
+        if actions is None and "NotAction" not in stmt:
             raise SchemaError(f"{path.name}: statement is missing 'Action'", field="Action")
         sid = stmt.get("Sid")
         if sid is not None and not isinstance(sid, str):
             raise SchemaError(f"{path.name}: 'Sid' must be a string", field="Sid")
+        effect = _enum_value(stmt.get("Effect"), Effect, "Effect")
+        # NotPrincipal and NotAction name what a statement leaves out, and the
+        # model has no exclusions: an Allow is widened to every principal or
+        # action, and a Deny is dropped. Either way the imported policy grants
+        # at least what the real one does, never less.
+        if effect is Effect.DENY and ("NotPrincipal" in stmt or "NotAction" in stmt):
+            continue
         statements.append(
             PolicyStatement(
-                effect=_enum_value(stmt.get("Effect"), Effect, "Effect"),
-                principal_aws=_normalize_principal(stmt["Principal"], path),
-                actions=_string_list(actions, "Action"),
+                effect=effect,
+                principal_aws=_normalize_principal(stmt["Principal"], path) if "Principal" in stmt else ("*",),
+                actions=_string_list(actions, "Action") if actions is not None else ("*",),
                 resources=_string_list(stmt.get("Resource", []), "Resource"),
                 sid=sid,
                 condition=_flatten_condition(stmt.get("Condition"), path),

@@ -18,6 +18,7 @@ heuristic can also flag website-enabled buckets the oracle cannot reach.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,12 +111,24 @@ def has_restrictive_condition(
     if stmt.condition is None:
         return False
     keys = RESTRICTIVE_CONDITION_KEYS if restrictive_keys is None else restrictive_keys
-    return any(key in keys for key in stmt.condition)
+    return not keys.isdisjoint(stmt.condition)
 
 
 def has_wildcard_principal(stmt: PolicyStatement) -> bool:
-    """True iff any principal entry contains ``*`` (normalized wildcards included)."""
-    return any("*" in principal for principal in stmt.principal_aws)
+    """True iff any principal entry contains ``*`` (normalized wildcards included).
+
+    The flag is computed once, when the statement is built.
+    """
+    return stmt.wildcard_principal
+
+
+def _is_open_statement(stmt: PolicyStatement, restrictive_keys: frozenset[str] | None) -> bool:
+    """An Allow to a wildcard principal without a restrictive condition."""
+    return (
+        stmt.effect is Effect.ALLOW
+        and stmt.wildcard_principal
+        and not has_restrictive_condition(stmt, restrictive_keys)
+    )
 
 
 def is_policy_public(
@@ -126,12 +139,10 @@ def is_policy_public(
     a restrictive condition. Absent policy is never public."""
     if policy is None:
         return False
-    return any(
-        stmt.effect is Effect.ALLOW
-        and has_wildcard_principal(stmt)
-        and not has_restrictive_condition(stmt, restrictive_keys)
-        for stmt in policy
-    )
+    for stmt in policy:
+        if _is_open_statement(stmt, restrictive_keys):
+            return True
+    return False
 
 
 def action_matches(pattern: str, action: str) -> bool:
@@ -214,7 +225,7 @@ def effective_anonymous_access(
         allowed = AccessSet()
         denied = AccessSet()
         for stmt in config.policy:
-            if not has_wildcard_principal(stmt):
+            if not stmt.wildcard_principal:
                 continue
             if stmt.effect is Effect.ALLOW:
                 if not has_restrictive_condition(stmt, restrictive_keys):
@@ -242,16 +253,18 @@ def classify_exposure(
     (b) a public policy not neutralized by RestrictPublicBuckets;
     (c) static-website hosting not neutralized by RestrictPublicBuckets.
     """
-    return _exposure(config, is_policy_public(config.policy, restrictive_keys))
-
-
-def _exposure(config: BucketConfig, policy_public: bool) -> Exposure:
-    bpa = config.public_access_block
-    if _has_public_group_grant(config) and not bpa.ignore_public_acls:
-        return Exposure.PUBLIC_FACING
-    if not bpa.restrict_public_buckets and (policy_public or config.website_enabled):
+    if _public_facing(config, is_policy_public(config.policy, restrictive_keys)):
         return Exposure.PUBLIC_FACING
     return Exposure.INTERNAL
+
+
+def _public_facing(config: BucketConfig, policy_public: bool) -> bool:
+    bpa = config.public_access_block
+    if config.acl_grants and not bpa.ignore_public_acls and _has_public_group_grant(config):
+        return True
+    if not bpa.restrict_public_buckets and (policy_public or config.website_enabled):
+        return True
+    return False
 
 
 SENSITIVE_TAG_KEY = "SensitiveData"
@@ -262,13 +275,21 @@ def is_sensitive(config: BucketConfig) -> bool:
     return config.tags.get(SENSITIVE_TAG_KEY, "").lower() == "true"
 
 
+# The 8 possible bundles, keyed by (policy public, public-facing, sensitive),
+# built once and shared: DerivedProperties is immutable.
+_DERIVED = {
+    (policy_public, public_facing, sensitive): DerivedProperties(
+        policy_status_public=policy_public,
+        exposure=Exposure.PUBLIC_FACING if public_facing else Exposure.INTERNAL,
+        sensitive_data=sensitive,
+    )
+    for policy_public, public_facing, sensitive in itertools.product((False, True), repeat=3)
+}
+
+
 def derive(
     config: BucketConfig, restrictive_keys: frozenset[str] | None = None
 ) -> DerivedProperties:
-    """Compute the derived-property bundle for one bucket."""
+    """The derived-property bundle for one bucket: one of 8 shared instances."""
     policy_public = is_policy_public(config.policy, restrictive_keys)
-    return DerivedProperties(
-        policy_status_public=policy_public,
-        exposure=_exposure(config, policy_public),
-        sensitive_data=is_sensitive(config),
-    )
+    return _DERIVED[policy_public, _public_facing(config, policy_public), is_sensitive(config)]

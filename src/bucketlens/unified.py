@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BucketConfig, Effect, Permission, PolicyStatement, Severity
-from .policy import DerivedProperties, Exposure, has_restrictive_condition, has_wildcard_principal
+from .model import BucketConfig, Permission, PolicyStatement, Severity, _new, _slot_setters
+from .policy import DerivedProperties, Exposure, _is_open_statement
 
 UNIFIED_RULE_ID = "UNIFIED-S3-PUBLIC-ACCESS"
 UNIFIED_RULE_TITLE = "S3 Public Access Validation and Data Exposure"
@@ -56,6 +56,24 @@ class Alert:
     explanation: str
 
 
+_ALERT_SLOTS = _slot_setters(Alert)
+
+
+def new_alert(
+    bucket_name: str, rule_id: str, severity: Severity, fired_conditions: frozenset[int], explanation: str
+) -> Alert:
+    """``Alert(...)`` without the frozen dataclass's ``__init__``: the same
+    instance, built in about half the time, for the rule engines' hot loops."""
+    alert = _new(Alert)
+    set_bucket, set_rule, set_severity, set_fired, set_explanation = _ALERT_SLOTS
+    set_bucket(alert, bucket_name)
+    set_rule(alert, rule_id)
+    set_severity(alert, severity)
+    set_fired(alert, fired_conditions)
+    set_explanation(alert, explanation)
+    return alert
+
+
 @dataclass(frozen=True, slots=True)
 class ConditionVerdict:
     number: int
@@ -80,13 +98,7 @@ def _open_statements(
     config: BucketConfig, restrictive_keys: frozenset[str] | None
 ) -> list[PolicyStatement]:
     """Wildcard-principal Allow statements without a restrictive condition."""
-    return [
-        stmt
-        for stmt in config.policy or ()
-        if stmt.effect is Effect.ALLOW
-        and has_wildcard_principal(stmt)
-        and not has_restrictive_condition(stmt, restrictive_keys)
-    ]
+    return [stmt for stmt in config.policy or () if _is_open_statement(stmt, restrictive_keys)]
 
 
 def _risky_markers(stmt: PolicyStatement) -> list[str]:
@@ -205,13 +217,7 @@ def evaluate_unified(
     explanation = "; ".join(
         f"C{number}: {_evidence(number, config, derived, restrictive_keys, True)}" for number in fired
     )
-    return Alert(
-        bucket_name=config.name,
-        rule_id=UNIFIED_RULE_ID,
-        severity=Severity.HIGH,
-        fired_conditions=frozenset(fired),
-        explanation=explanation,
-    )
+    return new_alert(config.name, UNIFIED_RULE_ID, Severity.HIGH, frozenset(fired), explanation)
 
 
 def unified_dsl_source() -> str:

@@ -1,7 +1,9 @@
 """Malformed input ends in a BucketlensError, never in another exception.
 
 Each loader gets arbitrary text and bytes, JSON documents of any shape, and
-valid documents with one value replaced or one key removed.
+valid documents with one value replaced or one key removed. The snapshot
+parser must also give what the parser it replaced gives on the same lines
+(``model_oracle``): an equal record, or the same SchemaError.
 """
 
 from __future__ import annotations
@@ -16,20 +18,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bucketlens.dsl import parse_rule, tokenize
-from bucketlens.errors import BucketlensError
+from bucketlens.errors import BucketlensError, SchemaError
 from bucketlens.evaluation import load_state
 from bucketlens.fleetgen import load_mix_file, load_truth
 from bucketlens.model import (
     ALL_USERS_URI,
     import_aws_artifacts,
     parse_snapshot_line,
+    serialize_snapshot_line,
     to_snapshot_dict,
 )
 from bucketlens.policy import load_restrictive_keys
 
-from conftest import allusers_read_bucket, public_policy_bucket
+import model_oracle
+from conftest import agreement_configs, allusers_read_bucket, public_policy_bucket
 
-_SNAPSHOTS = [to_snapshot_dict(allusers_read_bucket()), to_snapshot_dict(public_policy_bucket())]
+_CONDITION_BUCKET = {
+    "name": "fuzz-bucket",
+    "policy": [{
+        "sid": "Read",
+        "effect": "Allow",
+        "principal_aws": ["*"],
+        "actions": ["s3:GetObject"],
+        "condition": {"aws:SourceIp": ["10.0.0.0/8"], "s3:prefix": "public/"},
+    }],
+    "public_access_block": {
+        "block_public_acls": True,
+        "ignore_public_acls": False,
+        "block_public_policy": False,
+        "restrict_public_buckets": False,
+    },
+    "tags": {"SensitiveData": "true", "env": "prod"},
+    "website_enabled": True,
+}
+_SNAPSHOTS = [to_snapshot_dict(allusers_read_bucket()), to_snapshot_dict(public_policy_bucket()), _CONDITION_BUCKET]
 
 _STATEMENT = {
     "Sid": "Read",
@@ -134,10 +156,46 @@ def _rejects_or_accepts(load, *args) -> None:
 _FUZZ = settings(max_examples=100, deadline=None)
 
 
+_SNAPSHOT_TEXT = st.one_of(st.sampled_from(_SNAPSHOTS).flatmap(_mutated).map(json.dumps), st.text(max_size=60))
+
+
 @settings(_FUZZ, max_examples=200)
-@given(st.one_of(st.sampled_from(_SNAPSHOTS).flatmap(_mutated).map(json.dumps), st.text(max_size=60)))
+@given(_SNAPSHOT_TEXT)
 def test_snapshot_line(text):
     _rejects_or_accepts(parse_snapshot_line, text)
+
+
+def _parse_outcome(parse, text):
+    """What parsing ``text`` as line 7 gives: the record, or the SchemaError's parts.
+
+    The record is compared by ==, by repr (which shows every field's type)
+    and by each statement's wildcard flag, which == leaves out.
+    """
+    try:
+        config = parse(text, line=7)
+    except SchemaError as exc:
+        return ("error", exc.message, exc.field, exc.line)
+    return ("record", config, repr(config), [stmt.wildcard_principal for stmt in config.policy or ()])
+
+
+def _assert_parsers_agree(text):
+    assert _parse_outcome(parse_snapshot_line, text) == _parse_outcome(model_oracle.parse_snapshot_line, text)
+
+
+# the one-pass parser reads a value that ends its line, or ends it but for
+# one newline, itself, and hands any other text to json.loads
+_EDGES = st.sampled_from(["", "", "\n", " ", "\t", "\r\n", " \n", "\n\n", "\x0c", "\u2028", "\ufeff", "x"])
+
+
+@settings(_FUZZ, max_examples=400)
+@given(_EDGES, st.one_of(_SNAPSHOT_TEXT, _JSON.map(json.dumps)), _EDGES)
+def test_snapshot_parser_matches_oracle(prefix, text, suffix):
+    _assert_parsers_agree(prefix + text + suffix)
+
+
+def test_snapshot_parser_matches_oracle_on_seed_fleets():
+    for config in agreement_configs():
+        _assert_parsers_agree(serialize_snapshot_line(config) + "\n")
 
 
 _VALID_ARTIFACTS = {**_ARTIFACTS, "policy.json": {"Policy": json.dumps(_POLICY)}}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -11,8 +12,10 @@ from bucketlens.errors import DuplicateNameError, MissingArtifactError, SchemaEr
 from bucketlens.model import (
     AclGrant,
     BucketConfig,
+    Effect,
     GranteeType,
     Permission,
+    PolicyStatement,
     PublicAccessBlock,
     import_aws_artifacts,
     load_fleet,
@@ -303,6 +306,76 @@ def test_import_rejects_malformed_artifacts_with_schema_error(tmp_path, files):
         (bucket / name).write_text(text)
     with pytest.raises(SchemaError):
         import_aws_artifacts(bucket)
+
+
+def _policy_bucket(tmp_path, *statements: dict):
+    bucket = tmp_path / "not-keys-bucket"
+    bucket.mkdir()
+    (bucket / "acl.json").write_text(_NO_GRANTS)
+    (bucket / "policy.json").write_text(_policy_file(json.dumps({"Statement": list(statements)})))
+    return bucket
+
+
+_READ = {"Sid": "Read", "Effect": "Allow", "Principal": "*", "Action": "s3:GetObject"}
+
+
+def test_import_allow_with_not_principal_is_a_wildcard_principal(tmp_path):
+    statement = {"Effect": "Allow", "NotPrincipal": {"AWS": "arn:aws:iam::111122223333:root"}, "Action": "s3:*"}
+    (imported,) = import_aws_artifacts(_policy_bucket(tmp_path, statement)).policy
+    assert imported.principal_aws == ("*",)
+    assert imported.wildcard_principal
+    assert imported.actions == ("s3:*",)
+
+
+def test_import_allow_with_not_action_allows_every_action(tmp_path):
+    statement = {"Sid": "AllButDelete", "Effect": "Allow", "Principal": "*", "NotAction": "s3:DeleteObject"}
+    (imported,) = import_aws_artifacts(_policy_bucket(tmp_path, statement)).policy
+    assert imported.actions == ("*",)
+    assert imported.principal_aws == ("*",)
+    assert imported.sid == "AllButDelete"
+
+
+@pytest.mark.parametrize(
+    "deny",
+    [
+        {"Effect": "Deny", "NotPrincipal": {"AWS": "arn:aws:iam::111122223333:root"}, "Action": "s3:GetObject"},
+        {"Effect": "Deny", "Principal": "*", "NotAction": "s3:GetObject"},
+    ],
+    ids=["not-principal", "not-action"],
+)
+def test_import_leaves_out_a_deny_with_not_principal_or_not_action(tmp_path, deny):
+    config = import_aws_artifacts(_policy_bucket(tmp_path, _READ, deny))
+    assert [s.sid for s in config.policy] == ["Read"]
+
+
+@pytest.mark.parametrize("key", ["Principal", "Action"])
+def test_import_rejects_a_statement_with_both_a_key_and_its_not_key(tmp_path, key):
+    statement = {**_READ, f"Not{key}": _READ[key]}
+    with pytest.raises(SchemaError) as exc:
+        import_aws_artifacts(_policy_bucket(tmp_path, statement))
+    assert exc.value.field == key
+    assert f"both '{key}' and 'Not{key}'" in str(exc.value)
+
+
+def test_statement_wildcard_flag_stays_out_of_equality_hash_and_repr():
+    stmt = PolicyStatement(Effect.ALLOW, ("*",), ("s3:GetObject",), sid="s")
+    assert stmt.wildcard_principal
+    assert not PolicyStatement(Effect.ALLOW, ("arn:aws:iam::1:root",), ("s3:*",)).wildcard_principal
+    assert repr(stmt) == (
+        "PolicyStatement(effect=<Effect.ALLOW: 'Allow'>, principal_aws=('*',), "
+        "actions=('s3:GetObject',), resources=(), sid='s', condition=None)"
+    )
+    assert hash(stmt) == hash((Effect.ALLOW, ("*",), ("s3:GetObject",), (), "s", None))
+    parsed = parse_snapshot_line(
+        '{"name":"stmt-bucket","policy":[{"sid":"s","effect":"Allow","principal_aws":["*"],'
+        '"actions":["s3:GetObject"]}]}'
+    ).policy[0]
+    assert parsed == stmt and hash(parsed) == hash(stmt) and repr(parsed) == repr(stmt)
+    assert parsed.wildcard_principal
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.wildcard_principal = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.sid = "t"
 
 
 def _bpa_bucket(tmp_path, configuration: dict):

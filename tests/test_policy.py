@@ -23,6 +23,7 @@ from bucketlens.model import (
 from bucketlens.policy import (
     RESTRICTIVE_CONDITION_KEYS,
     AccessSet,
+    DerivedProperties,
     Exposure,
     action_matches,
     classify_exposure,
@@ -30,10 +31,11 @@ from bucketlens.policy import (
     effective_anonymous_access,
     has_restrictive_condition,
     is_policy_public,
+    is_sensitive,
     load_restrictive_keys,
 )
 
-from conftest import random_bucket_config
+from conftest import agreement_configs, random_bucket_config
 
 
 def _stmt(effect=Effect.ALLOW, principal=("*",), actions=("s3:GetObject",), condition=None):
@@ -292,6 +294,24 @@ def test_derive_public_policy():
     assert derived.policy_status_public is True
     assert derived.exposure is Exposure.PUBLIC_FACING
     assert derived.sensitive_data is False
+
+
+@pytest.mark.parametrize("keys", [None, frozenset({"s3:prefix"})], ids=["default-keys", "prefix-key"])
+def test_derive_equals_a_freshly_built_bundle(keys):
+    # derive hands out one of 8 shared instances; each must equal the bundle
+    # built from the three public checks
+    seen = set()
+    for config in agreement_configs():
+        derived = derive(config, keys)
+        fresh = DerivedProperties(
+            policy_status_public=is_policy_public(config.policy, keys),
+            exposure=classify_exposure(config, keys),
+            sensitive_data=is_sensitive(config),
+        )
+        assert derived == fresh
+        assert (hash(derived), repr(derived)) == (hash(fresh), repr(fresh))
+        seen.add(fresh)
+    assert len(seen) >= 6
 
 
 @pytest.mark.parametrize("value,expected", [("true", True), ("TRUE", True), ("True", True), ("false", False), ("yes", False)])

@@ -6,6 +6,8 @@ import dataclasses
 import random
 import re
 
+import pytest
+
 from bucketlens.dsl import bind_record, eval_rule, parse_rule
 from bucketlens.model import (
     ALL_USERS_URI,
@@ -23,8 +25,10 @@ from bucketlens.policy import derive
 from bucketlens.unified import (
     UNIFIED_RULE_ID,
     _fired_conditions,
+    Alert,
     condition_verdicts,
     evaluate_unified,
+    new_alert,
     unified_dsl_source,
 )
 
@@ -225,3 +229,18 @@ def test_each_fired_condition_agrees_with_its_dsl_condition():
             record = bind_record(config, derived, keys)
             expected = tuple(n for n, ast in sorted(rules.items()) if eval_rule(ast, record))
             assert _fired_conditions(config, derived, keys) == expected, config.name
+
+
+def test_new_alert_is_the_same_frozen_alert():
+    fields = ("cheap-bucket", UNIFIED_RULE_ID, Severity.HIGH, frozenset({1, 4}), "C1: x")
+    built, made = Alert(*fields), new_alert(*fields)
+    assert type(made) is Alert
+    assert made == built and hash(made) == hash(built)
+    assert repr(made) == repr(built) == (
+        "Alert(bucket_name='cheap-bucket', rule_id='UNIFIED-S3-PUBLIC-ACCESS', "
+        "severity=<Severity.HIGH: 'High'>, fired_conditions=frozenset({1, 4}), explanation='C1: x')"
+    )
+    assert made != new_alert(*fields[:4], "C1: y")
+    for alert in (built, made):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alert.rule_id = "OTHER"
