@@ -31,7 +31,7 @@ from .evaluation import (
     scan_fleet,
     write_json,
 )
-from .model import import_aws_artifacts, load_fleet, serialize_snapshot_line, write_fleet
+from .model import BPA_FLAGS, import_aws_artifacts, load_fleet, read_utf8, serialize_snapshot_line, write_fleet
 from .policy import derive, load_restrictive_keys
 from .unified import (
     UNIFIED_RULE_ID,
@@ -197,10 +197,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         f"  exposure: {derived.exposure.value}",
         f"  sensitive_data: {str(derived.sensitive_data).lower()}",
         "block public access: "
-        f"block_public_acls={str(bpa.block_public_acls).lower()} "
-        f"ignore_public_acls={str(bpa.ignore_public_acls).lower()} "
-        f"block_public_policy={str(bpa.block_public_policy).lower()} "
-        f"restrict_public_buckets={str(bpa.restrict_public_buckets).lower()}",
+        + " ".join(f"{name}={str(getattr(bpa, name)).lower()}" for name, _ in BPA_FLAGS),
     ]
     fired = sorted(v.number for v in verdicts if v.fired)
     if fired:
@@ -245,16 +242,13 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     from .dsl import bind_record, eval_rule, parse_rule
 
     keys = _restrictive_keys()
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"rule file {args.file} is not UTF-8: {exc.reason}", offset=exc.start) from None
+    source = read_utf8(args.file, lambda reason: SchemaError(f"rule file {args.file} is {reason}"))
     try:
         ast = parse_rule(source)
     except (LexError, ParseError, SchemaError) as exc:
         offset = getattr(exc, "offset", None)
         location = f"{args.file}:{offset if offset is not None else '?'}"
-        print(f"{location}: {exc}", file=sys.stderr)
+        print(f"error: {location}: {exc}", file=sys.stderr)
         return 3
     buckets = load_fleet(args.input)
     alerts: list[Alert] = []

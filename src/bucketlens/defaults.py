@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import BucketConfig, Effect, GranteeType, Permission, Severity
+from .model import BPA_FLAGS, BucketConfig, Effect, GranteeType, Permission, Severity
 from .policy import DerivedProperties, Exposure, _runs_match
 from .unified import Alert, new_alert
 
@@ -73,16 +73,7 @@ def _bpa_flag_rule(flag: str, label: str) -> Predicate:
 
 def _any_bpa_flag_off(config: BucketConfig, derived: DerivedProperties) -> str | None:
     bpa = config.public_access_block
-    off = [
-        label
-        for label, value in (
-            ("BlockPublicAcls", bpa.block_public_acls),
-            ("IgnorePublicAcls", bpa.ignore_public_acls),
-            ("BlockPublicPolicy", bpa.block_public_policy),
-            ("RestrictPublicBuckets", bpa.restrict_public_buckets),
-        )
-        if not value
-    ]
+    off = [label for flag, label in BPA_FLAGS if not getattr(bpa, flag)]
     if off:
         return "disabled BPA flag(s): " + ", ".join(off)
     return None
@@ -170,16 +161,10 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
         )
     )
 
-    bpa_flags = (
-        ("BPA-BLOCK-PUBLIC-ACLS-OFF", "block_public_acls", "BlockPublicAcls"),
-        ("BPA-IGNORE-PUBLIC-ACLS-OFF", "ignore_public_acls", "IgnorePublicAcls"),
-        ("BPA-BLOCK-PUBLIC-POLICY-OFF", "block_public_policy", "BlockPublicPolicy"),
-        ("BPA-RESTRICT-PUBLIC-BUCKETS-OFF", "restrict_public_buckets", "RestrictPublicBuckets"),
-    )
-    for rule_id, flag, label in bpa_flags:
+    for flag, label in BPA_FLAGS:
         rules.append(
             DefaultRule(
-                id=rule_id,
+                id=f"BPA-{flag.upper().replace('_', '-')}-OFF",
                 title=f"Block Public Access flag {label} is disabled",
                 severity=Severity.LOW,
                 predicate=_bpa_flag_rule(flag, label),

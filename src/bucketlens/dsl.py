@@ -11,7 +11,7 @@ Grammar (keywords case-insensitive, identifiers resolved case-insensitively):
               | TRUE | FALSE
               | predicate
     predicate := path ( ('=' | '!=' | LIKE) literal | IS [NOT] NULL )
-    path      := IDENT ('.' IDENT)*
+    path      := IDENT
     literal   := STRING | NUMBER | TRUE | FALSE
 
 OR binds looser than AND; NOT binds tightest. Strings are single-quoted with
@@ -37,12 +37,14 @@ interpreter the compiler is tested against lives in ``tests/dsl_oracle.py``.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Sequence, Union
 
 from .errors import LexError, ParseError, SchemaError
-from .model import BucketConfig, PolicyStatement, Severity
+from .model import BPA_FLAGS, BucketConfig, PolicyStatement, Severity
 from .policy import (
     RESTRICTIVE_CONDITION_KEYS,
     DerivedProperties,
@@ -152,7 +154,7 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(TokenKind.PUNCT, "!=", off(i)))
             i += 2
             continue
-        if ch in "()=.":
+        if ch in "()=":
             tokens.append(Token(TokenKind.PUNCT, ch, off(i)))
             i += 1
             continue
@@ -248,10 +250,10 @@ _RECORD_FIELDS: dict[str, Callable[[BucketConfig, DerivedProperties], Any]] = {
     "Name": lambda c, d: c.name,
     "Region": lambda c, d: c.region,
     "WebsiteEnabled": lambda c, d: c.website_enabled,
-    "BlockPublicAcls": lambda c, d: c.public_access_block.block_public_acls,
-    "IgnorePublicAcls": lambda c, d: c.public_access_block.ignore_public_acls,
-    "BlockPublicPolicy": lambda c, d: c.public_access_block.block_public_policy,
-    "RestrictPublicBuckets": lambda c, d: c.public_access_block.restrict_public_buckets,
+    **{
+        label: lambda c, d, flag=attrgetter(f"public_access_block.{name}"): flag(c)
+        for name, label in BPA_FLAGS
+    },
     "PolicyStatusPublic": lambda c, d: d.policy_status_public,
     "Exposure": lambda c, d: d.exposure.value,
     "SensitiveData": lambda c, d: d.sensitive_data,
@@ -448,17 +450,9 @@ class _Parser:
         )
 
     def _raw_path(self) -> tuple[str, ...]:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENT:
+        if self._peek().kind is not TokenKind.IDENT:
             raise self._error("expected a field path", {"identifier"})
-        segments = [self._advance().text]
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text == ".":
-            self._advance()
-            nxt = self._peek()
-            if nxt.kind is not TokenKind.IDENT:
-                raise self._error("expected identifier after '.'", {"identifier"})
-            segments.append(self._advance().text)
-        return tuple(segments)
+        return (self._advance().text,)
 
     def _predicate(self) -> Node:
         path_token = self._peek()
@@ -487,7 +481,7 @@ class _Parser:
             self._expect_keyword("NULL")
             return IsNotNull(path) if negated else IsNull(path)
         raise self._error(
-            f"expected a predicate operator after {'.'.join(raw)!r}",
+            f"expected a predicate operator after {raw[0]!r}",
             {"=", "!=", "LIKE", "IS"},
         )
 
@@ -497,8 +491,14 @@ class _Parser:
             self._advance()
             return token.text
         if token.kind is TokenKind.NUMBER:
+            try:
+                value = float(token.text) if "." in token.text else int(token.text)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise self._error("integer literal has too many digits") from None
+            if value == math.inf:
+                raise self._error("number literal is too large")
             self._advance()
-            return float(token.text) if "." in token.text else int(token.text)
+            return value
         if token.kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):
             self._advance()
             return token.text == "TRUE"

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from .defaults import evaluate_default
 from .errors import StateCorruptionError, StateLockError, UnknownBucketError
-from .model import BucketConfig, Severity
+from .model import BucketConfig, Severity, read_json
 from .policy import derive
 from .unified import Alert, evaluate_unified
 
@@ -485,8 +485,8 @@ def diff_alerts(previous: AlertState, current: Sequence[Alert], scan_id: str) ->
 
 def load_state(path: str | Path) -> AlertState:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        raw = read_json(path, lambda reason: StateCorruptionError(f"cannot read alert state {path}: {reason}"))
+    except OSError as exc:
         raise StateCorruptionError(f"cannot read alert state {path}: {exc}") from None
     if not isinstance(raw, dict) or raw.get("schema_version") != STATE_SCHEMA_VERSION:
         raise StateCorruptionError(

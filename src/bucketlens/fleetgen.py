@@ -33,7 +33,9 @@ from .model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
-    invalid_utf8_error,
+    parse_json,
+    read_json,
+    read_jsonl,
 )
 from .policy import Exposure, derive, effective_anonymous_access
 
@@ -406,6 +408,15 @@ def ground_truth_for(scenario: Scenario, config: BucketConfig) -> GroundTruth:
     )
 
 
+def _check_finite(scenario_id: str, proportion: int | float) -> None:
+    try:
+        finite = math.isfinite(proportion)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise MixError(f"proportion for {scenario_id} must be a finite number")
+
+
 def _validate_mix(mix: MixSpec) -> None:
     if mix.total < 1:
         raise MixError(f"fleet total must be >= 1, got {mix.total}")
@@ -416,6 +427,7 @@ def _validate_mix(mix: MixSpec) -> None:
             raise UnknownScenarioError(f"unknown scenario id {scenario_id!r}")
         if not isinstance(proportion, (int, float)) or isinstance(proportion, bool):
             raise MixError(f"proportion for {scenario_id} must be a number")
+        _check_finite(scenario_id, proportion)
         if proportion < 0:
             raise MixError(f"proportion for {scenario_id} must be non-negative")
     total_proportion = sum(mix.proportions.values())
@@ -484,45 +496,31 @@ def write_truth(pairs: Iterable[tuple[BucketConfig, GroundTruth]], path: str | P
 
 def load_truth(path: str | Path) -> dict[str, GroundTruth]:
     truths: dict[str, GroundTruth] = {}
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, text in enumerate(handle, start=1):
-                if not text.strip():
-                    continue
-                try:
-                    raw = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from None
-                except RecursionError:
-                    raise SchemaError("invalid JSON: nested too deeply", line=lineno) from None
-                if not isinstance(raw, dict):
-                    raise SchemaError("truth line must be a JSON object", line=lineno)
-                for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
-                    if not isinstance(raw.get(key), kind):
-                        raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
-                if raw["name"] in truths:
-                    raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
-                truths[raw["name"]] = GroundTruth(
-                    exploitable=raw["exploitable"],
-                    business_risk=raw["business_risk"],
-                    reason=raw["reason"],
-                )
-        except UnicodeDecodeError:
-            raise invalid_utf8_error(path) from None
+    for lineno, text in read_jsonl(path):
+        raw = parse_json(text, lambda reason: SchemaError(reason, line=lineno))
+        if not isinstance(raw, dict):
+            raise SchemaError("truth line must be a JSON object", line=lineno)
+        for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
+            if not isinstance(raw.get(key), kind):
+                raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+        if raw["name"] in truths:
+            raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
+        truths[raw["name"]] = GroundTruth(
+            exploitable=raw["exploitable"],
+            business_risk=raw["business_risk"],
+            reason=raw["reason"],
+        )
     return truths
 
 
 def load_mix_file(path: str | Path) -> dict[str, float]:
     """Custom mix file: a JSON object mapping scenario ids to proportions."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MixError(f"mix file is invalid JSON: {exc.msg}") from None
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise MixError(f"mix file is unreadable: {exc}") from None
+    raw = read_json(path, lambda reason: MixError(f"mix file is {reason}"))
     if not isinstance(raw, dict) or not all(
         isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
         for k, v in raw.items()
     ):
         raise MixError("mix file must map scenario ids to numeric proportions")
+    for scenario_id, proportion in raw.items():
+        _check_finite(scenario_id, proportion)
     return {k: float(v) for k, v in raw.items()}

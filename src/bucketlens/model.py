@@ -18,6 +18,11 @@ Both produce the same normalized, immutable :class:`BucketConfig`:
 
 ``serialize_snapshot_line`` emits the canonical snapshot form; parsing it
 back yields a field-by-field identical record.
+
+Every input file is read through ``read_utf8``, ``parse_json``, ``read_json``
+or ``read_jsonl``, which turn each way a file fails to decode (not UTF-8,
+invalid JSON, nested too deeply, an integer with too many digits) into the
+caller's ``BucketlensError``.
 """
 
 from __future__ import annotations
@@ -28,14 +33,11 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import DuplicateNameError, MissingArtifactError, SchemaError
 
 _NAME_RE = re.compile(r"^[a-z0-9.-]{3,63}$")
-
-# json raises RecursionError on deeply nested documents
-_TOO_DEEP = "invalid JSON: nested too deeply"
 
 ALL_USERS_URI = "http://acs.amazonaws.com/groups/global/AllUsers"
 AUTHENTICATED_USERS_URI = "http://acs.amazonaws.com/groups/global/AuthenticatedUsers"
@@ -114,6 +116,15 @@ class PublicAccessBlock:
     restrict_public_buckets: bool = False
 
 
+#: (field name, AWS and rule-language name) of each Block Public Access flag
+BPA_FLAGS = (
+    ("block_public_acls", "BlockPublicAcls"),
+    ("ignore_public_acls", "IgnorePublicAcls"),
+    ("block_public_policy", "BlockPublicPolicy"),
+    ("restrict_public_buckets", "RestrictPublicBuckets"),
+)
+
+
 @dataclass(frozen=True, slots=True)
 class BucketConfig:
     """Full security posture of one bucket.
@@ -136,6 +147,61 @@ class BucketConfig:
                 "lowercase letters, digits, dots, hyphens",
                 field="name",
             )
+
+
+# ---------------------------------------------------------------------------
+# Input readers
+# ---------------------------------------------------------------------------
+
+def parse_json(text: str, error: Callable[[str], Exception]) -> Any:
+    """``json.loads(text)``; text that does not decode raises ``error(reason)``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        reason = "invalid JSON: nested too deeply"
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        reason = "invalid JSON: integer has too many digits"
+    raise error(reason) from None
+
+
+def read_utf8(path: str | Path, error: Callable[[str], Exception]) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ``error(reason)``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"invalid UTF-8: {exc.reason} (offset {exc.start})") from None
+
+
+def read_json(path: str | Path, error: Callable[[str], Exception]) -> Any:
+    """The JSON document in a UTF-8 file; see ``read_utf8`` and ``parse_json``."""
+    return parse_json(read_utf8(path, error), error)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for each non-blank line of a UTF-8 JSONL file.
+
+    A file that is not UTF-8 raises a SchemaError naming its first bad line.
+    Text reads decode in blocks, so the decode error does not tell which line
+    failed; the file is read again, as bytes, to find it. The file is closed
+    however the iteration ends, early ones included.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, text in enumerate(handle, start=1):
+                if text.strip():
+                    yield lineno, text
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno) from None
+    raise SchemaError("invalid UTF-8")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +253,7 @@ _TOP_KEYS = frozenset(
 )
 _GRANT_KEYS = frozenset({"grantee_type", "grantee_uri", "permission"})
 _STMT_KEYS = frozenset({"sid", "effect", "principal_aws", "actions", "resources", "condition"})
-_BPA_FIELDS = ("block_public_acls", "ignore_public_acls", "block_public_policy", "restrict_public_buckets")
+_BPA_FIELDS = tuple(name for name, _ in BPA_FLAGS)
 _BPA_KEYS = frozenset(_BPA_FIELDS)
 
 
@@ -343,7 +409,7 @@ def _decode(text: str) -> Any:
     A line that starts with its value and ends with it or with one newline
     is decoded by the decoder's scanner directly, which skips json.loads'
     Python-level wrapping. Any other text, and any text the scanner rejects,
-    goes through json.loads, which reads it again and raises its own error.
+    goes through ``parse_json``, which reads it again and raises its error.
     """
     try:
         value, end = _scan_once(text, 0)
@@ -351,12 +417,7 @@ def _decode(text: str) -> Any:
             return value
     except (ValueError, TypeError, StopIteration, RecursionError):  # ValueError: JSONDecodeError
         pass
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise SchemaError(_TOO_DEEP) from None
+    return parse_json(text, SchemaError)
 
 
 def _parse_record(text: str) -> BucketConfig:
@@ -438,12 +499,7 @@ def to_snapshot_dict(config: BucketConfig) -> dict[str, Any]:
             stmts.append(stmt)
         out["policy"] = stmts
     bpa = config.public_access_block
-    out["public_access_block"] = {
-        "block_public_acls": bpa.block_public_acls,
-        "ignore_public_acls": bpa.ignore_public_acls,
-        "block_public_policy": bpa.block_public_policy,
-        "restrict_public_buckets": bpa.restrict_public_buckets,
-    }
+    out["public_access_block"] = {name: getattr(bpa, name) for name in _BPA_FIELDS}
     out["tags"] = {k: config.tags[k] for k in sorted(config.tags)}
     out["website_enabled"] = config.website_enabled
     return out
@@ -458,34 +514,13 @@ def load_fleet(path: str | Path) -> list[BucketConfig]:
     """Load a snapshot JSONL file; bucket names must be unique."""
     buckets: list[BucketConfig] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, text in enumerate(handle, start=1):
-                if not text.strip():
-                    continue
-                config = parse_snapshot_line(text, line=lineno)
-                if config.name in seen:
-                    raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
-                seen.add(config.name)
-                buckets.append(config)
-        except UnicodeDecodeError:
-            raise invalid_utf8_error(path) from None
+    for lineno, text in read_jsonl(path):
+        config = parse_snapshot_line(text, line=lineno)
+        if config.name in seen:
+            raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
+        seen.add(config.name)
+        buckets.append(config)
     return buckets
-
-
-def invalid_utf8_error(path: str | Path) -> SchemaError:
-    """The SchemaError for a JSONL file that is not UTF-8, naming its first bad line.
-
-    Text reads decode in blocks, so the decode error does not tell which
-    line failed; the file is read again, as bytes, to find it.
-    """
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno)
-    return SchemaError("invalid UTF-8")
 
 
 def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:
@@ -507,14 +542,7 @@ _AWS_GRANTEE_TYPES = {
 
 
 def _load_json_file(path: Path) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path.name}: invalid JSON: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path.name}: invalid UTF-8: {exc.reason}", offset=exc.start) from None
-    except RecursionError:
-        raise SchemaError(f"{path.name}: {_TOO_DEEP}") from None
+    return read_json(path, lambda reason: SchemaError(f"{path.name}: {reason}"))
 
 
 def _import_acl(path: Path) -> tuple[AclGrant, ...]:
@@ -594,12 +622,9 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
     raw = _load_json_file(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("Policy"), str):
         raise SchemaError(f"{path.name}: expected an object with a 'Policy' string")
-    try:
-        document = json.loads(raw["Policy"])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path.name}: embedded policy document is invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise SchemaError(f"{path.name}: embedded policy document is {_TOO_DEEP}") from None
+    document = parse_json(
+        raw["Policy"], lambda reason: SchemaError(f"{path.name}: embedded policy document is {reason}")
+    )
     if not isinstance(document, dict):
         raise SchemaError(f"{path.name}: embedded policy document must be a JSON object")
     statements_raw = document.get("Statement", [])
@@ -648,7 +673,7 @@ def _import_bpa(path: Path) -> PublicAccessBlock:
         raise SchemaError(f"{path.name}: expected a 'PublicAccessBlockConfiguration' object")
     cfg = raw["PublicAccessBlockConfiguration"]
     flags = []
-    for key in ("BlockPublicAcls", "IgnorePublicAcls", "BlockPublicPolicy", "RestrictPublicBuckets"):
+    for _, key in BPA_FLAGS:
         # only JSON booleans: "false" or 1 must not pass for a setting
         value = cfg.get(key, False)
         if not isinstance(value, bool):

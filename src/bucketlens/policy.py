@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-from .model import BucketConfig, Effect, Permission, PolicyStatement
+from .model import BucketConfig, Effect, Permission, PolicyStatement, read_json
 
 #: Condition keys that scope an otherwise-public statement to callers from a
 #: known network, VPC, organization or principal. Overridable per call.
@@ -93,12 +92,7 @@ def load_restrictive_keys(path: str | Path) -> frozenset[str]:
 
     The file is a JSON array of condition-key strings.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"restrictive-key file is invalid JSON: {exc.msg}") from None
-    except (UnicodeDecodeError, RecursionError) as exc:
-        raise SchemaError(f"restrictive-key file is unreadable: {exc}") from None
+    raw = read_json(path, lambda reason: SchemaError(f"restrictive-key file is {reason}"))
     if not isinstance(raw, list) or not all(isinstance(k, str) for k in raw):
         raise SchemaError("restrictive-key file must be a JSON array of strings")
     return frozenset(raw)

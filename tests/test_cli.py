@@ -419,6 +419,23 @@ def test_help_documents_spec_flags():
 
 _DEEP = "[" * 100_000
 _BAD_UTF8 = b'{"name":"bad-\xff-bucket"}\n'
+# one digit more than int() converts from text; a limit of 0 means none
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG_INT = "1" * (_DIGIT_LIMIT + 1)
+_LONG_INT_CASE = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="integer digit limit is off")
+
+
+def _rule_run(t, fleet, source):
+    return ["rules", "run", "--file", _write(t / "r.rule", source), "--input", str(fleet)]
+
+
+def _generate(t, mix):
+    return ["generate", "--total", "5", "--mix", _write(t / "mix.json", mix), "--out", str(t / "out.jsonl")]
+
+
+def _scan_with_long_int_keys(t, fleet):
+    _write(t / "keys.json", f"[{_LONG_INT}]")  # the test points the restrictive-key override at it
+    return ["scan", "--input", str(fleet)]
 
 
 def _write(path, content):
@@ -486,10 +503,52 @@ def _artifact_dir(tmp_path, files):
                               "--out", str(t / "out.jsonl")],
             id="mix-not-utf8",
         ),
+        pytest.param(lambda t, fleet: _generate(t, '{"S1": NaN}'), id="mix-nan"),
+        pytest.param(lambda t, fleet: _generate(t, '{"S1": 1%s}' % ("0" * 400)), id="mix-too-large-for-a-float"),
+        pytest.param(
+            lambda t, fleet: _rule_run(t, fleet, "RULE r SEVERITY High WHEN Name = 1%s.5" % ("0" * 400)),
+            id="rule-float-literal-too-large",
+        ),
+        pytest.param(
+            lambda t, fleet: _rule_run(t, fleet, "RULE r SEVERITY High WHEN Exposure.x = 'internal'"),
+            id="rule-dotted-path",
+        ),
+        # one over-long integer in each input the CLI reads
+        pytest.param(
+            lambda t, fleet: ["scan", "--input", _write(t / "in.jsonl", '{"name": "abc", "x": %s}\n' % _LONG_INT)],
+            id="input-long-int", marks=_LONG_INT_CASE,
+        ),
+        pytest.param(
+            lambda t, fleet: ["evaluate", "--input", str(fleet), "--truth", _write(t / "t.jsonl", f"[{_LONG_INT}]\n")],
+            id="truth-long-int", marks=_LONG_INT_CASE,
+        ),
+        pytest.param(lambda t, fleet: _generate(t, '{"S1": %s}' % _LONG_INT), id="mix-long-int", marks=_LONG_INT_CASE),
+        pytest.param(_scan_with_long_int_keys, id="restrictive-keys-long-int", marks=_LONG_INT_CASE),
+        pytest.param(
+            lambda t, fleet: ["scan", "--input", str(fleet), "--state",
+                              _write(t / "state.json", '{"schema_version": %s}' % _LONG_INT)],
+            id="state-long-int", marks=_LONG_INT_CASE,
+        ),
+        pytest.param(
+            lambda t, fleet: ["import", _artifact_dir(t, {"acl.json": '{"Grants": [], "x": %s}' % _LONG_INT})],
+            id="artifact-long-int", marks=_LONG_INT_CASE,
+        ),
+        pytest.param(
+            lambda t, fleet: ["import", _artifact_dir(t, {
+                "acl.json": '{"Grants": []}', "policy.json": json.dumps({"Policy": '{"x": %s}' % _LONG_INT}),
+            })],
+            id="embedded-policy-long-int", marks=_LONG_INT_CASE,
+        ),
+        pytest.param(
+            lambda t, fleet: _rule_run(t, fleet, f"RULE r SEVERITY High WHEN Name = {_LONG_INT}"),
+            id="rule-literal-long-int", marks=_LONG_INT_CASE,
+        ),
     ],
 )
-def test_malformed_input_exits_three_without_traceback(make_argv, small_fleet, tmp_path, capsys):
+def test_malformed_input_exits_three_without_traceback(make_argv, small_fleet, tmp_path, capsys, monkeypatch):
     argv = make_argv(tmp_path, small_fleet)
+    if (tmp_path / "keys.json").exists():  # a case's restrictive-key override
+        monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, str(tmp_path / "keys.json"))
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err

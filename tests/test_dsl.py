@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -80,6 +81,13 @@ def test_tokenize_illegal_character():
     assert exc.value.offset == 4
 
 
+def test_dotted_path_is_a_lex_error_at_the_dot():
+    # a path is one identifier: the schema has no nested fields
+    with pytest.raises(LexError) as exc:
+        parse_rule("RULE r SEVERITY High WHEN Exposure.value = 'internal'")
+    assert exc.value.offset == len("RULE r SEVERITY High WHEN Exposure")
+
+
 def test_tokenize_doubled_quote_escape():
     tokens = tokenize("'it''s'")
     assert tokens[0].text == "it's"
@@ -112,6 +120,34 @@ def test_parse_minimal_rule():
 def test_parse_unknown_path_is_schema_error():
     with pytest.raises(SchemaError):
         parse_rule("RULE r SEVERITY High WHEN nosuchfield = 1")
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
+@pytest.mark.parametrize(
+    "literal,message",
+    [
+        pytest.param(
+            "1" * (_DIGIT_LIMIT + 1),
+            "integer literal has too many digits",
+            marks=pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="integer digit limit is off"),
+            id="int-too-long",
+        ),
+        pytest.param("1" + "0" * 400 + ".5", "number literal is too large", id="float-overflow"),
+    ],
+)
+def test_out_of_range_number_literal_is_a_parse_error_at_its_offset(literal, message):
+    prefix = "RULE r SEVERITY High WHEN Name = "
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_rule(prefix + literal)
+    assert exc.value.offset == len(prefix)
+
+
+def test_largest_number_literals_render_and_reparse():
+    for literal in ("9" * 308 + ".5", "1" + "0" * 400):
+        ast = parse_rule(f"RULE r SEVERITY High WHEN Name = {literal}")
+        assert parse_rule(render_rule(ast)) == ast
 
 
 def test_parse_error_reports_offset_and_expectations():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from bucketlens.fleetgen import (
     MixSpec,
     generate_fleet,
     get_scenario,
+    load_mix_file,
     load_truth,
     scenario_catalog,
     serialize_truth_line,
@@ -143,6 +146,20 @@ def test_mix_validation_errors():
         generate_fleet(MixSpec(proportions={"S99": 1.0}, total=10, seed=0))
     with pytest.raises(UnknownScenarioError):
         get_scenario("nope")
+
+
+@pytest.mark.parametrize(
+    "proportions",
+    [{"S1": math.nan}, {"S1": math.nan, "S2": 1.0}, {"S1": math.inf}, {"S1": 10**400}, {"S1": 0.5, "S2": 10**400}],
+    ids=["nan", "nan-beside-one", "inf", "int-too-large-for-a-float", "int-too-large-beside-a-half"],
+)
+def test_mix_proportions_must_be_finite(proportions, tmp_path):
+    with pytest.raises(MixError, match="finite"):
+        generate_fleet(MixSpec(proportions=proportions, total=10, seed=0))
+    mix_file = tmp_path / "mix.json"
+    mix_file.write_text(json.dumps(proportions))
+    with pytest.raises(MixError, match="finite"):
+        load_mix_file(mix_file)
 
 
 def test_truth_round_trip(tmp_path):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from bucketlens.dsl import parse_rule, tokenize
 from bucketlens.errors import BucketlensError, SchemaError
 from bucketlens.evaluation import load_state
-from bucketlens.fleetgen import load_mix_file, load_truth
+from bucketlens.fleetgen import MixSpec, generate_fleet, load_mix_file, load_truth
 from bucketlens.model import (
     ALL_USERS_URI,
     import_aws_artifacts,
@@ -152,6 +152,11 @@ def _rejects_or_accepts(load, *args) -> None:
         pass
 
 
+def _generate_from_mix_file(path: Path) -> None:
+    """Load a mix file and, when it loads, generate a small fleet from it."""
+    generate_fleet(MixSpec(load_mix_file(path), total=3, seed=0))
+
+
 # about three seconds for the whole file
 _FUZZ = settings(max_examples=100, deadline=None)
 
@@ -260,5 +265,5 @@ def test_state_truth_mix_and_key_files(state, truth_lines, mix, keys):
         root = Path(root)
         _rejects_or_accepts(load_state, _write(root / "state.json", state))
         _rejects_or_accepts(load_truth, _write(root / "truth.jsonl", truth))
-        _rejects_or_accepts(load_mix_file, _write(root / "mix.json", mix))
+        _rejects_or_accepts(_generate_from_mix_file, _write(root / "mix.json", mix))
         _rejects_or_accepts(load_restrictive_keys, _write(root / "keys.json", keys))

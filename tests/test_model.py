@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 
-from bucketlens.errors import DuplicateNameError, MissingArtifactError, SchemaError
+from bucketlens.errors import DuplicateNameError, MissingArtifactError, MixError, SchemaError
 from bucketlens.model import (
     AclGrant,
     BucketConfig,
@@ -19,7 +20,11 @@ from bucketlens.model import (
     PublicAccessBlock,
     import_aws_artifacts,
     load_fleet,
+    parse_json,
     parse_snapshot_line,
+    read_json,
+    read_jsonl,
+    read_utf8,
     serialize_snapshot_line,
 )
 
@@ -145,6 +150,85 @@ def test_load_fleet_rejects_non_utf8_naming_the_line(tmp_path):
         load_fleet(fleet)
     assert exc.value.line == 2001
     assert "invalid UTF-8" in str(exc.value)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("{", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+        pytest.param(
+            "[%s]" % ("1" * (_DIGIT_LIMIT + 1)),
+            "invalid JSON: integer has too many digits",
+            marks=pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="integer digit limit is off"),
+            id="int-too-long",
+        ),
+    ],
+)
+def test_parse_json_gives_each_decode_failure_to_the_callers_error(text, reason, tmp_path):
+    with pytest.raises(MixError) as exc:
+        parse_json(text, MixError)
+    assert str(exc.value) == reason
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(MixError) as exc:
+        read_json(path, lambda why: MixError(f"doc is {why}"))
+    assert str(exc.value) == f"doc is {reason}"
+
+
+def test_read_utf8_names_the_offset_of_the_first_bad_byte(tmp_path):
+    path = tmp_path / "doc.txt"
+    path.write_bytes("é".encode() + b"ok\xffmore")
+    with pytest.raises(SchemaError) as exc:
+        read_utf8(path, SchemaError)
+    assert exc.value.message == "invalid UTF-8: invalid start byte (offset 4)"
+    path.write_text("ok é\n", encoding="utf-8")
+    assert read_utf8(path, SchemaError) == "ok é\n"
+
+
+def test_read_jsonl_skips_blank_lines(tmp_path):
+    path = tmp_path / "doc.jsonl"
+    path.write_bytes(b"a\n\n  \n\tb\n\r\nc")
+    assert list(read_jsonl(path)) == [(1, "a\n"), (4, "\tb\n"), (6, "c")]
+
+
+def test_read_jsonl_names_the_first_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "doc.jsonl"
+    path.write_bytes(b"ok\n\n\xc3\n\xff\n")
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path))
+    assert (exc.value.message, exc.value.line) == ("invalid UTF-8: invalid continuation byte", 3)
+
+
+def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypatch):
+    import bucketlens.model as model
+
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(model, "open", recording_open, raising=False)
+    path = tmp_path / "fleet.jsonl"
+    path.write_text('{"name":"abc"}\n{"name":"abc"}\n{"name":"abd"}\n')
+
+    lines = read_jsonl(path)
+    assert next(lines) == (1, '{"name":"abc"}\n')
+    lines.close()
+    lines = read_jsonl(path)
+    next(lines)
+    del lines  # abandoned part-read
+    with pytest.raises(DuplicateNameError):  # the consumer stops at line 2
+        load_fleet(path)
+    path.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(SchemaError):
+        load_fleet(path)
+    assert len(handles) == 5
+    assert all(handle.closed for handle in handles)
 
 
 def test_snapshot_round_trip_on_random_configs():
