@@ -13,7 +13,6 @@ set.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -115,6 +114,8 @@ def cmd_import(args: argparse.Namespace) -> int:
 
 
 def _default_scan_id(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL; only scan needs it
+
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return f"scan-{digest[:12]}"
 

@@ -12,6 +12,7 @@ when that input is empty: ``evaluate_default`` skips it on such buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .model import BPA_FLAGS, BucketConfig, Effect, GranteeType, Permission, Severity
@@ -63,9 +64,11 @@ def _any_non_owner_grant(config: BucketConfig, derived: DerivedProperties) -> st
 
 
 def _bpa_flag_rule(flag: str, label: str) -> Predicate:
+    evidence = f"{label} is disabled"
+
     def check(config: BucketConfig, derived: DerivedProperties) -> str | None:
         if not getattr(config.public_access_block, flag):
-            return f"{label} is disabled"
+            return evidence
         return None
 
     return check
@@ -256,16 +259,23 @@ def default_catalog() -> tuple[DefaultRule, ...]:
 _NO_CONDITIONS: frozenset[int] = frozenset()
 
 
+@lru_cache(maxsize=256)
+def _explanation(title: str, evidence: str) -> str:
+    # A fleet repeats a few thousand distinct texts across tens of thousands
+    # of alerts; equal explanations share one string while they stay cached.
+    return f"{title}: {evidence}"
+
+
 def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[Alert]:
     """Evaluate every catalog rule; one alert per match, ordered by rule id.
 
     Rules whose declared input is empty on this bucket cannot fire and are
-    not run.
+    not run. Equal explanations may be one shared string.
     """
     alerts: list[Alert] = []
     for rule in _RULES_BY_INPUTS[bool(config.acl_grants), bool(config.policy)]:
         evidence = rule.predicate(config, derived)
         if evidence is not None:
-            explanation = f"{rule.title}: {evidence}"
+            explanation = _explanation(rule.title, evidence)
             alerts.append(new_alert(config.name, rule.id, rule.severity, _NO_CONDITIONS, explanation))
     return alerts

@@ -497,6 +497,8 @@ class _Parser:
                 raise self._error("integer literal has too many digits") from None
             if value == math.inf:
                 raise self._error("number literal is too large")
+            if value == 0 and token.text.strip("0."):  # a nonzero float that underflows
+                raise self._error("number literal is too small")
             self._advance()
             return value
         if token.kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):

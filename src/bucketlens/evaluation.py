@@ -22,7 +22,6 @@ text is written in batches of about ``_WRITE_BUDGET`` bytes.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -76,19 +75,17 @@ def scan_fleet(
     if rules not in ("default", "unified", "both"):
         raise ValueError(f"rules must be default, unified or both, got {rules!r}")
 
-    def scan_one(config: BucketConfig) -> list[Alert]:
+    run_default = rules in ("default", "both")
+    run_unified = rules in ("unified", "both")
+    alerts: list[Alert] = []
+    for config in buckets:
         derived = derive(config, restrictive_keys)
-        alerts: list[Alert] = []
-        if rules in ("default", "both"):
-            alerts.extend(evaluate_default(config, derived))
-        if rules in ("unified", "both"):
+        if run_default:
+            alerts += evaluate_default(config, derived)
+        if run_unified:
             alert = evaluate_unified(config, derived, restrictive_keys)
             if alert is not None:
                 alerts.append(alert)
-        return alerts
-
-    per_bucket = [scan_one(config) for config in buckets]
-    alerts = [alert for bucket_alerts in per_bucket for alert in bucket_alerts]
     alerts.sort(key=lambda a: (a.bucket_name, a.rule_id))
     return alerts
 
@@ -422,12 +419,25 @@ def _container_pieces(value: object, newline: str, templates: dict) -> Iterator[
 _SEVERITY_TEXT = {id(severity): severity.value for severity in Severity}
 
 
+def _sha256(data: bytes):
+    """``hashlib.sha256(data)``; the first call replaces this function with it.
+
+    Importing hashlib loads OpenSSL, a few MB that only the commands that
+    fingerprint alerts need. An import statement in ``alert_fingerprint``
+    would run on every call instead of once.
+    """
+    global _sha256
+    from hashlib import sha256 as _sha256
+
+    return _sha256(data)
+
+
 def alert_fingerprint(alert: Alert) -> str:
     """Stable identity of a finding across scans of unchanged configurations."""
     fired = alert.fired_conditions
     conditions = ",".join(map(str, sorted(fired))) if fired else ""
     payload = f"{alert.bucket_name}\n{alert.rule_id}\n{conditions}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload.encode("utf-8")).hexdigest()
 
 
 def alert_to_dict(alert: Alert) -> dict:

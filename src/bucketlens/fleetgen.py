@@ -33,7 +33,7 @@ from .model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
-    parse_json,
+    _decode,
     read_json,
     read_jsonl,
 )
@@ -494,22 +494,37 @@ def write_truth(pairs: Iterable[tuple[BucketConfig, GroundTruth]], path: str | P
             handle.write(serialize_truth_line(config.name, truth) + "\n")
 
 
+_TRUTH_FIELDS = (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str))
+
+
 def load_truth(path: str | Path) -> dict[str, GroundTruth]:
+    """Load a truth JSONL file; bucket names must be unique.
+
+    Buckets with equal labels share one ``GroundTruth``: a fleet has a
+    handful of distinct labels across thousands of lines.
+    """
     truths: dict[str, GroundTruth] = {}
+    shared: dict[tuple[bool, bool, str], GroundTruth] = {}
     for lineno, text in read_jsonl(path):
-        raw = parse_json(text, lambda reason: SchemaError(reason, line=lineno))
-        if not isinstance(raw, dict):
+        try:
+            raw = _decode(text)
+        except SchemaError as exc:
+            raise SchemaError(exc.message, line=lineno) from None
+        if type(raw) is not dict:
             raise SchemaError("truth line must be a JSON object", line=lineno)
-        for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
-            if not isinstance(raw.get(key), kind):
-                raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
-        if raw["name"] in truths:
-            raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
-        truths[raw["name"]] = GroundTruth(
-            exploitable=raw["exploitable"],
-            business_risk=raw["business_risk"],
-            reason=raw["reason"],
-        )
+        get = raw.get
+        name, exploitable, risk, reason = get("name"), get("exploitable"), get("business_risk"), get("reason")
+        if not (type(name) is str and type(exploitable) is bool and type(risk) is bool and type(reason) is str):
+            for key, kind in _TRUTH_FIELDS:
+                if type(get(key)) is not kind:
+                    raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+        if name in truths:
+            raise DuplicateNameError(f"duplicate bucket name {name!r} (line {lineno})")
+        label = (exploitable, risk, reason)
+        truth = shared.get(label)
+        if truth is None:
+            truth = shared[label] = GroundTruth(*label)
+        truths[name] = truth
     return truths
 
 

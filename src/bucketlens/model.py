@@ -184,7 +184,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
 
     A file that is not UTF-8 raises a SchemaError naming its first bad line.
     Text reads decode in blocks, so the decode error does not tell which line
-    failed; the file is read again, as bytes, to find it. The file is closed
+    failed; the file is read again, as bytes, to find it, with lines ended as
+    text mode ends them (by LF, CR LF or a lone CR). The file is closed
     however the iteration ends, early ones included.
     """
     with open(path, encoding="utf-8") as handle:
@@ -196,11 +197,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
         except UnicodeDecodeError:
             pass
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno) from None
+        data = handle.read()
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno) from None
     raise SchemaError("invalid UTF-8")
 
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bucketlens
 from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import (
     ALL_USERS_URI,
@@ -23,6 +27,20 @@ from bucketlens.model import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def run_fresh_interpreter(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this package; its stderr.
+
+    The test process has imported every layer already, so what a command
+    loads can only be seen from a fresh one.
+    """
+    src = str(Path(bucketlens.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stderr
+
 
 CANONICAL_ID = "79a59df900b949e55d96a1e698fbacedfd6e09d98eacf8f8d5218e7cd47ef2be"
 

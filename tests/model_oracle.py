@@ -1,10 +1,14 @@
-"""The snapshot-line parser as it was before its one-pass rewrite: the parser's test oracle.
+"""The snapshot-line parser and the truth loader as they were before their
+fast-path rewrites: their test oracles.
 
 ``_parse_record`` and its helpers are kept here unchanged, each check in
 its own helper and every object built through its dataclass constructor,
 so the one-pass parser in ``bucketlens.model`` is checked against an
 independent reading of the same schema: it must return an equal
 ``BucketConfig`` or raise a ``SchemaError`` with the same message and field.
+``load_truth`` is ``bucketlens.fleetgen.load_truth`` before it decoded with
+the snapshot parser's scanner and shared equal labels: it must return an
+equal dict or raise the same error.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+from pathlib import Path
 from typing import Any, Mapping
 
-from bucketlens.errors import SchemaError
+from bucketlens.errors import DuplicateNameError, SchemaError
+from bucketlens.fleetgen import GroundTruth
 from bucketlens.model import (
     AclGrant,
     BucketConfig,
@@ -23,6 +29,8 @@ from bucketlens.model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
+    parse_json,
+    read_jsonl,
 )
 
 _TOO_DEEP = "invalid JSON: nested too deeply"
@@ -195,3 +203,22 @@ def _parse_record(text: str) -> BucketConfig:
         tags=dict(tags_raw),
         website_enabled=_optional(raw, "website_enabled", bool, False),
     )
+
+
+def load_truth(path: str | Path) -> dict[str, GroundTruth]:
+    truths: dict[str, GroundTruth] = {}
+    for lineno, text in read_jsonl(path):
+        raw = parse_json(text, lambda reason: SchemaError(reason, line=lineno))
+        if not isinstance(raw, dict):
+            raise SchemaError("truth line must be a JSON object", line=lineno)
+        for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
+            if not isinstance(raw.get(key), kind):
+                raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+        if raw["name"] in truths:
+            raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
+        truths[raw["name"]] = GroundTruth(
+            exploitable=raw["exploitable"],
+            business_risk=raw["business_risk"],
+            reason=raw["reason"],
+        )
+    return truths

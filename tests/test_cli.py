@@ -8,9 +8,7 @@ import json
 import multiprocessing
 import os
 import signal
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +16,7 @@ import bucketlens
 from bucketlens.cli import RESTRICTIVE_KEYS_ENV, build_parser, main
 from bucketlens.evaluation import state_lock
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_fresh_interpreter
 
 
 @pytest.fixture
@@ -100,20 +98,36 @@ def test_import_duplicate_names_exit_three(tmp_path, capsys):
 
 
 def test_scan_imports_only_the_layers_it_runs(small_fleet):
-    # A fresh interpreter: this test process has imported every layer already.
     script = (
         "import sys\n"
         "from bucketlens.cli import main\n"
         f"assert main(['scan', '--input', {str(small_fleet)!r}, '--rules', 'both']) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('bucketlens'))), file=sys.stderr)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(('bucketlens', 'hashlib')))), file=sys.stderr)\n"
     )
-    src = str(Path(bucketlens.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stderr.split())
+    loaded = set(run_fresh_interpreter(script).split())
     assert "bucketlens.evaluation" in loaded
     assert "bucketlens.dsl" not in loaded and "bucketlens.fleetgen" not in loaded
+    assert "hashlib" in loaded  # the default scan id and the fingerprints
+
+
+def test_commands_that_fingerprint_nothing_do_not_load_hashlib(small_fleet, tmp_path):
+    # importing hashlib loads OpenSSL, a few MB of resident memory
+    bucket = json.loads(small_fleet.read_text().splitlines()[0])["name"]
+    commands = [
+        ["evaluate", "--input", str(small_fleet), "--truth", str(small_fleet.with_name("fleet.truth.jsonl"))],
+        ["explain", bucket, "--input", str(small_fleet)],
+        ["generate", "--total", "20", "--mix", "adversarial", "--seed", "1", "--out", str(tmp_path / "g.jsonl")],
+        ["rules", "list", "--set", "default"],
+        ["rules", "list", "--set", "unified"],
+    ]
+    script = (
+        "import sys\n"
+        "from bucketlens.cli import main\n"
+        + "".join(f"assert main({command!r}) == 0\n" for command in commands)
+        + "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    run_fresh_interpreter(script)
 
 
 def test_package_exports_resolve():

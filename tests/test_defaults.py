@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from bucketlens import defaults
 from bucketlens.defaults import default_catalog, evaluate_default
 from bucketlens.model import (
     ALL_USERS_URI,
@@ -172,3 +173,25 @@ def test_rules_never_fire_on_their_empty_input(empty):
         for derived in (derive(config), derive(emptied)):
             for rule in declared:
                 assert rule.predicate(emptied, derived) is None, rule.id
+
+
+def test_equal_explanations_are_one_string():
+    first = evaluate_default(allusers_read_bucket("first-bucket"), derive(allusers_read_bucket("first-bucket")))
+    second = evaluate_default(allusers_read_bucket("second-bucket"), derive(allusers_read_bucket("second-bucket")))
+    assert [a.explanation for a in first] == [a.explanation for a in second]
+    assert all(a.explanation is b.explanation for a, b in zip(first, second))
+
+
+def test_explanations_stay_exact_past_the_cache_size():
+    # more distinct evidence texts than the cache holds, then the first again
+    count = defaults._explanation.cache_info().maxsize + 50
+    configs = [
+        BucketConfig(
+            name=f"bucket-{index}",
+            policy=(PolicyStatement(Effect.ALLOW, ("*",), ("s3:GetObject",), ("*",), sid=f"sid-{index}"),),
+        )
+        for index in range(count)
+    ]
+    for config in configs + configs[:3]:
+        derived = derive(config)
+        assert evaluate_default(config, derived) == _every_rule(config, derived)

@@ -135,6 +135,7 @@ _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limi
             id="int-too-long",
         ),
         pytest.param("1" + "0" * 400 + ".5", "number literal is too large", id="float-overflow"),
+        pytest.param("0." + "0" * 400 + "1", "number literal is too small", id="float-underflow"),
     ],
 )
 def test_out_of_range_number_literal_is_a_parse_error_at_its_offset(literal, message):
@@ -142,6 +143,13 @@ def test_out_of_range_number_literal_is_a_parse_error_at_its_offset(literal, mes
     with pytest.raises(ParseError, match=message) as exc:
         parse_rule(prefix + literal)
     assert exc.value.offset == len(prefix)
+
+
+@pytest.mark.parametrize("literal", ["0", "0.0", "0.000", "00.00"])
+def test_zero_number_literals_parse(literal):
+    ast = parse_rule(f"RULE r SEVERITY High WHEN Name = {literal}")
+    assert ast.body.literal == 0
+    assert parse_rule(render_rule(ast)) == ast
 
 
 def test_largest_number_literals_render_and_reparse():

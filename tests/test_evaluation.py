@@ -34,7 +34,7 @@ from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
 from bucketlens.model import Severity
 from bucketlens.unified import Alert
 
-from conftest import FIXTURES, allusers_read_bucket, locked_bucket, public_policy_bucket
+from conftest import FIXTURES, allusers_read_bucket, locked_bucket, public_policy_bucket, run_fresh_interpreter
 
 
 def _alert(bucket: str, rule: str = "RULE-X", conditions=frozenset()) -> Alert:
@@ -236,6 +236,34 @@ def test_fingerprint_depends_on_identity_fields():
     assert alert_fingerprint(base) != alert_fingerprint(_alert("b-bucket", "RULE-X", {1, 2}))
     assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-Y", {1, 2}))
     assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-X", {1}))
+
+
+def test_fingerprint_is_the_sha256_of_its_payload_from_the_first_call():
+    # hashlib is bound on the first fingerprint, so the first call needs a
+    # process that has made none
+    script = (
+        "import hashlib\n"
+        "from bucketlens import evaluation\n"
+        "from bucketlens.model import Severity\n"
+        "from bucketlens.unified import new_alert\n"
+        "assert evaluation._sha256 is not hashlib.sha256\n"
+        "cases = [\n"
+        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, frozenset({3, 1}), 'x'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
+        "    (new_alert('b-bucket', 'RULE-X', Severity.LOW, frozenset(), 'y'), 'b-bucket\\nRULE-X\\n'),\n"
+        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, frozenset({1, 3}), 'z'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
+        "]\n"
+        "for alert, payload in cases:\n"
+        "    assert evaluation.alert_fingerprint(alert) == hashlib.sha256(payload.encode()).hexdigest()\n"
+        "assert evaluation._sha256 is hashlib.sha256\n"
+    )
+    run_fresh_interpreter(script)
+
+
+@given(st.text(max_size=20), st.text(max_size=20), st.frozensets(st.integers(1, 5)))
+def test_fingerprint_is_the_sha256_of_its_payload(bucket, rule, conditions):
+    payload = f"{bucket}\n{rule}\n{','.join(map(str, sorted(conditions)))}"
+    expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert alert_fingerprint(_alert(bucket, rule, conditions)) == expected
 
 
 def test_state_save_load_round_trip(tmp_path):

@@ -2,8 +2,8 @@
 
 Each loader gets arbitrary text and bytes, JSON documents of any shape, and
 valid documents with one value replaced or one key removed. The snapshot
-parser must also give what the parser it replaced gives on the same lines
-(``model_oracle``): an equal record, or the same SchemaError.
+parser and the truth loader must also give what the code they replaced gives
+on the same input (``model_oracle``): an equal result, or the same error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bucketlens.dsl import parse_rule, tokenize
-from bucketlens.errors import BucketlensError, SchemaError
+from bucketlens.errors import BucketlensError, DuplicateNameError, SchemaError
 from bucketlens.evaluation import load_state
 from bucketlens.fleetgen import MixSpec, generate_fleet, load_mix_file, load_truth
 from bucketlens.model import (
@@ -267,3 +267,44 @@ def test_state_truth_mix_and_key_files(state, truth_lines, mix, keys):
         _rejects_or_accepts(load_truth, _write(root / "truth.jsonl", truth))
         _rejects_or_accepts(_generate_from_mix_file, _write(root / "mix.json", mix))
         _rejects_or_accepts(load_restrictive_keys, _write(root / "keys.json", keys))
+
+
+def _sometimes(other, usual, every):
+    """``usual``, or, in about one draw of ``every``, ``other``."""
+    return st.integers(1, every).flatmap(lambda n: other if n == 1 else usual)
+
+
+# A truth file's lines: mostly labels whose fields are each mostly valid,
+# over three names so that some repeat; else a label one mutation away, any
+# JSON or any text. Most lines have no edges.
+_TRUTH_LABEL = st.fixed_dictionaries(
+    {
+        "name": _sometimes(_SCALARS, st.sampled_from(["a-bucket", "b-bucket", "fuzz-bucket"]), 12),
+        "exploitable": _sometimes(_SCALARS, st.booleans(), 12),
+        "business_risk": _sometimes(_SCALARS, st.booleans(), 12),
+        "reason": _sometimes(_SCALARS, st.sampled_from(["r", "S1: benign"]), 12),
+    }
+)
+_TRUTH_LINE = _sometimes(
+    st.one_of(_mutated(_TRUTH).map(json.dumps), _JSON.map(json.dumps), st.text(max_size=30)),
+    _TRUTH_LABEL.map(json.dumps),
+    4,
+)
+_TRUTH_EDGES = _sometimes(_EDGES, st.just(""), 6)
+
+
+def _load_outcome(load, path):
+    """What loading ``path`` gives: the labels with their reprs, or the error's parts."""
+    try:
+        truths = load(path)
+    except (SchemaError, DuplicateNameError) as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "field", None), getattr(exc, "line", None))
+    return ("truths", truths, repr(truths))
+
+
+@settings(_FUZZ, max_examples=300)
+@given(st.lists(st.tuples(_TRUTH_EDGES, _TRUTH_LINE, _TRUTH_EDGES).map("".join), max_size=4))
+def test_truth_loader_matches_oracle(lines):
+    with tempfile.TemporaryDirectory() as root:
+        path = _write(Path(root) / "truth.jsonl", "\n".join(lines))
+        assert _load_outcome(load_truth, path) == _load_outcome(model_oracle.load_truth, path)

@@ -203,6 +203,27 @@ def test_read_jsonl_names_the_first_line_that_is_not_utf8(tmp_path):
     assert (exc.value.message, exc.value.line) == ("invalid UTF-8: invalid continuation byte", 3)
 
 
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        pytest.param(b"ok\rok\r\xffbad\r", 3, id="cr"),
+        pytest.param(b"ok\r\nok\r\n\xffbad\r\n", 3, id="crlf"),
+        pytest.param(b"ok\r\n\rok\n\r\n\xffbad", 5, id="mixed"),
+    ],
+)
+def test_read_jsonl_numbers_lines_as_text_mode_does(tmp_path, data, line):
+    # \n, \r\n and a lone \r each end one line, in the text read and in the
+    # bytes re-scan that names the bad line
+    path = tmp_path / "doc.jsonl"
+    path.write_bytes(data.replace(b"\xff", b""))
+    numbers = [number for number, _ in read_jsonl(path)]
+    assert numbers[-1] == line
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path))
+    assert (exc.value.message, exc.value.line) == ("invalid UTF-8: invalid start byte", line)
+
+
 def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypatch):
     import bucketlens.model as model
 
