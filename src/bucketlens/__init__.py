@@ -28,10 +28,9 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "StateLockError", "UnknownBucketError", "UnknownScenarioError",
     ),
     "evaluation": (
-        "AlertDiff", "AlertState", "EvaluationReport", "RulesetMetrics",
-        "alert_fingerprint", "classify_alerts", "compute_metrics", "diff_alerts",
-        "empty_state", "load_state", "render_report", "report_to_dict", "save_state",
-        "scan_fleet", "state_lock",
+        "AlertDiff", "EvaluationReport", "RulesetMetrics", "alert_fingerprint",
+        "classify_alerts", "compute_metrics", "diff_alerts", "load_state",
+        "render_report", "report_to_dict", "save_state", "scan_fleet", "state_lock",
     ),
     "fleetgen": (
         "ADVERSARIAL_MIX", "PAPER_MIX", "GroundTruth", "MixSpec", "Scenario",
@@ -40,7 +39,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "model": (
         "ALL_USERS_URI", "AUTHENTICATED_USERS_URI", "LOG_DELIVERY_URI", "AclGrant",
-        "BucketConfig", "Effect", "GranteeType", "Permission", "PolicyStatement",
+        "Alert", "BucketConfig", "Effect", "GranteeType", "Permission", "PolicyStatement",
         "PublicAccessBlock", "Severity", "import_aws_artifacts", "load_fleet",
         "parse_snapshot_line", "serialize_snapshot_line", "to_snapshot_dict",
         "write_fleet",
@@ -49,11 +48,10 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "RESTRICTIVE_CONDITION_KEYS", "SENSITIVE_TAG_KEY", "AccessSet",
         "DerivedProperties", "Exposure", "action_matches", "classify_exposure",
         "derive", "effective_anonymous_access", "has_restrictive_condition",
-        "has_wildcard_principal", "is_policy_public", "is_sensitive",
-        "load_restrictive_keys",
+        "is_policy_public", "is_sensitive", "load_restrictive_keys",
     ),
     "unified": (
-        "RISKY_ACTION_MARKERS", "UNIFIED_RULE_ID", "UNIFIED_RULE_TITLE", "Alert",
+        "RISKY_ACTION_MARKERS", "UNIFIED_RULE_ID", "UNIFIED_RULE_TITLE",
         "ConditionVerdict", "condition_verdicts", "evaluate_unified",
         "unified_dsl_source",
     ),

@@ -30,16 +30,11 @@ from .evaluation import (
     scan_fleet,
     write_json,
 )
-from .model import BPA_FLAGS, import_aws_artifacts, load_fleet, read_utf8, serialize_snapshot_line, write_fleet
-from .policy import derive, load_restrictive_keys
-from .unified import (
-    UNIFIED_RULE_ID,
-    UNIFIED_RULE_TITLE,
-    Alert,
-    condition_verdicts,
-    evaluate_unified,
-    new_alert,
+from .model import (
+    BPA_FLAGS, Alert, import_aws_artifacts, load_fleet, new_alert, read_utf8, serialize_snapshot_line, write_fleet,
 )
+from .policy import derive, load_restrictive_keys
+from .unified import UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts, evaluate_unified
 
 RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
 
@@ -130,18 +125,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.state:
         state_path = Path(args.state)
         with evaluation.state_lock(state_path):
-            previous = (
-                evaluation.load_state(state_path)
-                if state_path.exists()
-                else evaluation.empty_state()
-            )
+            previous = evaluation.load_state(state_path) if state_path.exists() else {}
             diff = diff_alerts(previous, alerts, scan_id)
             evaluation.save_state(diff.state, state_path)
-        diff_doc = {
-            "new": list(diff.new),
-            "unchanged": list(diff.unchanged),
-            "resolved": list(diff.resolved),
-        }
+        diff_doc = {"new": diff.new, "unchanged": diff.unchanged, "resolved": diff.resolved}
 
     document = {
         "schema_version": 1,
@@ -200,7 +187,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         "block public access: "
         + " ".join(f"{name}={str(getattr(bpa, name)).lower()}" for name, _ in BPA_FLAGS),
     ]
-    fired = sorted(v.number for v in verdicts if v.fired)
+    fired = [v.number for v in verdicts if v.fired]
     if fired:
         lines.append("unified conditions fired: " + ", ".join(str(n) for n in fired))
     else:
@@ -213,7 +200,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     else:
         lines.append(
             f"unified alert: {unified_alert.rule_id} [{unified_alert.severity.value}] "
-            f"conditions {sorted(unified_alert.fired_conditions)}"
+            f"conditions {list(unified_alert.fired_conditions)}"
         )
     lines.append(f"default alerts ({len(default_alerts)}):")
     for alert in default_alerts:
@@ -252,12 +239,12 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
         print(f"error: {location}: {exc}", file=sys.stderr)
         return 3
     buckets = load_fleet(args.input)
+    explanation = f"rule {ast.name!r} matched"
     alerts: list[Alert] = []
     for config in sorted(buckets, key=lambda c: c.name):
         derived = derive(config, keys)
         if eval_rule(ast, bind_record(config, derived, keys)):
-            explanation = f"rule {ast.name!r} matched"
-            alerts.append(new_alert(config.name, ast.name, ast.severity, frozenset(), explanation))
+            alerts.append(new_alert(config.name, ast.name, ast.severity, (), explanation))
     document = {
         "schema_version": 1,
         "rule": ast.name,

@@ -7,6 +7,9 @@ unified rule is measured against, so keep these rules blunt.
 
 A rule that declares it reads ``acl_grants`` or ``policy`` must never fire
 when that input is empty: ``evaluate_default`` skips it on such buckets.
+
+Alerts are ``model.Alert`` records, the same shape the unified rule emits,
+with no fired conditions; this module does not depend on ``unified``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .model import BPA_FLAGS, BucketConfig, Effect, GranteeType, Permission, Severity
+from .model import BPA_FLAGS, Alert, BucketConfig, Effect, GranteeType, Permission, Severity, new_alert
 from .policy import DerivedProperties, Exposure, _runs_match
-from .unified import Alert, new_alert
 
 Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
 
@@ -256,7 +258,7 @@ def default_catalog() -> tuple[DefaultRule, ...]:
     return _CATALOG
 
 
-_NO_CONDITIONS: frozenset[int] = frozenset()
+_NO_CONDITIONS: tuple[int, ...] = ()
 
 
 @lru_cache(maxsize=256)

@@ -6,10 +6,11 @@ sensitive-exposure alerts score as intended. Precision and the reduction rate
 are kept as exact rationals on the report object and rendered to four decimal
 places.
 
-Alert state persists as a single JSON document with a schema-version field,
-replaced atomically on every save. Scans that update state hold an exclusive
-``flock`` on a sidecar ``<state>.lock`` file, which the kernel releases when
-the scan exits, however it exits.
+Alert state is the ``first_seen`` map, fingerprint -> id of the scan that
+first produced it. It persists as a single JSON document with a
+schema-version field, replaced atomically on every save. Scans that update
+state hold an exclusive ``flock`` on a sidecar ``<state>.lock`` file, which
+the kernel releases when the scan exits, however it exits.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
 row by row by ``write_json``, so no whole document is held in memory. A row is
@@ -35,9 +36,9 @@ from typing import TYPE_CHECKING, TextIO
 
 from .defaults import evaluate_default
 from .errors import StateCorruptionError, StateLockError, UnknownBucketError
-from .model import BucketConfig, Severity, read_json
+from .model import Alert, BucketConfig, Severity, read_json
 from .policy import derive
-from .unified import Alert, evaluate_unified
+from .unified import evaluate_unified
 
 if TYPE_CHECKING:
     from .fleetgen import GroundTruth
@@ -435,28 +436,20 @@ def _sha256(data: bytes):
 def alert_fingerprint(alert: Alert) -> str:
     """Stable identity of a finding across scans of unchanged configurations."""
     fired = alert.fired_conditions
-    conditions = ",".join(map(str, sorted(fired))) if fired else ""
+    conditions = ",".join(map(str, fired)) if fired else ""  # most alerts have none: skip the join
     payload = f"{alert.bucket_name}\n{alert.rule_id}\n{conditions}"
     return _sha256(payload.encode("utf-8")).hexdigest()
 
 
 def alert_to_dict(alert: Alert) -> dict:
-    fired = alert.fired_conditions
     return {
         "bucket_name": alert.bucket_name,
         "rule_id": alert.rule_id,
         "severity": _SEVERITY_TEXT[id(alert.severity)],
-        "fired_conditions": sorted(fired) if fired else [],
+        "fired_conditions": list(alert.fired_conditions),
         "explanation": alert.explanation,
         "fingerprint": alert_fingerprint(alert),
     }
-
-
-@dataclass(frozen=True, slots=True)
-class AlertState:
-    """Fingerprint -> scan id of the scan that first produced it."""
-
-    first_seen: Mapping[str, str]
 
 
 @dataclass(frozen=True, slots=True)
@@ -464,36 +457,28 @@ class AlertDiff:
     new: tuple[str, ...]
     unchanged: tuple[str, ...]
     resolved: tuple[str, ...]
-    state: AlertState
+    state: dict[str, str]  # the new first_seen map
 
 
-def empty_state() -> AlertState:
-    return AlertState(first_seen={})
-
-
-def diff_alerts(previous: AlertState, current: Sequence[Alert], scan_id: str) -> AlertDiff:
-    """Partition current alerts against the previous state.
+def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: str) -> AlertDiff:
+    """Partition current alerts against the previous first_seen map.
 
     Conservation: new + unchanged covers every current fingerprint and
     unchanged + resolved covers every previous one. The returned state holds
     exactly the current fingerprints, preserving first_seen for unchanged.
     """
     current_fps = {alert_fingerprint(alert) for alert in current}
-    previous_fps = set(previous.first_seen)
+    previous_fps = set(previous)
     new = sorted(current_fps - previous_fps)
     unchanged = sorted(current_fps & previous_fps)
     resolved = sorted(previous_fps - current_fps)
     first_seen = {fp: scan_id for fp in new}
-    first_seen.update({fp: previous.first_seen[fp] for fp in unchanged})
-    return AlertDiff(
-        new=tuple(new),
-        unchanged=tuple(unchanged),
-        resolved=tuple(resolved),
-        state=AlertState(first_seen=first_seen),
-    )
+    first_seen.update({fp: previous[fp] for fp in unchanged})
+    return AlertDiff(new=tuple(new), unchanged=tuple(unchanged), resolved=tuple(resolved), state=first_seen)
 
 
-def load_state(path: str | Path) -> AlertState:
+def load_state(path: str | Path) -> dict[str, str]:
+    """The first_seen map of a state file."""
     try:
         raw = read_json(path, lambda reason: StateCorruptionError(f"cannot read alert state {path}: {reason}"))
     except OSError as exc:
@@ -507,10 +492,10 @@ def load_state(path: str | Path) -> AlertState:
         isinstance(k, str) and isinstance(v, str) for k, v in first_seen.items()
     ):
         raise StateCorruptionError(f"alert state {path} has a malformed first_seen map")
-    return AlertState(first_seen=first_seen)
+    return first_seen
 
 
-def save_state(state: AlertState, path: str | Path) -> None:
+def save_state(first_seen: Mapping[str, str], path: str | Path) -> None:
     """Replace the state file atomically: a crash leaves the old or the new state, whole.
 
     The document goes to a temp file beside ``path``, is flushed and fsynced,
@@ -519,7 +504,7 @@ def save_state(state: AlertState, path: str | Path) -> None:
     path = Path(path)
     payload = {
         "schema_version": STATE_SCHEMA_VERSION,
-        "first_seen": {fp: state.first_seen[fp] for fp in sorted(state.first_seen)},
+        "first_seen": {fp: first_seen[fp] for fp in sorted(first_seen)},
     }
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

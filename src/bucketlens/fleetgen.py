@@ -56,7 +56,7 @@ class Scenario:
     builder: Callable[[str, random.Random], BucketConfig]
     expected_exploitable: bool
     expected_business_risk: bool
-    expected_unified_conditions: frozenset[int]
+    expected_unified_conditions: tuple[int, ...]  # ascending, as Alert.fired_conditions
     expected_default_rule_count_min: int
 
 
@@ -243,7 +243,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s1,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=0,
     ),
     Scenario(
@@ -252,7 +252,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s2,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=2,
     ),
     Scenario(
@@ -261,7 +261,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s3,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=7,
     ),
     Scenario(
@@ -270,7 +270,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s4,
         expected_exploitable=True,
         expected_business_risk=True,
-        expected_unified_conditions=frozenset({1}),
+        expected_unified_conditions=(1,),
         expected_default_rule_count_min=9,
     ),
     Scenario(
@@ -279,7 +279,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s5,
         expected_exploitable=True,
         expected_business_risk=True,
-        expected_unified_conditions=frozenset({2, 3, 4}),
+        expected_unified_conditions=(2, 3, 4),
         expected_default_rule_count_min=9,
     ),
     Scenario(
@@ -288,7 +288,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s6,
         expected_exploitable=True,
         expected_business_risk=True,
-        expected_unified_conditions=frozenset({2, 3, 4, 5}),
+        expected_unified_conditions=(2, 3, 4, 5),
         expected_default_rule_count_min=10,
     ),
     Scenario(
@@ -297,7 +297,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s7,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=1,
     ),
     Scenario(
@@ -306,7 +306,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s8,
         expected_exploitable=True,
         expected_business_risk=True,
-        expected_unified_conditions=frozenset({1}),
+        expected_unified_conditions=(1,),
         expected_default_rule_count_min=9,
     ),
     Scenario(
@@ -315,7 +315,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s9,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=7,
     ),
     Scenario(
@@ -324,7 +324,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s10,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=0,
     ),
     Scenario(
@@ -333,7 +333,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s11,
         expected_exploitable=True,
         expected_business_risk=True,
-        expected_unified_conditions=frozenset(),
+        expected_unified_conditions=(),
         expected_default_rule_count_min=9,
     ),
     Scenario(
@@ -342,7 +342,7 @@ _CATALOG: tuple[Scenario, ...] = (
         builder=_build_s12,
         expected_exploitable=False,
         expected_business_risk=False,
-        expected_unified_conditions=frozenset({1}),
+        expected_unified_conditions=(1,),
         expected_default_rule_count_min=7,
     ),
 )

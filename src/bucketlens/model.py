@@ -19,6 +19,9 @@ Both produce the same normalized, immutable :class:`BucketConfig`:
 ``serialize_snapshot_line`` emits the canonical snapshot form; parsing it
 back yields a field-by-field identical record.
 
+The module also holds :class:`Alert`, the one record both rulesets emit
+(``defaults`` and ``unified`` build it with ``new_alert``).
+
 Every input file is read through ``read_utf8``, ``parse_json``, ``read_json``
 or ``read_jsonl``, which turn each way a file fails to decode (not UTF-8,
 invalid JSON, nested too deeply, an integer with too many digits) into the
@@ -91,7 +94,8 @@ class PolicyStatement:
     actions: tuple[str, ...]
     resources: tuple[str, ...] = ()
     sid: str | None = None
-    condition: Mapping[str, tuple[str, ...]] | None = None
+    #: left out of hash, as a dict; see BucketConfig
+    condition: Mapping[str, tuple[str, ...]] | None = field(default=None, hash=False)
     #: True iff some principal entry contains ``*``; set from ``principal_aws``
     #: once, when the statement is built, and left out of ==, hash and repr.
     wildcard_principal: bool = field(init=False, repr=False, compare=False)
@@ -130,6 +134,10 @@ class BucketConfig:
     """Full security posture of one bucket.
 
     Immutable after construction; safe to share across concurrent readers.
+    ``tags``, and each policy statement's ``condition``, are plain dicts that
+    every holder of the record shares, so they must not be mutated. They are
+    left out of ``hash`` (equality still compares them), which makes the
+    records hashable.
     """
 
     name: str
@@ -137,7 +145,7 @@ class BucketConfig:
     acl_grants: tuple[AclGrant, ...] = ()
     policy: tuple[PolicyStatement, ...] | None = None
     public_access_block: PublicAccessBlock = PublicAccessBlock()
-    tags: Mapping[str, str] = field(default_factory=dict)
+    tags: Mapping[str, str] = field(default_factory=dict, hash=False)
     website_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -147,6 +155,22 @@ class BucketConfig:
                 "lowercase letters, digits, dots, hyphens",
                 field="name",
             )
+
+
+@dataclass(frozen=True, slots=True)
+class Alert:
+    """One finding emitted by a ruleset for one bucket.
+
+    ``fired_conditions`` holds the numbers of the unified rule's conditions
+    that hold, ascending, as the rule decided them; it is empty for every
+    other rule.
+    """
+
+    bucket_name: str
+    rule_id: str
+    severity: Severity
+    fired_conditions: tuple[int, ...]
+    explanation: str
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +311,22 @@ def _slot_setters(cls: type) -> tuple[Any, ...]:
 
 _STMT_SLOTS = _slot_setters(PolicyStatement)
 _BUCKET_SLOTS = _slot_setters(BucketConfig)
+_ALERT_SLOTS = _slot_setters(Alert)
+
+
+def new_alert(
+    bucket_name: str, rule_id: str, severity: Severity, fired_conditions: tuple[int, ...], explanation: str
+) -> Alert:
+    """``Alert(...)`` without the frozen dataclass's ``__init__``: the same
+    instance, built in about half the time, for the rule engines' hot loops."""
+    alert = _new(Alert)
+    set_bucket, set_rule, set_severity, set_fired, set_explanation = _ALERT_SLOTS
+    set_bucket(alert, bucket_name)
+    set_rule(alert, rule_id)
+    set_severity(alert, severity)
+    set_fired(alert, fired_conditions)
+    set_explanation(alert, explanation)
+    return alert
 
 
 def _parse_grant(raw: Any) -> AclGrant:

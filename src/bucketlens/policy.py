@@ -108,14 +108,6 @@ def has_restrictive_condition(
     return not keys.isdisjoint(stmt.condition)
 
 
-def has_wildcard_principal(stmt: PolicyStatement) -> bool:
-    """True iff any principal entry contains ``*`` (normalized wildcards included).
-
-    The flag is computed once, when the statement is built.
-    """
-    return stmt.wildcard_principal
-
-
 def _is_open_statement(stmt: PolicyStatement, restrictive_keys: frozenset[str] | None) -> bool:
     """An Allow to a wildcard principal without a restrictive condition."""
     return (

@@ -1,8 +1,9 @@
 """The unified rule: S3 Public Access Validation and Data Exposure.
 
 One context-aware rule replaces the whole default catalog. Five numbered
-conditions are evaluated per bucket and at most one High-severity alert is
-emitted, recording which conditions fired:
+conditions are evaluated per bucket and at most one High-severity
+``model.Alert`` is emitted, recording which conditions fired as an ascending
+tuple:
 
 1. public ACL grants (AuthenticatedUsers with any permission, AllUsers with
    READ);
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import BucketConfig, Permission, PolicyStatement, Severity, _new, _slot_setters
+from .model import Alert, BucketConfig, Permission, PolicyStatement, Severity, new_alert
 from .policy import DerivedProperties, Exposure, _is_open_statement
 
 UNIFIED_RULE_ID = "UNIFIED-S3-PUBLIC-ACCESS"
@@ -43,35 +44,6 @@ RISKY_ACTION_MARKERS: tuple[str, ...] = (
     "s3:GetObjectAcl",
     "s3:PutBucketAcl",
 )
-
-
-@dataclass(frozen=True, slots=True)
-class Alert:
-    """One finding emitted by a ruleset for one bucket."""
-
-    bucket_name: str
-    rule_id: str
-    severity: Severity
-    fired_conditions: frozenset[int]
-    explanation: str
-
-
-_ALERT_SLOTS = _slot_setters(Alert)
-
-
-def new_alert(
-    bucket_name: str, rule_id: str, severity: Severity, fired_conditions: frozenset[int], explanation: str
-) -> Alert:
-    """``Alert(...)`` without the frozen dataclass's ``__init__``: the same
-    instance, built in about half the time, for the rule engines' hot loops."""
-    alert = _new(Alert)
-    set_bucket, set_rule, set_severity, set_fired, set_explanation = _ALERT_SLOTS
-    set_bucket(alert, bucket_name)
-    set_rule(alert, rule_id)
-    set_severity(alert, severity)
-    set_fired(alert, fired_conditions)
-    set_explanation(alert, explanation)
-    return alert
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +189,7 @@ def evaluate_unified(
     explanation = "; ".join(
         f"C{number}: {_evidence(number, config, derived, restrictive_keys, True)}" for number in fired
     )
-    return new_alert(config.name, UNIFIED_RULE_ID, Severity.HIGH, frozenset(fired), explanation)
+    return new_alert(config.name, UNIFIED_RULE_ID, Severity.HIGH, fired, explanation)
 
 
 def unified_dsl_source() -> str:

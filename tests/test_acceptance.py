@@ -198,7 +198,7 @@ def test_criterion_5_scenario_expectations():
         for config, truth in generate_fleet(mix):
             derived = derive(config)
             alert = evaluate_unified(config, derived)
-            fired = alert.fired_conditions if alert else frozenset()
+            fired = alert.fired_conditions if alert else ()
             assert fired == scenario.expected_unified_conditions, scenario.id
             assert len(evaluate_default(config, derived)) >= scenario.expected_default_rule_count_min
             assert truth.exploitable == scenario.expected_exploitable
@@ -265,8 +265,7 @@ def test_criterion_7_ingestion_fidelity():
 
 def test_criterion_8_metric_unit_checks():
     from bucketlens.fleetgen import GroundTruth
-    from bucketlens.model import Severity
-    from bucketlens.unified import Alert
+    from bucketlens.model import Alert, Severity
 
     def truth_map(tp_count, fp_count):
         truths = {}
@@ -277,7 +276,7 @@ def test_criterion_8_metric_unit_checks():
         return truths
 
     def mk_alerts(truths):
-        return [Alert(name, "R", Severity.HIGH, frozenset(), "") for name in truths]
+        return [Alert(name, "R", Severity.HIGH, (), "") for name in truths]
 
     truths = truth_map(8, 32)
     report = compute_metrics(mk_alerts(truths), [], truths)

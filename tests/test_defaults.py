@@ -13,6 +13,7 @@ from bucketlens.model import (
     ALL_USERS_URI,
     LOG_DELIVERY_URI,
     AclGrant,
+    Alert,
     BucketConfig,
     Effect,
     GranteeType,
@@ -21,9 +22,9 @@ from bucketlens.model import (
     PublicAccessBlock,
 )
 from bucketlens.policy import derive
-from bucketlens.unified import Alert, evaluate_unified
+from bucketlens.unified import evaluate_unified
 
-from conftest import agreement_configs, allusers_read_bucket, locked_bucket, random_bucket_config
+from conftest import agreement_configs, allusers_read_bucket, locked_bucket, random_bucket_config, run_fresh_interpreter
 
 
 def test_catalog_size_and_unique_ids():
@@ -147,8 +148,18 @@ def _every_rule(config, derived) -> list[Alert]:
     for rule in sorted(default_catalog(), key=lambda r: r.id):
         evidence = rule.predicate(config, derived)
         if evidence is not None:
-            alerts.append(Alert(config.name, rule.id, rule.severity, frozenset(), f"{rule.title}: {evidence}"))
+            alerts.append(Alert(config.name, rule.id, rule.severity, (), f"{rule.title}: {evidence}"))
     return alerts
+
+
+def test_defaults_does_not_import_the_unified_rule():
+    # both rulesets build model.Alert; neither depends on the other
+    script = (
+        "import sys\n"
+        "import bucketlens.defaults\n"
+        "assert 'bucketlens.unified' not in sys.modules, sorted(sys.modules)\n"
+    )
+    run_fresh_interpreter(script)
 
 
 def test_skipping_rules_on_empty_inputs_changes_no_alert():

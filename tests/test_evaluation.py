@@ -21,7 +21,6 @@ from bucketlens.evaluation import (
     classify_alerts,
     compute_metrics,
     diff_alerts,
-    empty_state,
     load_state,
     render_report,
     report_to_dict,
@@ -31,18 +30,17 @@ from bucketlens.evaluation import (
     write_json,
 )
 from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
-from bucketlens.model import Severity
-from bucketlens.unified import Alert
+from bucketlens.model import Alert, Severity
 
 from conftest import FIXTURES, allusers_read_bucket, locked_bucket, public_policy_bucket, run_fresh_interpreter
 
 
-def _alert(bucket: str, rule: str = "RULE-X", conditions=frozenset()) -> Alert:
+def _alert(bucket: str, rule: str = "RULE-X", conditions: tuple[int, ...] = ()) -> Alert:
     return Alert(
         bucket_name=bucket,
         rule_id=rule,
         severity=Severity.HIGH,
-        fired_conditions=frozenset(conditions),
+        fired_conditions=conditions,
         explanation="test",
     )
 
@@ -198,44 +196,44 @@ def test_scan_fleet_rules_selection():
 
 def test_first_scan_everything_new():
     alerts = [_alert("a-bucket"), _alert("b-bucket"), _alert("c-bucket")]
-    diff = diff_alerts(empty_state(), alerts, "scan-1")
+    diff = diff_alerts({}, alerts, "scan-1")
     assert len(diff.new) == 3
     assert diff.unchanged == () and diff.resolved == ()
-    assert set(diff.state.first_seen.values()) == {"scan-1"}
+    assert set(diff.state.values()) == {"scan-1"}
 
 
 def test_rescan_unchanged_preserves_first_seen():
     alerts = [_alert("a-bucket"), _alert("b-bucket")]
-    first = diff_alerts(empty_state(), alerts, "scan-1")
+    first = diff_alerts({}, alerts, "scan-1")
     second = diff_alerts(first.state, alerts, "scan-2")
     assert second.new == ()
     assert len(second.unchanged) == 2
-    assert set(second.state.first_seen.values()) == {"scan-1"}
+    assert set(second.state.values()) == {"scan-1"}
 
 
 def test_remediation_resolves_fingerprint():
     alerts = [_alert("a-bucket"), _alert("b-bucket")]
-    first = diff_alerts(empty_state(), alerts, "scan-1")
+    first = diff_alerts({}, alerts, "scan-1")
     second = diff_alerts(first.state, alerts[:1], "scan-2")
     assert second.resolved == (alert_fingerprint(alerts[1]),)
     assert len(second.unchanged) == 1
 
 
 def test_diff_conservation():
-    previous = diff_alerts(empty_state(), [_alert("a-bucket"), _alert("b-bucket")], "s1").state
+    previous = diff_alerts({}, [_alert("a-bucket"), _alert("b-bucket")], "s1").state
     current = [_alert("b-bucket"), _alert("c-bucket")]
     diff = diff_alerts(previous, current, "s2")
     assert len(diff.new) + len(diff.unchanged) == len({alert_fingerprint(a) for a in current})
-    assert len(diff.unchanged) + len(diff.resolved) == len(previous.first_seen)
-    assert set(diff.state.first_seen) == {alert_fingerprint(a) for a in current}
+    assert len(diff.unchanged) + len(diff.resolved) == len(previous)
+    assert set(diff.state) == {alert_fingerprint(a) for a in current}
 
 
 def test_fingerprint_depends_on_identity_fields():
-    base = _alert("a-bucket", "RULE-X", {1, 2})
-    assert alert_fingerprint(base) == alert_fingerprint(_alert("a-bucket", "RULE-X", {2, 1}))
-    assert alert_fingerprint(base) != alert_fingerprint(_alert("b-bucket", "RULE-X", {1, 2}))
-    assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-Y", {1, 2}))
-    assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-X", {1}))
+    base = _alert("a-bucket", "RULE-X", (1, 2))
+    assert alert_fingerprint(base) == alert_fingerprint(_alert("a-bucket", "RULE-X", (1, 2)))
+    assert alert_fingerprint(base) != alert_fingerprint(_alert("b-bucket", "RULE-X", (1, 2)))
+    assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-Y", (1, 2)))
+    assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-X", (1,)))
 
 
 def test_fingerprint_is_the_sha256_of_its_payload_from_the_first_call():
@@ -244,13 +242,12 @@ def test_fingerprint_is_the_sha256_of_its_payload_from_the_first_call():
     script = (
         "import hashlib\n"
         "from bucketlens import evaluation\n"
-        "from bucketlens.model import Severity\n"
-        "from bucketlens.unified import new_alert\n"
+        "from bucketlens.model import Severity, new_alert\n"
         "assert evaluation._sha256 is not hashlib.sha256\n"
         "cases = [\n"
-        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, frozenset({3, 1}), 'x'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
-        "    (new_alert('b-bucket', 'RULE-X', Severity.LOW, frozenset(), 'y'), 'b-bucket\\nRULE-X\\n'),\n"
-        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, frozenset({1, 3}), 'z'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
+        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'x'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
+        "    (new_alert('b-bucket', 'RULE-X', Severity.LOW, (), 'y'), 'b-bucket\\nRULE-X\\n'),\n"
+        "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'z'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
         "]\n"
         "for alert, payload in cases:\n"
         "    assert evaluation.alert_fingerprint(alert) == hashlib.sha256(payload.encode()).hexdigest()\n"
@@ -259,27 +256,41 @@ def test_fingerprint_is_the_sha256_of_its_payload_from_the_first_call():
     run_fresh_interpreter(script)
 
 
-@given(st.text(max_size=20), st.text(max_size=20), st.frozensets(st.integers(1, 5)))
+@given(st.text(max_size=20), st.text(max_size=20), st.frozensets(st.integers(1, 5)).map(sorted).map(tuple))
 def test_fingerprint_is_the_sha256_of_its_payload(bucket, rule, conditions):
-    payload = f"{bucket}\n{rule}\n{','.join(map(str, sorted(conditions)))}"
+    payload = f"{bucket}\n{rule}\n{','.join(map(str, conditions))}"
     expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     assert alert_fingerprint(_alert(bucket, rule, conditions)) == expected
 
 
 def test_state_save_load_round_trip(tmp_path):
     alerts = [_alert("a-bucket")]
-    state = diff_alerts(empty_state(), alerts, "scan-1").state
+    state = diff_alerts({}, alerts, "scan-1").state
     path = tmp_path / "state.json"
     save_state(state, path)
     loaded = load_state(path)
-    assert dict(loaded.first_seen) == dict(state.first_seen)
+    assert loaded == state
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
 
 
+def test_state_is_the_plain_first_seen_map_through_diff_save_and_load(tmp_path):
+    path = tmp_path / "state.json"
+    kept, gone, added = _alert("a-bucket"), _alert("b-bucket"), _alert("c-bucket")
+    previous = {alert_fingerprint(kept): "scan-1", alert_fingerprint(gone): "scan-1"}
+    save_state(previous, path)
+    assert load_state(path) == previous
+    diff = diff_alerts(load_state(path), [kept, added], "scan-2")
+    assert diff.resolved == (alert_fingerprint(gone),)
+    save_state(diff.state, path)
+    loaded = load_state(path)
+    assert type(loaded) is dict and type(diff.state) is dict
+    assert loaded == diff.state == {alert_fingerprint(kept): "scan-1", alert_fingerprint(added): "scan-2"}
+
+
 def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
-    save_state(diff_alerts(empty_state(), [_alert("a-bucket")], "scan-1").state, path)
+    save_state(diff_alerts({}, [_alert("a-bucket")], "scan-1").state, path)
     before = path.read_bytes()
     real_write_json = evaluation.write_json
 
@@ -290,7 +301,7 @@ def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(evaluation, "write_json", write_half_then_fail)
-    larger = diff_alerts(empty_state(), [_alert("a-bucket"), _alert("b-bucket")], "scan-2").state
+    larger = diff_alerts({}, [_alert("a-bucket"), _alert("b-bucket")], "scan-2").state
     with pytest.raises(OSError, match="disk full"):
         save_state(larger, path)
     assert path.read_bytes() == before

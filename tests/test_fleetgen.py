@@ -77,7 +77,7 @@ def test_scenario_expectations(scenario):
     for config, truth in _instances(scenario.id, 100, seed=13):
         derived = derive(config)
         alert = evaluate_unified(config, derived)
-        fired = alert.fired_conditions if alert else frozenset()
+        fired = alert.fired_conditions if alert else ()
         assert fired == scenario.expected_unified_conditions, (scenario.id, fired)
         defaults = evaluate_default(config, derived)
         assert len(defaults) >= scenario.expected_default_rule_count_min, scenario.id

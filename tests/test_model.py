@@ -470,7 +470,7 @@ def test_statement_wildcard_flag_stays_out_of_equality_hash_and_repr():
         "PolicyStatement(effect=<Effect.ALLOW: 'Allow'>, principal_aws=('*',), "
         "actions=('s3:GetObject',), resources=(), sid='s', condition=None)"
     )
-    assert hash(stmt) == hash((Effect.ALLOW, ("*",), ("s3:GetObject",), (), "s", None))
+    assert hash(stmt) == hash((Effect.ALLOW, ("*",), ("s3:GetObject",), (), "s"))
     parsed = parse_snapshot_line(
         '{"name":"stmt-bucket","policy":[{"sid":"s","effect":"Allow","principal_aws":["*"],'
         '"actions":["s3:GetObject"]}]}'
@@ -481,6 +481,21 @@ def test_statement_wildcard_flag_stays_out_of_equality_hash_and_repr():
         parsed.wildcard_principal = False
     with pytest.raises(dataclasses.FrozenInstanceError):
         parsed.sid = "t"
+
+
+def test_records_with_tags_or_conditions_are_hashable():
+    # tags and condition are dicts left out of hash; equality and repr still include them
+    assert hash(BucketConfig("abc")) == hash(BucketConfig("abc"))
+    stmt = PolicyStatement(Effect.ALLOW, ("*",), ("s3:GetObject",), condition={"aws:SourceVpc": ("vpc-1",)})
+    tagged = BucketConfig("tagged-bucket", policy=(stmt,), tags={"SensitiveData": "true"})
+    parsed = parse_snapshot_line(serialize_snapshot_line(tagged))
+    assert parsed == tagged and hash(parsed) == hash(tagged)
+    assert {tagged, parsed, BucketConfig("abc")} == {tagged, BucketConfig("abc")}
+    retagged = dataclasses.replace(tagged, tags={"SensitiveData": "false"})
+    other_vpc = dataclasses.replace(stmt, condition={"aws:SourceVpc": ("vpc-2",)})
+    assert len({tagged, retagged}) == 2 and len({stmt, other_vpc}) == 2
+    assert "tags={'SensitiveData': 'true'}" in repr(tagged)
+    assert "condition={'aws:SourceVpc': ('vpc-1',)}" in repr(stmt)
 
 
 def _bpa_bucket(tmp_path, configuration: dict):

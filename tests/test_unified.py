@@ -18,17 +18,17 @@ from bucketlens.model import (
     GranteeType,
     Permission,
     PolicyStatement,
+    Alert,
     PublicAccessBlock,
     Severity,
+    new_alert,
 )
 from bucketlens.policy import derive
 from bucketlens.unified import (
     UNIFIED_RULE_ID,
     _fired_conditions,
-    Alert,
     condition_verdicts,
     evaluate_unified,
-    new_alert,
     unified_dsl_source,
 )
 
@@ -57,7 +57,7 @@ def test_allusers_read_fires_condition_one():
 def test_public_policy_fires_two_three_four():
     alert = _eval(public_policy_bucket())
     assert alert is not None
-    assert alert.fired_conditions == frozenset({2, 3, 4})
+    assert alert.fired_conditions == (2, 3, 4)
     assert "AllowPublicRead" in alert.explanation
 
 
@@ -73,7 +73,7 @@ def test_sensitive_website_fires_condition_five_only():
     )
     alert = _eval(config)
     assert alert is not None
-    assert alert.fired_conditions == frozenset({5})
+    assert alert.fired_conditions == (5,)
 
 
 def test_restricted_wildcard_is_silent():
@@ -100,7 +100,7 @@ def test_authusers_any_permission_fires_condition_one():
             public_access_block=PublicAccessBlock(True, True, True, True),
         )
         alert = _eval(config)
-        assert alert is not None and alert.fired_conditions == frozenset({1})
+        assert alert is not None and alert.fired_conditions == (1,)
 
 
 def test_allusers_write_only_is_a_documented_miss():
@@ -144,8 +144,8 @@ def test_bpa_monotonicity():
         config = _with_rpb(random_bucket_config(rng), False)
         before = _eval(config)
         after = _eval(_with_rpb(config, True))
-        before_set = before.fired_conditions if before else frozenset()
-        after_set = after.fired_conditions if after else frozenset()
+        before_set = set(before.fired_conditions if before else ())
+        after_set = set(after.fired_conditions if after else ())
         assert after_set <= before_set
         assert (1 in before_set) == (1 in after_set)
 
@@ -154,10 +154,10 @@ def test_condition_one_invariant_under_all_bpa_flags():
     rng = random.Random(34)
     for _ in range(500):
         config = random_bucket_config(rng)
-        fired = {1} & (_eval(config).fired_conditions if _eval(config) else set())
+        fired = {1} & set(_eval(config).fired_conditions if _eval(config) else ())
         for flags in (PublicAccessBlock(True, True, True, True), PublicAccessBlock()):
             variant = dataclasses.replace(config, public_access_block=flags)
-            variant_fired = {1} & (_eval(variant).fired_conditions if _eval(variant) else set())
+            variant_fired = {1} & set(_eval(variant).fired_conditions if _eval(variant) else ())
             assert fired == variant_fired
 
 
@@ -174,8 +174,8 @@ def test_restrictive_condition_monotonicity():
         stricter = dataclasses.replace(config, policy=stricter_policy)
         before = _eval(config)
         after = _eval(stricter)
-        before_set = before.fired_conditions if before else frozenset()
-        after_set = after.fired_conditions if after else frozenset()
+        before_set = set(before.fired_conditions if before else ())
+        after_set = set(after.fired_conditions if after else ())
         assert after_set <= before_set
 
 
@@ -192,7 +192,8 @@ def test_dsl_text_mentions_each_risky_action():
 
 def test_alerts_and_verdicts_share_one_decision():
     # evaluate_unified and condition_verdicts both take their flags from
-    # _fired_conditions; the alert text is the fired verdicts' evidence
+    # _fired_conditions; the alert keeps that ascending tuple as it is, and
+    # its text is the fired verdicts' evidence
     for keys in (None, frozenset({"s3:prefix"})):
         for config in agreement_configs():
             derived = derive(config, keys)
@@ -204,7 +205,7 @@ def test_alerts_and_verdicts_share_one_decision():
             if not fired:
                 assert alert is None
                 continue
-            assert alert.fired_conditions == frozenset(fired)
+            assert alert.fired_conditions == fired == tuple(sorted(set(fired)))
             assert alert.explanation == "; ".join(f"C{v.number}: {v.detail}" for v in verdicts if v.fired)
 
 
@@ -232,13 +233,13 @@ def test_each_fired_condition_agrees_with_its_dsl_condition():
 
 
 def test_new_alert_is_the_same_frozen_alert():
-    fields = ("cheap-bucket", UNIFIED_RULE_ID, Severity.HIGH, frozenset({1, 4}), "C1: x")
+    fields = ("cheap-bucket", UNIFIED_RULE_ID, Severity.HIGH, (1, 4), "C1: x")
     built, made = Alert(*fields), new_alert(*fields)
     assert type(made) is Alert
     assert made == built and hash(made) == hash(built)
     assert repr(made) == repr(built) == (
         "Alert(bucket_name='cheap-bucket', rule_id='UNIFIED-S3-PUBLIC-ACCESS', "
-        "severity=<Severity.HIGH: 'High'>, fired_conditions=frozenset({1, 4}), explanation='C1: x')"
+        "severity=<Severity.HIGH: 'High'>, fired_conditions=(1, 4), explanation='C1: x')"
     )
     assert made != new_alert(*fields[:4], "C1: y")
     for alert in (built, made):
