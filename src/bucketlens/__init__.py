@@ -40,8 +40,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "model": (
         "ALL_USERS_URI", "AUTHENTICATED_USERS_URI", "LOG_DELIVERY_URI", "AclGrant",
         "Alert", "BucketConfig", "Effect", "GranteeType", "Permission", "PolicyStatement",
-        "PublicAccessBlock", "Severity", "import_aws_artifacts", "load_fleet",
-        "parse_snapshot_line", "serialize_snapshot_line", "to_snapshot_dict",
+        "PublicAccessBlock", "Severity", "import_aws_artifacts", "iter_fleet",
+        "load_fleet", "parse_snapshot_line", "serialize_snapshot_line", "to_snapshot_dict",
         "write_fleet",
     ),
     "policy": (

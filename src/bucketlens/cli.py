@@ -31,7 +31,8 @@ from .evaluation import (
     write_json,
 )
 from .model import (
-    BPA_FLAGS, Alert, import_aws_artifacts, load_fleet, new_alert, read_utf8, serialize_snapshot_line, write_fleet,
+    BPA_FLAGS, Alert, import_aws_artifacts, iter_fleet, load_fleet, new_alert, read_utf8, serialize_snapshot_line,
+    write_fleet,
 )
 from .policy import derive, load_restrictive_keys
 from .unified import UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts, evaluate_unified
@@ -109,17 +110,25 @@ def cmd_import(args: argparse.Namespace) -> int:
 
 
 def _default_scan_id(path: str | Path) -> str:
+    """``scan-`` and the first 12 hex digits of the SHA-256 of the file's bytes.
+
+    The file is read in 1 MiB chunks, so its bytes are never held whole.
+    """
     import hashlib  # loads OpenSSL; only scan needs it
 
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return f"scan-{digest[:12]}"
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return f"scan-{digest.hexdigest()[:12]}"
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
+    scan_id = args.scan_id or _default_scan_id(args.input)
     buckets = load_fleet(args.input)
     alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys)
-    scan_id = args.scan_id or _default_scan_id(args.input)
+    del buckets  # freed before the diff and the document are built
 
     diff_doc = None
     if args.state:
@@ -127,6 +136,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         with evaluation.state_lock(state_path):
             previous = evaluation.load_state(state_path) if state_path.exists() else {}
             diff = diff_alerts(previous, alerts, scan_id)
+            del previous  # diff.state holds what the new state keeps of it
             evaluation.save_state(diff.state, state_path)
         diff_doc = {"new": diff.new, "unchanged": diff.unchanged, "resolved": diff.resolved}
 
@@ -167,11 +177,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
-    buckets = load_fleet(args.input)
-    by_name = {config.name: config for config in buckets}
-    if args.bucket not in by_name:
+    config = None
+    # every line is parsed and checked, so a malformed line or a repeated
+    # name anywhere in the file wins over a missing bucket
+    for bucket in iter_fleet(args.input):
+        if bucket.name == args.bucket:
+            config = bucket
+    if config is None:
         raise UnknownBucketError(f"bucket {args.bucket!r} not found in {args.input}")
-    config = by_name[args.bucket]
     derived = derive(config, keys)
     verdicts = condition_verdicts(config, derived, keys)
     unified_alert = evaluate_unified(config, derived, keys)
@@ -238,13 +251,13 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
         location = f"{args.file}:{offset if offset is not None else '?'}"
         print(f"error: {location}: {exc}", file=sys.stderr)
         return 3
-    buckets = load_fleet(args.input)
     explanation = f"rule {ast.name!r} matched"
     alerts: list[Alert] = []
-    for config in sorted(buckets, key=lambda c: c.name):
+    for config in iter_fleet(args.input):
         derived = derive(config, keys)
         if eval_rule(ast, bind_record(config, derived, keys)):
             alerts.append(new_alert(config.name, ast.name, ast.severity, (), explanation))
+    alerts.sort(key=lambda alert: alert.bucket_name)  # names are unique
     document = {
         "schema_version": 1,
         "rule": ast.name,

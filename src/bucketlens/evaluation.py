@@ -68,7 +68,7 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 def scan_fleet(
-    buckets: Sequence[BucketConfig],
+    buckets: Iterable[BucketConfig],
     rules: str = "both",
     restrictive_keys: frozenset[str] | None = None,
 ) -> list[Alert]:
@@ -468,7 +468,7 @@ def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: 
     exactly the current fingerprints, preserving first_seen for unchanged.
     """
     current_fps = {alert_fingerprint(alert) for alert in current}
-    previous_fps = set(previous)
+    previous_fps = previous.keys()  # a set view, not a copy
     new = sorted(current_fps - previous_fps)
     unchanged = sorted(current_fps & previous_fps)
     resolved = sorted(previous_fps - current_fps)
@@ -478,7 +478,7 @@ def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: 
 
 
 def load_state(path: str | Path) -> dict[str, str]:
-    """The first_seen map of a state file."""
+    """The first_seen map of a state file; equal scan ids share one string."""
     try:
         raw = read_json(path, lambda reason: StateCorruptionError(f"cannot read alert state {path}: {reason}"))
     except OSError as exc:
@@ -488,10 +488,14 @@ def load_state(path: str | Path) -> dict[str, str]:
             f"alert state {path} has missing or unsupported schema_version"
         )
     first_seen = raw.get("first_seen")
-    if not isinstance(first_seen, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in first_seen.items()
-    ):
+    if not isinstance(first_seen, dict):
         raise StateCorruptionError(f"alert state {path} has a malformed first_seen map")
+    # json gives every value its own string; a state names only a few scans
+    scan_ids: dict[str, str] = {}
+    for fp, scan_id in first_seen.items():
+        if not isinstance(fp, str) or not isinstance(scan_id, str):
+            raise StateCorruptionError(f"alert state {path} has a malformed first_seen map")
+        first_seen[fp] = scan_ids.setdefault(scan_id, scan_id)
     return first_seen
 
 

@@ -3,7 +3,8 @@
 Two input formats are supported:
 
 * the native snapshot format: JSONL, one bucket object per line, with the
-  schema documented in the README (``parse_snapshot_line`` / ``load_fleet``);
+  schema documented in the README (``parse_snapshot_line``, and ``iter_fleet`` /
+  ``load_fleet`` for a whole file);
 * AWS-CLI-shaped per-bucket artifact directories containing ``acl.json`` and
   optionally ``policy.json``, ``public-access-block.json``, ``tagging.json``
   and ``website.json`` (``import_aws_artifacts``).
@@ -552,17 +553,25 @@ def serialize_snapshot_line(config: BucketConfig) -> str:
     return json.dumps(to_snapshot_dict(config), separators=(",", ":"), ensure_ascii=False)
 
 
-def load_fleet(path: str | Path) -> list[BucketConfig]:
-    """Load a snapshot JSONL file; bucket names must be unique."""
-    buckets: list[BucketConfig] = []
+def iter_fleet(path: str | Path) -> Iterator[BucketConfig]:
+    """Yield the buckets of a snapshot JSONL file in file order, parsing one line at a time.
+
+    Bucket names must be unique: a repeated name raises DuplicateNameError
+    when its line is reached, so buckets before it have already been yielded.
+    Only the set of names seen so far is held.
+    """
     seen: set[str] = set()
     for lineno, text in read_jsonl(path):
         config = parse_snapshot_line(text, line=lineno)
         if config.name in seen:
             raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
         seen.add(config.name)
-        buckets.append(config)
-    return buckets
+        yield config
+
+
+def load_fleet(path: str | Path) -> list[BucketConfig]:
+    """Load a snapshot JSONL file; bucket names must be unique."""
+    return list(iter_fleet(path))
 
 
 def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:

@@ -288,6 +288,16 @@ def test_state_is_the_plain_first_seen_map_through_diff_save_and_load(tmp_path):
     assert loaded == diff.state == {alert_fingerprint(kept): "scan-1", alert_fingerprint(added): "scan-2"}
 
 
+def test_loaded_state_keeps_one_string_per_scan_id(tmp_path):
+    path = tmp_path / "state.json"
+    alerts = [_alert(f"bucket-{i:03}") for i in range(6)]
+    first_seen = {alert_fingerprint(a): f"scan-{i % 2}" for i, a in enumerate(alerts)}
+    save_state(first_seen, path)
+    loaded = load_state(path)
+    assert loaded == first_seen
+    assert len({id(scan_id) for scan_id in loaded.values()}) == 2
+
+
 def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     save_state(diff_alerts({}, [_alert("a-bucket")], "scan-1").state, path)
@@ -310,7 +320,10 @@ def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", "[]", '{"schema_version": 99, "first_seen": {}}', '{"schema_version": 1, "first_seen": [1]}'],
+    [
+        "not json", "[]", '{"schema_version": 99, "first_seen": {}}', '{"schema_version": 1, "first_seen": [1]}',
+        '{"schema_version": 1, "first_seen": {"fp": "s1", "fp2": 1}}',
+    ],
 )
 def test_state_corruption(tmp_path, content):
     path = tmp_path / "state.json"
