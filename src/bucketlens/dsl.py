@@ -84,8 +84,20 @@ KEYWORDS = frozenset(
     }
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+# One alternative per token class, tried in this order; the ``(?!')`` keeps
+# a closing quote from being the first half of a doubled quote, so ``'a''``
+# stays unterminated.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>[ \t\r\n]+|--[^\n]*\n?)
+    |'(?P<string>[^']*(?:''[^']*)*)'(?!')
+    |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<number>\d+(?:\.\d+)?)
+    |(?P<punct>!=|[()=])
+    """,
+    re.VERBOSE,
+)
+_TOKEN_KINDS = {"word": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -108,57 +120,20 @@ def tokenize(source: str) -> list[Token]:
     i = 0
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if source.startswith("--", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch == "'":
-            start = i
-            j = i + 1
-            content: list[str] = []
-            while True:
-                if j >= n:
-                    raise LexError("unterminated string", off(start))
-                c = source[j]
-                if c == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        content.append("'")
-                        j += 2
-                    else:
-                        j += 1
-                        break
-                else:
-                    content.append(c)
-                    j += 1
-            tokens.append(Token(TokenKind.STRING, "".join(content), off(start)))
-            i = j
-            continue
-        match = _IDENT_RE.match(source, i)
-        if match:
-            text = match.group(0)
-            upper = text.upper()
-            kind = TokenKind.KEYWORD if upper in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, upper if kind is TokenKind.KEYWORD else text, off(i)))
-            i = match.end()
-            continue
-        match = _NUMBER_RE.match(source, i)
-        if match:
-            tokens.append(Token(TokenKind.NUMBER, match.group(0), off(i)))
-            i = match.end()
-            continue
-        if source.startswith("!=", i):
-            tokens.append(Token(TokenKind.PUNCT, "!=", off(i)))
-            i += 2
-            continue
-        if ch in "()=":
-            tokens.append(Token(TokenKind.PUNCT, ch, off(i)))
-            i += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", off(i))
+        match = _TOKEN_RE.match(source, i)
+        if match is None:
+            if source[i] == "'":
+                raise LexError("unterminated string", off(i))
+            raise LexError(f"illegal character {source[i]!r}", off(i))
+        group = match.lastgroup
+        text = match.group(group)
+        if group == "word" and text.upper() in KEYWORDS:
+            tokens.append(Token(TokenKind.KEYWORD, text.upper(), off(i)))
+        elif group == "string":
+            tokens.append(Token(TokenKind.STRING, text.replace("''", "'"), off(i)))
+        elif group != "skip":
+            tokens.append(Token(_TOKEN_KINDS[group], text, off(i)))
+        i = match.end()
     tokens.append(Token(TokenKind.EOF, "", off(n)))
     return tokens
 

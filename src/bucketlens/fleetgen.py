@@ -1,11 +1,18 @@
 """Deterministic synthetic fleets with oracle-derived ground truth.
 
-Each scenario is a parameterized bucket template paired with the outcomes it
-must produce: the unified conditions expected to fire, a floor on how many
-default rules fire, and the expected truth labels. Scenarios S1-S10 compose
-the calibrated "paper" mix (benign noise sources plus genuine exposures);
-S11 and S12 are adversarial shapes that sit in the unified rule's blind
-spots and only appear in the adversarial mix.
+Each scenario is one catalog entry: a builder, usually ``_bucket`` with the
+scenario's grant, policy statement, BPA settings and tags bound, paired with
+the outcomes it must produce: the unified conditions expected to fire, a
+floor on how many default rules fire, and the expected truth labels.
+``_bucket`` draws from the seeded generator in a fixed order (region, the
+statement's sid, noise tags, the sensitive tag's spelling), and that order
+fixes every seed's fleet bytes. S3 and S7 are the exceptions, with builders
+of their own: S3 draws its VPC id, and S7 its deny statement's sid, before
+the region.
+
+Scenarios S1-S10 compose the calibrated "paper" mix (benign noise sources
+plus genuine exposures); S11 and S12 are adversarial shapes that sit in the
+unified rule's blind spots and only appear in the adversarial mix.
 
 Ground-truth labels are always recomputed from the access oracle, never
 hard-coded, so a scenario whose template drifts out of line with its declared
@@ -18,6 +25,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -92,10 +100,6 @@ def _sid(rng: random.Random) -> str:
     return "sid-" + "".join(rng.choices("0123456789abcdef", k=4))
 
 
-def _sensitive_tag(rng: random.Random) -> dict[str, str]:
-    return {"SensitiveData": rng.choice(("true", "True", "TRUE"))}
-
-
 def _wildcard_get_statement(
     name: str, rng: random.Random, condition: Mapping[str, tuple[str, ...]] | None = None
 ) -> PolicyStatement:
@@ -109,138 +113,60 @@ def _wildcard_get_statement(
     )
 
 
-def _build_s1(name: str, rng: random.Random) -> BucketConfig:
+def _bucket(
+    name: str,
+    rng: random.Random,
+    bpa: PublicAccessBlock,
+    grant: AclGrant | None = None,
+    statement: Callable[[str, random.Random], PolicyStatement] | None = None,
+    sensitive: bool = False,
+    website: bool = False,
+) -> BucketConfig:
+    """One synthetic bucket; its draws keep the order the module docstring states."""
+    region = rng.choice(_REGIONS)
+    policy = None if statement is None else (statement(name, rng),)
+    tags = _noise_tags(rng)
+    if sensitive:
+        tags["SensitiveData"] = rng.choice(("true", "True", "TRUE"))
     return BucketConfig(
         name=name,
-        region=rng.choice(_REGIONS),
-        public_access_block=_BPA_ON,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s2(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        acl_grants=(AclGrant(GranteeType.GROUP, LOG_DELIVERY_URI, Permission.WRITE),),
-        public_access_block=_BPA_ON,
-        tags=_noise_tags(rng),
+        region=region,
+        acl_grants=() if grant is None else (grant,),
+        policy=policy,
+        public_access_block=bpa,
+        tags=tags,
+        website_enabled=website,
     )
 
 
 def _build_s3(name: str, rng: random.Random) -> BucketConfig:
+    # Its own builder because the VPC id is drawn before the region.
     vpc = "vpc-" + "".join(rng.choices("0123456789abcdef", k=8))
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        policy=(_wildcard_get_statement(name, rng, {"aws:SourceVpc": (vpc,)}),),
-        public_access_block=_BPA_OFF,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s4(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        acl_grants=(AclGrant(GranteeType.GROUP, ALL_USERS_URI, Permission.READ),),
-        public_access_block=_BPA_OFF,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s5(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        policy=(_wildcard_get_statement(name, rng),),
-        public_access_block=_BPA_OFF,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s6(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        policy=(_wildcard_get_statement(name, rng),),
-        public_access_block=_BPA_OFF,
-        tags={**_noise_tags(rng), **_sensitive_tag(rng)},
-        website_enabled=True,
-    )
+    statement = partial(_wildcard_get_statement, condition={"aws:SourceVpc": (vpc,)})
+    return _bucket(name, rng, _BPA_OFF, statement=statement)
 
 
 def _build_s7(name: str, rng: random.Random) -> BucketConfig:
-    stmt = PolicyStatement(
+    # Its own builder because the deny statement's sid is drawn before the region.
+    deny = PolicyStatement(
         effect=Effect.DENY,
         principal_aws=("*",),
         actions=("s3:*",),
         resources=(f"arn:aws:s3:::{name}", f"arn:aws:s3:::{name}/*"),
         sid=_sid(rng),
     )
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        policy=(stmt,),
-        public_access_block=_BPA_ON,
-        tags=_noise_tags(rng),
-    )
+    return _bucket(name, rng, _BPA_ON, statement=lambda _name, _rng: deny)
 
 
-def _build_s8(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        acl_grants=(AclGrant(GranteeType.GROUP, AUTHENTICATED_USERS_URI, Permission.READ),),
-        public_access_block=_BPA_OFF,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s9(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        policy=(_wildcard_get_statement(name, rng),),
-        public_access_block=PublicAccessBlock(restrict_public_buckets=True),
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s10(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        public_access_block=_BPA_ON,
-        tags={**_noise_tags(rng), **_sensitive_tag(rng)},
-    )
-
-
-def _build_s11(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        acl_grants=(AclGrant(GranteeType.GROUP, ALL_USERS_URI, Permission.WRITE),),
-        public_access_block=_BPA_OFF,
-        tags=_noise_tags(rng),
-    )
-
-
-def _build_s12(name: str, rng: random.Random) -> BucketConfig:
-    return BucketConfig(
-        name=name,
-        region=rng.choice(_REGIONS),
-        acl_grants=(AclGrant(GranteeType.GROUP, AUTHENTICATED_USERS_URI, Permission.READ),),
-        public_access_block=PublicAccessBlock(ignore_public_acls=True),
-        tags=_noise_tags(rng),
-    )
+def _group(uri: str, permission: Permission) -> AclGrant:
+    return AclGrant(GranteeType.GROUP, uri, permission)
 
 
 _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S1",
         description="clean private bucket, BPA fully enabled",
-        builder=_build_s1,
+        builder=partial(_bucket, bpa=_BPA_ON),
         expected_exploitable=False,
         expected_business_risk=False,
         expected_unified_conditions=(),
@@ -249,7 +175,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S2",
         description="legacy log-delivery ACL grant, otherwise locked down",
-        builder=_build_s2,
+        builder=partial(_bucket, bpa=_BPA_ON, grant=_group(LOG_DELIVERY_URI, Permission.WRITE)),
         expected_exploitable=False,
         expected_business_risk=False,
         expected_unified_conditions=(),
@@ -267,7 +193,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S4",
         description="AllUsers READ ACL grant with BPA disabled",
-        builder=_build_s4,
+        builder=partial(_bucket, bpa=_BPA_OFF, grant=_group(ALL_USERS_URI, Permission.READ)),
         expected_exploitable=True,
         expected_business_risk=True,
         expected_unified_conditions=(1,),
@@ -276,7 +202,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S5",
         description="unrestricted wildcard GetObject policy with BPA disabled",
-        builder=_build_s5,
+        builder=partial(_bucket, bpa=_BPA_OFF, statement=_wildcard_get_statement),
         expected_exploitable=True,
         expected_business_risk=True,
         expected_unified_conditions=(2, 3, 4),
@@ -285,7 +211,9 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S6",
         description="public website bucket with sensitive data and open policy",
-        builder=_build_s6,
+        builder=partial(
+            _bucket, bpa=_BPA_OFF, statement=_wildcard_get_statement, sensitive=True, website=True
+        ),
         expected_exploitable=True,
         expected_business_risk=True,
         expected_unified_conditions=(2, 3, 4, 5),
@@ -303,7 +231,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S8",
         description="AuthenticatedUsers READ ACL grant with BPA disabled",
-        builder=_build_s8,
+        builder=partial(_bucket, bpa=_BPA_OFF, grant=_group(AUTHENTICATED_USERS_URI, Permission.READ)),
         expected_exploitable=True,
         expected_business_risk=True,
         expected_unified_conditions=(1,),
@@ -312,7 +240,9 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S9",
         description="wildcard GetObject policy neutralized by RestrictPublicBuckets",
-        builder=_build_s9,
+        builder=partial(
+            _bucket, bpa=PublicAccessBlock(restrict_public_buckets=True), statement=_wildcard_get_statement
+        ),
         expected_exploitable=False,
         expected_business_risk=False,
         expected_unified_conditions=(),
@@ -321,7 +251,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S10",
         description="private bucket tagged SensitiveData, BPA fully enabled",
-        builder=_build_s10,
+        builder=partial(_bucket, bpa=_BPA_ON, sensitive=True),
         expected_exploitable=False,
         expected_business_risk=False,
         expected_unified_conditions=(),
@@ -330,7 +260,7 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S11",
         description="AllUsers WRITE-only ACL grant with BPA disabled",
-        builder=_build_s11,
+        builder=partial(_bucket, bpa=_BPA_OFF, grant=_group(ALL_USERS_URI, Permission.WRITE)),
         expected_exploitable=True,
         expected_business_risk=True,
         expected_unified_conditions=(),
@@ -339,7 +269,11 @@ _CATALOG: tuple[Scenario, ...] = (
     Scenario(
         id="S12",
         description="AuthenticatedUsers READ grant neutralized by IgnorePublicAcls",
-        builder=_build_s12,
+        builder=partial(
+            _bucket,
+            bpa=PublicAccessBlock(ignore_public_acls=True),
+            grant=_group(AUTHENTICATED_USERS_URI, Permission.READ),
+        ),
         expected_exploitable=False,
         expected_business_risk=False,
         expected_unified_conditions=(1,),

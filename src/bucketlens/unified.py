@@ -54,16 +54,10 @@ class ConditionVerdict:
 
 
 def _grant_matches_c1(uri: str, permission: Permission) -> bool:
-    # Three disjuncts, kept exactly as the rule text has them: the first
-    # matches AuthenticatedUsers with any permission, which makes the third
-    # redundant; it stays for built-in/DSL equivalence.
-    if "global/AuthenticatedUsers" in uri:
-        return True
-    if "global/AllUsers" in uri and permission is Permission.READ:
-        return True
-    if "groups/global/AuthenticatedUsers" in uri and permission is Permission.READ:
-        return True
-    return False
+    # the rule text's third disjunct (groups/global/AuthenticatedUsers, READ) is implied by the first
+    return "global/AuthenticatedUsers" in uri or (
+        "global/AllUsers" in uri and permission is Permission.READ
+    )
 
 
 def _open_statements(

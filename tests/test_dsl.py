@@ -7,7 +7,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bucketlens.dsl import (
@@ -41,7 +41,7 @@ from conftest import (
     public_policy_bucket,
     random_bucket_config,
 )
-from dsl_oracle import _eval, _flatten
+from dsl_oracle import _eval, _flatten, reference_tokenize
 
 
 def _record(config: BucketConfig):
@@ -106,6 +106,29 @@ def test_tokenize_offsets_increase_and_are_bytes():
     assert offsets == sorted(set(offsets))
     # the first token starts after the comment; é is two bytes in UTF-8
     assert tokens[0].offset == len(source[: source.index("Exposure")].encode("utf-8"))
+
+
+def _lex_outcome(lex, source: str):
+    try:
+        return [(t.kind, t.text, t.offset) for t in lex(source)]
+    except LexError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+# Every character class the lexer tells apart, multi-byte characters (offsets
+# are UTF-8 bytes) and a non-ASCII digit, which ``\d`` matches.
+_LEX_PIECES = st.sampled_from(
+    [*" \t\r\n'-!=().#_aZq09é٣", "''", "--", "!=", "rule", "When", "null", "1.5"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LEX_PIECES, max_size=30).map("".join))
+@example("'a''")
+@example("'it''s' -- end")
+@example("x = '\n'''")
+def test_tokenize_matches_reference_lexer(source):
+    assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
 
 
 # ---------------------------------------------------------------------------

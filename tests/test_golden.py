@@ -1,7 +1,8 @@
-"""Pinned stdout of every read-only command on the seed-42 1k fleets.
+"""Pinned bytes of the seed-42 1k fleets and of every read-only command on them.
 
-Each case runs one CLI command in-process and compares the sha256 of its
-stdout with a recorded digest. The rule engines may be restructured for
+``generate``'s fleet and truth files are compared by sha256 with recorded
+digests. Each case runs one CLI command in-process and compares the sha256
+of its stdout with a recorded digest. The rule engines may be restructured for
 speed, but their output is part of the interface: a changed digest here is a
 changed byte for users, and must be deliberate.
 """
@@ -56,6 +57,20 @@ DIGESTS = {
     ("adversarial", "scan-unified"): "b7c8c12c1859b1d0912616174bab90f6c4e9c6675e0a83885ca8dc7cb899a1c6",
 }
 
+# sha256 of the fleet and truth files that ``generate`` writes for each mix.
+# The scan cases see region and tag values only through the default scan id,
+# a hash of the input file; these digests name the file that changed.
+GENERATE_DIGESTS = {
+    "paper": (
+        "8451af5178767561370886fe6df45141526e024290af4e9c52d12d4857ebd4ed",
+        "7bda4a67ba3078cb67567faa3b2d32785013190d6f3bd4276d38d27820cd5917",
+    ),
+    "adversarial": (
+        "9a2f88a23d0a6f6a54b57a90be7e6e03ab0cd9fd10f82d0bce638a22e982f209",
+        "24b879c75393e9bc74b674c510e21c0ae61e2d121e618790dd97f90c0a7c1287",
+    ),
+}
+
 
 @pytest.fixture(scope="module", params=("paper", "adversarial"))
 def fleet(request, tmp_path_factory):
@@ -101,3 +116,9 @@ def test_stdout_digest(fleet, case, capsys):
     mix, fleet_path = fleet
     stdout = run_case(case, fleet_path, capsys)
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == DIGESTS[mix, case]
+
+
+def test_generate_digest(fleet):
+    mix, fleet_path = fleet
+    written = (fleet_path, fleet_path.with_name("fleet.truth.jsonl"))
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == GENERATE_DIGESTS[mix]
