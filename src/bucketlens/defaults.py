@@ -5,8 +5,11 @@ cross-checks, no condition-key awareness), so a single misconfigured bucket
 routinely trips many overlapping rules. That over-alerting is the behavior the
 unified rule is measured against, so keep these rules blunt.
 
-A rule that declares it reads ``acl_grants`` or ``policy`` must never fire
-when that input is empty: ``evaluate_default`` skips it on such buckets.
+Besides the derived bundle, a predicate reads only the input its
+``DefaultRule.reads`` names, and must never fire when that input is empty.
+``evaluate_default`` trusts this: it decides the 20 non-policy rules once per
+equal (BPA flags, derived, website flag, grants) signature, in a bounded
+cache, and runs the 4 policy rules only on buckets with statements.
 
 Alerts are ``model.Alert`` records, the same shape the unified rule emits,
 with no fired conditions; this module does not depend on ``unified``.
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .model import BPA_FLAGS, Alert, BucketConfig, Effect, GranteeType, Permission, Severity, new_alert
+from .model import BPA_FLAGS, AclGrant, Alert, BucketConfig, Effect, GranteeType, Permission, PublicAccessBlock
+from .model import Severity, new_alert
 from .policy import DerivedProperties, Exposure, _runs_match
 
 Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
@@ -28,8 +32,9 @@ Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
 class DefaultRule:
     """One single-indicator rule; the predicate returns evidence or None.
 
-    ``reads`` names the config input the predicate depends on, ``"acl_grants"``
-    or ``"policy"``, or is None when it reads neither.
+    ``reads`` names the one config input the predicate reads besides the
+    derived bundle, ``"acl_grants"`` or ``"policy"``; None means it reads only
+    ``public_access_block`` and ``website_enabled``.
     """
 
     id: str
@@ -92,8 +97,13 @@ def _wildcard_any_effect(config: BucketConfig, derived: DerivedProperties) -> st
     return None
 
 
+@lru_cache(maxsize=256)
+def _allows(pattern: str, target: str) -> bool:
+    # policy.action_matches on a lowercased target; fleets repeat a few patterns.
+    return _runs_match(pattern.lower().split("*"), target)
+
+
 def _wildcard_allow_action(target_action: str) -> Predicate:
-    # policy.action_matches with the fixed target lowercased once per rule.
     target = target_action.lower()
 
     def check(config: BucketConfig, derived: DerivedProperties) -> str | None:
@@ -101,7 +111,7 @@ def _wildcard_allow_action(target_action: str) -> Predicate:
             if stmt.effect is not Effect.ALLOW or not stmt.wildcard_principal:
                 continue
             for pattern in stmt.actions:
-                if _runs_match(pattern.lower().split("*"), target):
+                if _allows(pattern, target):
                     sid = stmt.sid or "<no sid>"
                     return f"statement {sid} allows {target_action} (pattern {pattern!r}) to a wildcard principal"
         return None
@@ -240,17 +250,9 @@ def _build_catalog() -> tuple[DefaultRule, ...]:
 
 _CATALOG = _build_catalog()
 
-# The rules worth running on a bucket, in rule-id order, keyed by
-# (has ACL grants, has policy statements).
-_RULES_BY_INPUTS = {
-    (has_grants, has_policy): tuple(
-        rule
-        for rule in sorted(_CATALOG, key=lambda r: r.id)
-        if (has_grants or rule.reads != "acl_grants") and (has_policy or rule.reads != "policy")
-    )
-    for has_grants in (False, True)
-    for has_policy in (False, True)
-}
+# In rule-id order: the 4 policy rules, and the 20 decided once per signature.
+_POLICY_RULES = tuple(r for r in sorted(_CATALOG, key=lambda r: r.id) if r.reads == "policy")
+_SIGNATURE_RULES = tuple(r for r in sorted(_CATALOG, key=lambda r: r.id) if r.reads != "policy")
 
 
 def default_catalog() -> tuple[DefaultRule, ...]:
@@ -259,6 +261,7 @@ def default_catalog() -> tuple[DefaultRule, ...]:
 
 
 _NO_CONDITIONS: tuple[int, ...] = ()
+Hit = tuple[str, Severity, str]  # (rule id, severity, explanation)
 
 
 @lru_cache(maxsize=256)
@@ -268,16 +271,34 @@ def _explanation(title: str, evidence: str) -> str:
     return f"{title}: {evidence}"
 
 
+def _hits(rules: tuple[DefaultRule, ...], config: BucketConfig, derived: DerivedProperties) -> list[Hit]:
+    return [
+        (rule.id, rule.severity, _explanation(rule.title, evidence))
+        for rule in rules
+        if (evidence := rule.predicate(config, derived)) is not None
+    ]
+
+
+@lru_cache(maxsize=256)
+def _signature_hits(
+    bpa: PublicAccessBlock, derived: DerivedProperties, website: bool, grants: tuple[AclGrant, ...]
+) -> tuple[tuple[Hit, ...], tuple[Hit, ...]]:
+    # The non-policy hits that sort before the policy rules, and those after;
+    # the stand-in carries nothing a bucket of this signature could vary.
+    stand_in = BucketConfig("signature", acl_grants=grants, public_access_block=bpa, website_enabled=website)
+    hits = _hits(_SIGNATURE_RULES, stand_in, derived)
+    split = sum(hit[0] < _POLICY_RULES[0].id for hit in hits)
+    return tuple(hits[:split]), tuple(hits[split:])
+
+
 def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[Alert]:
     """Evaluate every catalog rule; one alert per match, ordered by rule id.
 
-    Rules whose declared input is empty on this bucket cannot fire and are
-    not run. Equal explanations may be one shared string.
+    Buckets with equal BPA flags, derived bundle, website flag and grants share
+    one decision of the 20 non-policy rules while it stays in a bounded cache.
+    Equal explanations may be one shared string.
     """
-    alerts: list[Alert] = []
-    for rule in _RULES_BY_INPUTS[bool(config.acl_grants), bool(config.policy)]:
-        evidence = rule.predicate(config, derived)
-        if evidence is not None:
-            explanation = _explanation(rule.title, evidence)
-            alerts.append(new_alert(config.name, rule.id, rule.severity, _NO_CONDITIONS, explanation))
-    return alerts
+    head, tail = _signature_hits(config.public_access_block, derived, config.website_enabled, config.acl_grants)
+    hits = [*head, *_hits(_POLICY_RULES, config, derived), *tail] if config.policy else head + tail
+    name = config.name
+    return [new_alert(name, rule_id, severity, _NO_CONDITIONS, text) for rule_id, severity, text in hits]

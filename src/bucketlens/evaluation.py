@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -87,7 +88,7 @@ def scan_fleet(
             alert = evaluate_unified(config, derived, restrictive_keys)
             if alert is not None:
                 alerts.append(alert)
-    alerts.sort(key=lambda a: (a.bucket_name, a.rule_id))
+    alerts.sort(key=attrgetter("bucket_name", "rule_id"))
     return alerts
 
 

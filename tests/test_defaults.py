@@ -163,9 +163,80 @@ def test_defaults_does_not_import_the_unified_rule():
 
 
 def test_skipping_rules_on_empty_inputs_changes_no_alert():
-    for config in agreement_configs():
+    # in a shuffled order from a cold cache, so no signature is first seen on
+    # the same bucket each time
+    configs = list(agreement_configs())
+    random.Random(13).shuffle(configs)
+    defaults._signature_hits.cache_clear()
+    for config in configs:
         derived = derive(config)
         assert evaluate_default(config, derived) == _every_rule(config, derived)
+
+
+def test_shared_hits_stay_exact_past_the_cache_size():
+    # more distinct signatures than the cache holds, each with its own
+    # evidence text, then the first signatures again
+    count = defaults._signature_hits.cache_info().maxsize + 50
+    configs = [
+        BucketConfig(
+            name=f"bucket-{index}",
+            acl_grants=(AclGrant(GranteeType.GROUP, f"{ALL_USERS_URI}{index}", Permission.READ),),
+            public_access_block=PublicAccessBlock(index % 2 == 0, False, index % 3 == 0, False),
+            website_enabled=index % 5 == 0,
+        )
+        for index in range(count)
+    ]
+    for config in configs + configs[:3]:
+        derived = derive(config)
+        assert evaluate_default(config, derived) == _every_rule(config, derived)
+
+
+def _signature_twins() -> tuple[BucketConfig, BucketConfig]:
+    # equal flags and grants, built separately: equal, never the same object
+    def build(name: str) -> BucketConfig:
+        grants = (AclGrant(GranteeType.GROUP, ALL_USERS_URI, Permission.WRITE),)
+        return BucketConfig(name, acl_grants=grants, public_access_block=PublicAccessBlock(False, True, False, True))
+
+    return build("first-twin"), build("second-twin")
+
+
+def test_equal_but_distinct_inputs_share_one_decision():
+    first, second = _signature_twins()
+    assert first.public_access_block is not second.public_access_block
+    assert first.acl_grants[0] is not second.acl_grants[0]
+    defaults._signature_hits.cache_clear()
+    for config in (first, second):
+        derived = derive(config)
+        assert evaluate_default(config, derived) == _every_rule(config, derived)
+    info = defaults._signature_hits.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_buckets_of_one_signature_keep_their_own_names():
+    first, second = _signature_twins()
+    first_alerts = evaluate_default(first, derive(first))
+    second_alerts = evaluate_default(second, derive(second))
+    assert first_alerts and len(first_alerts) == len(second_alerts)
+    assert {a.bucket_name for a in first_alerts} == {"first-twin"}
+    assert {a.bucket_name for a in second_alerts} == {"second-twin"}
+    assert [dataclasses.replace(a, bucket_name="second-twin") for a in first_alerts] == second_alerts
+
+
+@pytest.mark.parametrize("reads", [None, "acl_grants"], ids=repr)
+def test_shared_rules_read_only_their_declared_inputs(reads):
+    # evaluate_default decides these rules once per signature; a predicate
+    # that read anything else of the config would be shared wrongly
+    rules = [rule for rule in default_catalog() if rule.reads == reads]
+    for config in agreement_configs():
+        derived = derive(config)
+        if reads is None:
+            stand_in = BucketConfig(
+                "stand-in", public_access_block=config.public_access_block, website_enabled=config.website_enabled
+            )
+        else:
+            stand_in = BucketConfig("stand-in", acl_grants=config.acl_grants)
+        for rule in rules:
+            assert rule.predicate(stand_in, derived) == rule.predicate(config, derived), (rule.id, config)
 
 
 def test_rule_inputs_are_declared():

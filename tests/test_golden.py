@@ -2,7 +2,8 @@
 
 ``generate``'s fleet and truth files are compared by sha256 with recorded
 digests. Each case runs one CLI command in-process and compares the sha256
-of its stdout with a recorded digest. The rule engines may be restructured for
+of its stdout with a recorded digest; a stateful scan and its rescan also pin
+the bytes of the state file after each. The rule engines may be restructured for
 speed, but their output is part of the interface: a changed digest here is a
 changed byte for users, and must be deliberate.
 """
@@ -71,6 +72,31 @@ GENERATE_DIGESTS = {
     ),
 }
 
+# sha256 of (stdout, state file bytes) after ``scan --rules both --state S``
+# with scan id "s1" on a fresh state, then after the rescan with "s2".
+STATE_DIGESTS = {
+    "paper": (
+        (
+            "dc933bf3ac4362b56d864f9a13311d092696d4580c5100b9df2c611ece978015",
+            "bbe766d5f18b7d9f3bce76278f3386657448bdfb33374d37e1b02383a02539ee",
+        ),
+        (
+            "5d129b554dee9cc717133144f3f7ddf4d173f5a125252feadf9ec5da9119f3ac",
+            "bbe766d5f18b7d9f3bce76278f3386657448bdfb33374d37e1b02383a02539ee",
+        ),
+    ),
+    "adversarial": (
+        (
+            "35326397dc588d2624b62f1cd621b6b59df929f6e8aea583589fcd4d10a8889f",
+            "a60ffbf1d580296b67fc165ef49f93640b4e0f85b8568a8654f3f33f99241525",
+        ),
+        (
+            "62a2b00918678bf37af74e1b61365d131760b1d8195c8665804362d137a17c96",
+            "a60ffbf1d580296b67fc165ef49f93640b4e0f85b8568a8654f3f33f99241525",
+        ),
+    ),
+}
+
 
 @pytest.fixture(scope="module", params=("paper", "adversarial"))
 def fleet(request, tmp_path_factory):
@@ -122,3 +148,14 @@ def test_generate_digest(fleet):
     mix, fleet_path = fleet
     written = (fleet_path, fleet_path.with_name("fleet.truth.jsonl"))
     assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written) == GENERATE_DIGESTS[mix]
+
+
+def test_stateful_scan_digest(fleet, tmp_path, capsys):
+    mix, fleet_path = fleet
+    state = tmp_path / "state.json"
+    digests = []
+    for scan_id in ("s1", "s2"):
+        argv = ["scan", "--input", str(fleet_path), "--rules", "both", "--state", str(state), "--scan-id", scan_id]
+        stdout = _run(argv, capsys)
+        digests.append((hashlib.sha256(stdout.encode("utf-8")).hexdigest(), hashlib.sha256(state.read_bytes()).hexdigest()))
+    assert tuple(digests) == STATE_DIGESTS[mix]
