@@ -13,11 +13,14 @@ state hold an exclusive ``flock`` on a sidecar ``<state>.lock`` file, which
 the kernel releases when the scan exits, however it exits.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
-row by row by ``write_json``, so no whole document is held in memory. A row is
-a short container of scalars, such as one alert dict, rendered as one string;
-long scalar arrays and dicts, such as the diff's fingerprint lists and the
-state's ``first_seen`` map, are rendered in slices of ``_SLICE`` members. The
-text is written in batches of about ``_WRITE_BUDGET`` bytes.
+a slice at a time by ``write_json``, so no whole document is held in memory.
+Long containers and iterators are taken ``_SLICE`` (256) members at a time:
+``map(alert_to_dict, alerts)`` holds at most 256 alert dicts, not all of them.
+A uniform slice, such as 256 alert dicts that share one key tuple, 256
+fingerprints of the diff or 256 entries of the state's ``first_seen`` map, is
+one template fill, a few C calls with no Python work per member; any other
+slice is rendered member by member. The text is written in batches of about
+``_WRITE_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -252,11 +255,12 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
 # Streamed JSON output
 # ---------------------------------------------------------------------------
 
-# Members per piece. A dict, list or tuple of at most this many members,
+# Members per slice. A dict, list or tuple of at most this many members,
 # each a scalar or a short container of scalars, is one row, rendered as one
-# string; longer containers and iterators are rendered in pieces of this many
-# rows. A whole long array as one string would hold the text of the diff's
-# fingerprint lists at once, and peak memory would grow with them.
+# string; longer containers and iterators are taken this many members at a
+# time, and each slice is one piece of text. A whole long array as one string
+# would hold the text of the diff's fingerprint lists at once, and peak memory
+# would grow with them.
 _SLICE = 256
 
 # Characters gathered before one write; the output is ASCII, so they are
@@ -274,24 +278,28 @@ _SCALAR_TEXT = {
 
 
 def write_json(out: TextIO, document: object) -> None:
-    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, row by row.
+    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, a slice at a time.
 
     Supported values are str (dict keys too), int, bool, None, and dicts,
-    lists and tuples of them. An iterator is written as an array, taking one
-    element at a time, so ``map(alert_to_dict, alerts)`` holds one alert dict
-    at a time instead of all of them. Any other type (floats included)
-    raises ``TypeError``.
+    lists and tuples of them. An iterator is written as an array, taking
+    ``_SLICE`` elements at a time, so ``map(alert_to_dict, alerts)`` holds
+    at most that many alert dicts instead of all of them. Any other type
+    (floats included) raises ``TypeError``.
 
     A dict, list or tuple of at most ``_SLICE`` members, each a scalar or
-    such a container of scalars, is rendered as one string, a row: each
-    alert dict is one row. Longer containers and iterators are rendered in
-    pieces of up to ``_SLICE`` rows. Pieces are gathered until they reach
-    ``_WRITE_BUDGET`` characters and then written at once, so a write
-    exceeds the budget by less than its last piece.
+    such a container of scalars, is rendered as one string, a row. Longer
+    containers and iterators are rendered a slice of up to ``_SLICE``
+    members at a time, one piece per slice. A uniform slice, such as 256
+    alert dicts with one key tuple, 256 fingerprints or 256 ``first_seen``
+    entries, is one template fill or join; any other slice is rendered
+    member by member. Pieces are gathered until they reach ``_WRITE_BUDGET``
+    characters and then written at once, so a write exceeds the budget by
+    less than its last piece.
     """
-    # Dict row templates by key tuple and depth, for this document only.
-    templates: dict[tuple[tuple[str, ...], str], str] = {}
-    text = _row_text(document, "\n", templates)
+    # Slice templates by key tuple (None for dict entries), depth and slice
+    # length, for this document only.
+    templates: dict[tuple[tuple[str, ...] | None, str, int], list[str | None]] = {}
+    text = _row_text(document, "\n")
     pieces = (text,) if text is not None else _container_pieces(document, "\n", templates)
     pending: list[str] = []
     size = 0
@@ -319,9 +327,9 @@ def _json_scalar(value: object) -> str | None:
     return None
 
 
-def _key_heads(keys: Iterable[object], inner: str) -> Iterator[str]:
+def _key_heads(keys: Iterable[object], inner: str, opening: str = "{") -> Iterator[str]:
     """The text before each member of a dict with ``keys``: separator, indent, key and colon."""
-    separator = "{" + inner
+    separator = opening + inner
     for key in keys:
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
@@ -329,13 +337,12 @@ def _key_heads(keys: Iterable[object], inner: str) -> Iterator[str]:
         separator = "," + inner
 
 
-def _row_text(value: object, newline: str, templates: dict, nested: bool = True) -> str | None:
+def _row_text(value: object, newline: str, nested: bool = True) -> str | None:
     """The whole text of ``value`` at the depth ``newline`` ends at, if it is one row.
 
     A row is a scalar, or a dict, list or tuple of at most ``_SLICE`` members
     that are scalars or (when ``nested``) rows of scalars. Anything else
-    gives None. A dict row is filled into a ``%s`` template of its key heads,
-    built once per key tuple and depth and kept in ``templates``.
+    gives None.
     """
     if isinstance(value, dict):
         if not value:
@@ -359,7 +366,7 @@ def _row_text(value: object, newline: str, templates: dict, nested: bool = True)
         if render is not None:
             text = render(item)
         elif nested:
-            text = _row_text(item, inner, templates, False)
+            text = _row_text(item, inner, False)
         else:
             text = _json_scalar(item)
         if text is None:
@@ -367,50 +374,151 @@ def _row_text(value: object, newline: str, templates: dict, nested: bool = True)
         texts.append(text)
     if not isinstance(value, dict):
         return "[" + inner + ("," + inner).join(texts) + newline + "]"
-    key = (tuple(value), newline)
-    template = templates.get(key)
-    if template is None:
-        heads = "%s".join(head.replace("%", "%%") for head in _key_heads(value, inner))
-        template = templates[key] = heads + "%s" + newline + "}"
-    return template % tuple(texts)
+    return "".join(chain.from_iterable(zip(_key_heads(value, inner), texts))) + newline + "}"
 
 
 def _container_pieces(value: object, newline: str, templates: dict) -> Iterator[str]:
     """The text of a container that is not one row, as json.dumps(indent=2) lays it out.
 
-    Members that are rows are joined, up to ``_SLICE`` of them per piece;
-    any other member is recursed into.
+    Members are taken ``_SLICE`` at a time, and each slice gives one piece.
+    A uniform slice is rendered by ``_uniform_text``; in any other slice,
+    members that are rows are joined and any other member is recursed into.
     """
     inner = newline + "  "
     if isinstance(value, dict):
-        members = zip(_key_heads(value, inner), value.values())
+        members = iter(value.items())
         brackets = "{}"
     elif isinstance(value, (list, tuple, Iterator)):
-        members = zip(chain(("[" + inner,), repeat("," + inner)), value)
+        members = iter(value)
         brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    opening = brackets[0]
     row: list[str] = []
-    head = None
     scalar_text = _SCALAR_TEXT.get
-    for head, item in members:
-        render = scalar_text(type(item))
-        text = render(item) if render is not None else _row_text(item, inner, templates)
-        if text is None:
-            row.append(head)
+    while chunk := list(islice(members, _SLICE)):
+        text = _uniform_text(chunk, brackets == "{}", inner, templates)
+        if text is not None:
+            row += (opening, inner, text)
+        else:
+            if brackets == "{}":
+                keys, items = zip(*chunk)
+                heads = _key_heads(keys, inner, opening)
+            else:
+                items = chunk
+                heads = chain((opening + inner,), repeat("," + inner))
+            for head, item in zip(heads, items):
+                render = scalar_text(type(item))
+                text = render(item) if render is not None else _row_text(item, inner)
+                if text is None:
+                    row.append(head)
+                    yield "".join(row)
+                    row.clear()
+                    yield from _container_pieces(item, inner, templates)
+                else:
+                    row += (head, text)
+        opening = ","
+        if len(chunk) < _SLICE:
+            break
+        if row:
             yield "".join(row)
             row.clear()
-            yield from _container_pieces(item, inner, templates)
-        else:
-            row += (head, text)
-            if len(row) >= 2 * _SLICE:
-                yield "".join(row)
-                row.clear()
-    if head is None:
+    if opening != ",":
         yield brackets
         return
     row += (newline, brackets[1])
     yield "".join(row)
+
+
+def _uniform_text(chunk: list, entries: bool, inner: str, templates: dict) -> str | None:
+    """The text of a uniform slice of members at ``inner``, without the first separator.
+
+    ``chunk`` holds (key, value) pairs when ``entries``, else array members.
+    A slice is uniform when its keys are exact ``str`` and its values are
+    uniform cells (see ``_cell_texts``), or when it holds dicts that share
+    one key tuple of exact ``str`` and each column of their values is
+    uniform. Its cells' texts fill a copy of its template, a few C calls per
+    column and no Python work per member. Any other slice gives None.
+    """
+    if entries:
+        shape = None
+        cells = chain.from_iterable(chunk)
+        step, cell_newline = 4, inner
+    else:
+        texts = _cell_texts(chunk, inner)
+        if texts is not None:
+            return ("," + inner).join(texts)
+        # rows: dicts that share one key tuple
+        if set(map(type, chunk)) != {dict} or set(map(type, chain.from_iterable(chunk))) != {str}:
+            return None
+        shapes = set(map(tuple, chunk))
+        if len(shapes) != 1:
+            return None
+        (shape,) = shapes
+        if len(shape) > _SLICE:
+            return None
+        cells = chain.from_iterable(map(dict.values, chunk))
+        step, cell_newline = 2 * len(shape), inner + "  "
+    parts = _slice_template(templates, shape, inner, len(chunk))
+    parts[1::2] = cells
+    if entries and set(map(type, parts[1::4])) != {str}:
+        return None
+    for column in range(1, step, 2):
+        texts = _cell_texts(parts[column::step], cell_newline)
+        if texts is None:
+            return None
+        parts[column::step] = texts
+    return "".join(parts)
+
+
+def _slice_template(
+    templates: dict, shape: tuple[str, ...] | None, inner: str, size: int
+) -> list[str | None]:
+    """A copy of the text of a uniform slice of ``size`` members at ``inner``, None for each cell.
+
+    Cells sit at odd places: each key and value in turn for dict entries
+    (``shape`` None), or the values of dicts with the key tuple ``shape``,
+    row by row. The first member's separator is left out. Each template is
+    built once and kept in ``templates``.
+    """
+    key = (shape, inner, size)
+    template = templates.get(key)
+    if template is None:
+        if shape is None:
+            heads = ["", *[": ", "," + inner] * size]
+            heads[-1] = ""
+        else:
+            first, *rest = _key_heads(shape, inner + "  ")
+            heads = [first, *rest, *[inner + "}," + inner + first, *rest] * (size - 1), inner + "}"]
+        template = templates[key] = [None] * (2 * len(heads) - 1)
+        template[::2] = heads
+    return template.copy()
+
+
+def _cell_texts(cells: Sequence[object], newline: str) -> Iterable[str] | None:
+    """The texts of ``cells`` at the depth ``newline`` ends at, if they are uniform.
+
+    Cells are uniform when they share one exact scalar type, or are lists or
+    tuples of at most ``_SLICE`` members that share one exact scalar type;
+    each distinct array is rendered once. Anything else, such as ``True``
+    beside ``1``, a str subclass or a nested container, gives None.
+    """
+    kinds = set(map(type, cells))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    render = _SCALAR_TEXT.get(kind)
+    if render is not None:
+        return map(render, cells)
+    if kind not in (list, tuple) or max(map(len, cells)) > _SLICE:
+        return None
+    # of one exact scalar type, equal arrays have equal texts (True and 1 never meet)
+    kinds = set(map(type, chain.from_iterable(cells)))
+    if len(kinds) > 1 or not kinds <= _SCALAR_TEXT.keys():
+        return None
+    arrays = list(map(tuple, cells))
+    text_of = {array: _row_text(array, newline, False) for array in set(arrays)}
+    return map(text_of.__getitem__, arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -18,6 +19,7 @@ from bucketlens.errors import StateCorruptionError, StateLockError, UnknownBucke
 from bucketlens.evaluation import (
     CSV_HEADER,
     alert_fingerprint,
+    alert_to_dict,
     classify_alerts,
     compute_metrics,
     diff_alerts,
@@ -371,7 +373,36 @@ def _with_arrays_as(value, container):
     return value
 
 
-@given(_JSON_VALUES)
+_SCALARS = st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none())
+_COLUMNS = (
+    st.text(max_size=4), st.integers(), st.booleans(), st.none(), _SCALARS,
+    st.lists(st.integers(), max_size=3), st.lists(st.text(max_size=3), max_size=3),
+    st.lists(_SCALARS, max_size=3),
+)
+
+
+@st.composite
+def _shared_key_rows(draw):
+    """A list of at least three dicts that share one drawn key tuple.
+
+    Each column draws its cells from one kind: one scalar type, lists of one
+    scalar type, or any scalar, so most slices are uniform and some are not.
+    """
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({key: draw(st.sampled_from(_COLUMNS)) for key in keys})
+    return draw(st.lists(row, min_size=3, max_size=8))
+
+
+class _Tone(str, Enum):
+    LOUD = "loud"
+
+
+def _rows(*cells):
+    """One dict with the key tuple ("a", "b") per (a, b) pair."""
+    return [{"a": a, "b": b} for a, b in cells]
+
+
+@given(st.one_of(_JSON_VALUES, _shared_key_rows()))
 @example({"quote\"back\\slash": ["\x00\x1f\u00e9\U0001f600", -(2**70), True, None, {}, []]})
 @example(list(range(10_000)))  # more pieces than one write takes
 @example([f"fp-{i:04d}" for i in range(1_000)])
@@ -381,6 +412,17 @@ def _with_arrays_as(value, container):
 @example([True, 1, None])
 @example({"a": {}, "b": [], "c": [{}, []], "d": [[], {}]})
 @example({"percent %s and %%": "100%", "%(x)s": [1]})
+# slices that are uniform, and slices that look uniform until one cell
+@example(_rows(("x", True), ("y", 1), ("z", False)))  # True beside 1 in a column
+@example(_rows(("x", "s"), ("y", None), ("z", "t")))  # str beside None
+@example(_rows(("x", _Tone.LOUD), ("y", _Tone.LOUD), ("z", _Tone.LOUD)))  # a str enum member
+@example(_rows(("x", []), ("y", [1, 2]), ("z", []), ("w", [3])))  # empty and non-empty lists
+@example(_rows(("x", [1]), ("y", [True]), ("z", [])))  # True beside 1 in a list column
+@example(_rows(("x", [1]), ("y", [{"c": 1}]), ("z", [2])))  # one row's list holds a dict
+@example([{"a": "x", "b": "y"}, {"b": "z", "a": "w"}, {"a": "v", "b": "u"}])  # equal keys, another order
+@example([{"%s": "100%", "b%%": "%(x)s"}, {"%s": "%d", "b%%": "%"}, {"%s": "", "b%%": "%%"}])
+@example([{"k": [f"v{i}"] * (i % 3), "n": -i, "s": "%s"} for i in range(600)])  # slices of 256 rows
+@example({**{f"k{i:03}": f"v{i}" for i in range(599)}, "k599": 7})  # one int value late
 def test_write_json_matches_json_dumps(value):
     expected = json.dumps(value, indent=2) + "\n"
     # With slices of 2 members, hypothesis's short containers cross slice ends too.
@@ -402,11 +444,17 @@ def test_write_json_matches_json_dumps(value):
         [{"ok": 1, 2: "x"}],  # a non-str key in a dict of scalars
         {"row": {"ok": [1], None: 2}},
         {**{f"k{i}": i for i in range(300)}, 3: "x"},  # in a dict longer than one slice
+        # in slices that would be uniform but for one member
+        [{"a": "x"}, {"a": 1.5}],
+        ["a", 1.5],
+        {**{f"k{i}": "v" for i in range(300)}, 3: "x"},
+        {i: "v" for i in range(300)},  # no str key in a whole slice
     ],
 )
 def test_write_json_rejects_unsupported_values(value):
-    with pytest.raises(TypeError):
-        write_json(io.StringIO(), value)
+    for slice_size in (evaluation._SLICE, 2):
+        with patch.object(evaluation, "_SLICE", slice_size), pytest.raises(TypeError):
+            write_json(io.StringIO(), value)
 
 
 def test_write_json_bounds_each_write():
@@ -421,3 +469,39 @@ def test_write_json_bounds_each_write():
         assert len(writes) > 1
         assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + evaluation._SLICE * len(member)
         assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
+
+
+def test_write_json_bounds_each_write_of_alert_rows():
+    alerts = [
+        _alert(f"bucket-{i:04}", f"RULE-{i % 7}", tuple(range(1, i % 5)))  # some with fired conditions
+        for i in range(2_000)
+    ]
+    expected = json.dumps({"total_alerts": len(alerts), "alerts": list(map(alert_to_dict, alerts))}, indent=2)
+    # each alert row as the document holds it, after its separator
+    rows = [",\n    " + json.dumps(alert_to_dict(alert), indent=2).replace("\n", "\n    ") for alert in alerts]
+    slice_text = evaluation._SLICE * max(map(len, rows))
+    batch_rows = evaluation._WRITE_BUDGET // min(map(len, rows)) + 1  # rows that one batch can hold
+    drawn = 0
+    writes: list[str] = []
+
+    def written_rows() -> int:
+        return sum(text.count('"fingerprint"') for text in writes)
+
+    def counting(items):
+        nonlocal drawn
+        for item in items:
+            drawn += 1
+            # at most one slice beyond what is written or waiting in the batch
+            assert drawn - written_rows() <= evaluation._SLICE + batch_rows
+            yield item
+
+    def write(text: str) -> None:
+        writes.append(text)
+        assert drawn - written_rows() <= evaluation._SLICE
+
+    document = {"total_alerts": len(alerts), "alerts": map(alert_to_dict, counting(alerts))}
+    write_json(SimpleNamespace(write=write), document)
+    assert "".join(writes) == expected + "\n"
+    assert drawn == len(alerts) and len(writes) > 1
+    assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + slice_text
+    assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])

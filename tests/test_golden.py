@@ -5,7 +5,9 @@ digests. Each case runs one CLI command in-process and compares the sha256
 of its stdout with a recorded digest; a stateful scan and its rescan also pin
 the bytes of the state file after each. The rule engines may be restructured for
 speed, but their output is part of the interface: a changed digest here is a
-changed byte for users, and must be deliberate.
+changed byte for users, and must be deliberate. The JSON documents are also
+checked against the standard library's layout of their own parse, so a wrong
+byte shows where it is, not only that a digest moved.
 """
 
 from __future__ import annotations
@@ -159,3 +161,20 @@ def test_stateful_scan_digest(fleet, tmp_path, capsys):
         stdout = _run(argv, capsys)
         digests.append((hashlib.sha256(stdout.encode("utf-8")).hexdigest(), hashlib.sha256(state.read_bytes()).hexdigest()))
     assert tuple(digests) == STATE_DIGESTS[mix]
+
+
+def test_json_documents_match_the_stdlib_layout(fleet, tmp_path, capsys):
+    """Every JSON document is laid out as ``json.dumps(..., indent=2)`` lays out its own parse."""
+    _, fleet_path = fleet
+    state = tmp_path / "state.json"
+    runs = [
+        ["scan", "--input", str(fleet_path), "--rules", "both", "--state", str(state), "--scan-id", scan_id]
+        for scan_id in ("s1", "s2")
+    ]
+    runs.append(["rules", "run", "--file", str(RULE_FILE), "--input", str(fleet_path)])
+    for argv in runs:
+        texts = [_run(argv, capsys)]
+        if "--state" in argv:
+            texts.append(state.read_text(encoding="utf-8"))
+        for text in texts:
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
