@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from collections import Counter
 from pathlib import Path
@@ -113,11 +114,15 @@ def _default_scan_id(path: str | Path) -> str:
     """``scan-`` and the first 12 hex digits of the SHA-256 of the file's bytes.
 
     The file is read in 1 MiB chunks, so its bytes are never held whole.
+    The fleet is then read from it a second time, so it must be a regular
+    file: hashing a pipe would drain it and leave the scan an empty fleet.
     """
     import hashlib  # loads OpenSSL; only scan needs it
 
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            raise BucketlensError(f"--input {path} is not a regular file and cannot be read twice; give --scan-id")
         while chunk := handle.read(1 << 20):
             digest.update(chunk)
     return f"scan-{digest.hexdigest()[:12]}"

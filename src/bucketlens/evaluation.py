@@ -14,13 +14,13 @@ the kernel releases when the scan exits, however it exits.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
 a slice at a time by ``write_json``, so no whole document is held in memory.
-Long containers and iterators are taken ``_SLICE`` (256) members at a time:
-``map(alert_to_dict, alerts)`` holds at most 256 alert dicts, not all of them.
-A uniform slice, such as 256 alert dicts that share one key tuple, 256
-fingerprints of the diff or 256 entries of the state's ``first_seen`` map, is
-one template fill, a few C calls with no Python work per member; any other
-slice is rendered member by member. The text is written in batches of about
-``_WRITE_BUDGET`` bytes.
+One recursive renderer takes every container and iterator ``_SLICE`` (256)
+members at a time: ``map(alert_to_dict, alerts)`` holds at most 256 alert
+dicts, not all of them. A uniform slice, such as 256 alert dicts that share
+one key tuple, 256 fingerprints of the diff or 256 entries of the state's
+``first_seen`` map, is one piece, a few C calls with no Python work per
+member; any other slice goes member by member. The text is written in batches
+of about ``_WRITE_BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from .defaults import evaluate_default
 from .errors import StateCorruptionError, StateLockError, UnknownBucketError
-from .model import Alert, BucketConfig, Severity, read_json
+from .model import Alert, BucketConfig, read_json
 from .policy import derive
 from .unified import evaluate_unified
 
@@ -255,12 +256,10 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
 # Streamed JSON output
 # ---------------------------------------------------------------------------
 
-# Members per slice. A dict, list or tuple of at most this many members,
-# each a scalar or a short container of scalars, is one row, rendered as one
-# string; longer containers and iterators are taken this many members at a
-# time, and each slice is one piece of text. A whole long array as one string
-# would hold the text of the diff's fingerprint lists at once, and peak memory
-# would grow with them.
+# Members per slice. Containers and iterators are taken this many members at
+# a time, and a uniform slice is one piece of text. A whole long array as one
+# string would hold the text of the diff's fingerprint lists at once, and peak
+# memory would grow with them.
 _SLICE = 256
 
 # Characters gathered before one write; the output is ASCII, so they are
@@ -286,24 +285,17 @@ def write_json(out: TextIO, document: object) -> None:
     at most that many alert dicts instead of all of them. Any other type
     (floats included) raises ``TypeError``.
 
-    A dict, list or tuple of at most ``_SLICE`` members, each a scalar or
-    such a container of scalars, is rendered as one string, a row. Longer
-    containers and iterators are rendered a slice of up to ``_SLICE``
-    members at a time, one piece per slice. A uniform slice, such as 256
-    alert dicts with one key tuple, 256 fingerprints or 256 ``first_seen``
-    entries, is one template fill or join; any other slice is rendered
-    member by member. Pieces are gathered until they reach ``_WRITE_BUDGET``
-    characters and then written at once, so a write exceeds the budget by
-    less than its last piece.
+    Every dict, list, tuple and iterator is rendered a slice of up to
+    ``_SLICE`` members at a time. A uniform slice, such as 256 alert dicts
+    with one key tuple, 256 fingerprints or 256 ``first_seen`` entries, is
+    one piece, a few C calls; any other slice is rendered member by member.
+    Pieces are gathered until they reach ``_WRITE_BUDGET`` characters and
+    then written at once, so a write exceeds the budget by less than its
+    last piece.
     """
-    # Slice templates by key tuple (None for dict entries), depth and slice
-    # length, for this document only.
-    templates: dict[tuple[tuple[str, ...] | None, str, int], list[str | None]] = {}
-    text = _row_text(document, "\n")
-    pieces = (text,) if text is not None else _container_pieces(document, "\n", templates)
     pending: list[str] = []
     size = 0
-    for piece in pieces:
+    for piece in _pieces(document, "\n"):
         pending.append(piece)
         size += len(piece)
         if size >= _WRITE_BUDGET:
@@ -312,19 +304,6 @@ def write_json(out: TextIO, document: object) -> None:
             size = 0
     pending.append("\n")
     out.write("".join(pending))
-
-
-def _json_scalar(value: object) -> str | None:
-    """The JSON text of a str, int, bool or None; None for any other value."""
-    render = _SCALAR_TEXT.get(type(value))
-    if render is not None:
-        return render(value)
-    # subclasses, such as str and int enum members
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return None
 
 
 def _key_heads(keys: Iterable[object], inner: str, opening: str = "{") -> Iterator[str]:
@@ -337,162 +316,104 @@ def _key_heads(keys: Iterable[object], inner: str, opening: str = "{") -> Iterat
         separator = "," + inner
 
 
-def _row_text(value: object, newline: str, nested: bool = True) -> str | None:
-    """The whole text of ``value`` at the depth ``newline`` ends at, if it is one row.
+def _pieces(value: object, newline: str) -> Iterator[str]:
+    """The text of ``value`` at the depth ``newline`` ends at, as json.dumps(indent=2) lays it out.
 
-    A row is a scalar, or a dict, list or tuple of at most ``_SLICE`` members
-    that are scalars or (when ``nested``) rows of scalars. Anything else
-    gives None.
+    A scalar is one piece. A container's members are taken ``_SLICE`` at a
+    time: a uniform slice (see ``_uniform_text``) is one piece, and in any
+    other slice each member gives its head (separator, indent and key) and
+    then its own pieces.
     """
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if len(value) > _SLICE:
-            return None
-        members = value.values()
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if len(value) > _SLICE:
-            return None
-        members = value
-    else:
-        return _json_scalar(value)
-    inner = newline + "  "
-    texts = []
-    scalar_text = _SCALAR_TEXT.get
-    for item in members:
-        render = scalar_text(type(item))
-        if render is not None:
-            text = render(item)
-        elif nested:
-            text = _row_text(item, inner, False)
-        else:
-            text = _json_scalar(item)
-        if text is None:
-            return None
-        texts.append(text)
-    if not isinstance(value, dict):
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
-    return "".join(chain.from_iterable(zip(_key_heads(value, inner), texts))) + newline + "}"
-
-
-def _container_pieces(value: object, newline: str, templates: dict) -> Iterator[str]:
-    """The text of a container that is not one row, as json.dumps(indent=2) lays it out.
-
-    Members are taken ``_SLICE`` at a time, and each slice gives one piece.
-    A uniform slice is rendered by ``_uniform_text``; in any other slice,
-    members that are rows are joined and any other member is recursed into.
-    """
-    inner = newline + "  "
+    render = _SCALAR_TEXT.get(type(value))
+    if render is not None:
+        yield render(value)
+        return
     if isinstance(value, dict):
         members = iter(value.items())
         brackets = "{}"
     elif isinstance(value, (list, tuple, Iterator)):
         members = iter(value)
         brackets = "[]"
+    # subclasses, such as str and int enum members
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+        return
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+        return
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = newline + "  "
     opening = brackets[0]
-    row: list[str] = []
-    scalar_text = _SCALAR_TEXT.get
     while chunk := list(islice(members, _SLICE)):
-        text = _uniform_text(chunk, brackets == "{}", inner, templates)
+        keys, items = zip(*chunk) if brackets == "{}" else (None, chunk)
+        text = _uniform_text(keys, items, inner)
         if text is not None:
-            row += (opening, inner, text)
+            yield opening + inner
+            yield text
         else:
-            if brackets == "{}":
-                keys, items = zip(*chunk)
-                heads = _key_heads(keys, inner, opening)
-            else:
-                items = chunk
+            if keys is None:
                 heads = chain((opening + inner,), repeat("," + inner))
+            else:
+                heads = _key_heads(keys, inner, opening)
             for head, item in zip(heads, items):
-                render = scalar_text(type(item))
-                text = render(item) if render is not None else _row_text(item, inner)
-                if text is None:
-                    row.append(head)
-                    yield "".join(row)
-                    row.clear()
-                    yield from _container_pieces(item, inner, templates)
-                else:
-                    row += (head, text)
+                yield head
+                yield from _pieces(item, inner)
         opening = ","
         if len(chunk) < _SLICE:
             break
-        if row:
-            yield "".join(row)
-            row.clear()
-    if opening != ",":
-        yield brackets
-        return
-    row += (newline, brackets[1])
-    yield "".join(row)
+    yield brackets if opening != "," else newline + brackets[1]
 
 
-def _uniform_text(chunk: list, entries: bool, inner: str, templates: dict) -> str | None:
+def _uniform_text(keys: Sequence[object] | None, members: Sequence[object], inner: str) -> str | None:
     """The text of a uniform slice of members at ``inner``, without the first separator.
 
-    ``chunk`` holds (key, value) pairs when ``entries``, else array members.
-    A slice is uniform when its keys are exact ``str`` and its values are
-    uniform cells (see ``_cell_texts``), or when it holds dicts that share
-    one key tuple of exact ``str`` and each column of their values is
-    uniform. Its cells' texts fill a copy of its template, a few C calls per
-    column and no Python work per member. Any other slice gives None.
+    ``keys`` are the slice's dict keys, or None for array members. A slice
+    is uniform when its keys are exact ``str`` and its members are uniform
+    cells (see ``_cell_texts``), or when it holds dicts that share one key
+    tuple of exact ``str`` and each column of their values is uniform. Its
+    text is a few C calls per slice or column and no Python work per
+    member. Any other slice gives None.
     """
-    if entries:
-        shape = None
-        cells = chain.from_iterable(chunk)
-        step, cell_newline = 4, inner
-    else:
-        texts = _cell_texts(chunk, inner)
-        if texts is not None:
-            return ("," + inner).join(texts)
-        # rows: dicts that share one key tuple
-        if set(map(type, chunk)) != {dict} or set(map(type, chain.from_iterable(chunk))) != {str}:
+    texts = _cell_texts(members, inner)
+    if keys is not None:
+        if texts is None or set(map(type, keys)) != {str}:
             return None
-        shapes = set(map(tuple, chunk))
-        if len(shapes) != 1:
-            return None
-        (shape,) = shapes
-        if len(shape) > _SLICE:
-            return None
-        cells = chain.from_iterable(map(dict.values, chunk))
-        step, cell_newline = 2 * len(shape), inner + "  "
-    parts = _slice_template(templates, shape, inner, len(chunk))
-    parts[1::2] = cells
-    if entries and set(map(type, parts[1::4])) != {str}:
+        return ("," + inner).join(map(": ".join, zip(map(encode_basestring_ascii, keys), texts)))
+    if texts is not None:
+        return ("," + inner).join(texts)
+    # rows: dicts that share one key tuple
+    if set(map(type, members)) != {dict} or set(map(type, chain.from_iterable(members))) != {str}:
         return None
+    shapes = set(map(tuple, members))
+    if len(shapes) != 1:
+        return None
+    (shape,) = shapes
+    if len(shape) > _SLICE:
+        return None
+    parts = _rows_template(shape, inner, len(members)).copy()
+    parts[1::2] = chain.from_iterable(map(dict.values, members))
+    step = 2 * len(shape)
     for column in range(1, step, 2):
-        texts = _cell_texts(parts[column::step], cell_newline)
+        texts = _cell_texts(parts[column::step], inner + "  ")
         if texts is None:
             return None
         parts[column::step] = texts
     return "".join(parts)
 
 
-def _slice_template(
-    templates: dict, shape: tuple[str, ...] | None, inner: str, size: int
-) -> list[str | None]:
-    """A copy of the text of a uniform slice of ``size`` members at ``inner``, None for each cell.
+@lru_cache
+def _rows_template(shape: tuple[str, ...], inner: str, size: int) -> list[str | None]:
+    """The text of ``size`` dicts with the key tuple ``shape`` at ``inner``, None for each value.
 
-    Cells sit at odd places: each key and value in turn for dict entries
-    (``shape`` None), or the values of dicts with the key tuple ``shape``,
-    row by row. The first member's separator is left out. Each template is
-    built once and kept in ``templates``.
+    Values sit at odd places, row by row; the first row's separator is left
+    out. Callers fill a copy.
     """
-    key = (shape, inner, size)
-    template = templates.get(key)
-    if template is None:
-        if shape is None:
-            heads = ["", *[": ", "," + inner] * size]
-            heads[-1] = ""
-        else:
-            first, *rest = _key_heads(shape, inner + "  ")
-            heads = [first, *rest, *[inner + "}," + inner + first, *rest] * (size - 1), inner + "}"]
-        template = templates[key] = [None] * (2 * len(heads) - 1)
-        template[::2] = heads
-    return template.copy()
+    first, *rest = _key_heads(shape, inner + "  ")
+    heads = [first, *rest, *[inner + "}," + inner + first, *rest] * (size - 1), inner + "}"]
+    template: list[str | None] = [None] * (2 * len(heads) - 1)
+    template[::2] = heads
+    return template
 
 
 def _cell_texts(cells: Sequence[object], newline: str) -> Iterable[str] | None:
@@ -517,17 +438,13 @@ def _cell_texts(cells: Sequence[object], newline: str) -> Iterable[str] | None:
     if len(kinds) > 1 or not kinds <= _SCALAR_TEXT.keys():
         return None
     arrays = list(map(tuple, cells))
-    text_of = {array: _row_text(array, newline, False) for array in set(arrays)}
+    text_of = {array: "".join(_pieces(array, newline)) for array in set(arrays)}
     return map(text_of.__getitem__, arrays)
 
 
 # ---------------------------------------------------------------------------
 # Stateful alerting
 # ---------------------------------------------------------------------------
-
-# Keyed by identity: Severity.__hash__ is Python code, and members are singletons.
-_SEVERITY_TEXT = {id(severity): severity.value for severity in Severity}
-
 
 def _sha256(data: bytes):
     """``hashlib.sha256(data)``; the first call replaces this function with it.
@@ -554,7 +471,7 @@ def alert_to_dict(alert: Alert) -> dict:
     return {
         "bucket_name": alert.bucket_name,
         "rule_id": alert.rule_id,
-        "severity": _SEVERITY_TEXT[id(alert.severity)],
+        "severity": alert.severity._value_,  # an instance attribute; .value is a property
         "fired_conditions": list(alert.fired_conditions),
         "explanation": alert.explanation,
         "fingerprint": alert_fingerprint(alert),

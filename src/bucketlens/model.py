@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import DuplicateNameError, MissingArtifactError, SchemaError
 
-_NAME_RE = re.compile(r"^[a-z0-9.-]{3,63}$")
+_NAME_RE = re.compile(r"^[a-z0-9.-]{3,63}\Z")  # \Z: "$" would also match before a final newline
 
 ALL_USERS_URI = "http://acs.amazonaws.com/groups/global/AllUsers"
 AUTHENTICATED_USERS_URI = "http://acs.amazonaws.com/groups/global/AuthenticatedUsers"

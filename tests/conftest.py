@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import bucketlens
 from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
@@ -28,6 +29,16 @@ from bucketlens.model import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# ``--hypothesis-profile=deep`` runs each property test on 3000 examples
+# instead of 100; CI's writer-deep job runs the JSON writer's tests with it.
+settings.register_profile("deep", max_examples=3000, deadline=None)
+
+
+def fresh_interpreter_env() -> dict[str, str]:
+    """The environment for a new interpreter that imports this package."""
+    src = str(Path(bucketlens.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
 
 def run_fresh_interpreter(script: str) -> str:
     """Run ``script`` in a new interpreter that imports this package; its stderr.
@@ -35,9 +46,9 @@ def run_fresh_interpreter(script: str) -> str:
     The test process has imported every layer already, so what a command
     loads can only be seen from a fresh one.
     """
-    src = str(Path(bucketlens.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=fresh_interpreter_env(), capture_output=True, text=True, timeout=60
+    )
     assert result.returncode == 0, result.stderr
     return result.stderr
 

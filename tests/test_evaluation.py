@@ -471,6 +471,24 @@ def test_write_json_bounds_each_write():
         assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
 
 
+def test_write_json_bounds_each_write_member_by_member():
+    fingerprints = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(2_000)]
+    # str beside None and mixed values: no slice of either container is uniform
+    array = [fingerprints[i % 2_000] if i % 2 else None for i in range(20_000)]
+    array[10_001] = fingerprints  # a long list inside, itself taken a slice at a time
+    kinds = (lambda i: fingerprints[i], int, lambda i: None, lambda i: i % 3 == 0, lambda i: fingerprints[i:i + 8])
+    entries = {f"key-{i:03}": kinds[i % 5](i) for i in range(600)}
+    for document in (array, entries):
+        expected = json.dumps(document, indent=2) + "\n"
+        slice_text = evaluation._SLICE * max(map(len, expected.splitlines(keepends=True)))
+        writes: list[str] = []
+        write_json(SimpleNamespace(write=writes.append), document)
+        assert "".join(writes) == expected
+        assert len(writes) > 1
+        assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + slice_text
+        assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
+
+
 def test_write_json_bounds_each_write_of_alert_rows():
     alerts = [
         _alert(f"bucket-{i:04}", f"RULE-{i % 7}", tuple(range(1, i % 5)))  # some with fired conditions

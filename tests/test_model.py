@@ -90,6 +90,7 @@ SCHEMA_ERROR_CASES = [
     ('{"region":"us-east-1"}', "name"),
     ('{"name":"UPPER"}', "invalid bucket name"),
     ('{"name":"ab"}', "invalid bucket name"),
+    ('{"name":"abc\\n"}', "invalid bucket name"),  # a trailing newline
     ('{"name":"ok-bucket","bogus":1}', "bogus"),
     ('{"name":"ok-bucket","policy":[{"effect":"Allow","principal_aws":[],"actions":[]}]}', "actions"),
     ('{"name":"ok-bucket","public_access_block":{"block_public_acls":true}}', "ignore_public_acls"),
@@ -522,5 +523,6 @@ def test_import_bpa_flags_absent_keys_are_false(tmp_path):
 
 
 def test_bucket_config_validates_name():
-    with pytest.raises(SchemaError):
-        BucketConfig(name="NO")
+    for name in ("NO", "abc\n"):  # a trailing newline too
+        with pytest.raises(SchemaError):
+            BucketConfig(name=name)

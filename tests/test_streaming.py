@@ -12,6 +12,8 @@ import contextlib
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +23,7 @@ from bucketlens.errors import BucketlensError, SchemaError
 from bucketlens.evaluation import scan_fleet
 from bucketlens.model import iter_fleet, load_fleet, serialize_snapshot_line
 
-from conftest import allusers_read_bucket, locked_bucket, public_policy_bucket
+from conftest import allusers_read_bucket, fresh_interpreter_env, locked_bucket, public_policy_bucket
 
 _MALFORMED = '{"name": "broken-bucket", "region": 7}\n'
 
@@ -197,3 +199,31 @@ def test_default_scan_id_hashes_the_file_bytes(paper_fleets, tmp_path, capsys):
     assert doc["scan_id"] == "scan-" + hashlib.sha256(data).hexdigest()[:12]
     assert main(["scan", "--input", str(paper_fleets[4000]), "--rules", "unified", "--scan-id", "x"]) == 0
     assert json.loads(capsys.readouterr().out)["alerts"] == doc["alerts"]
+
+
+def _piped_scan(fleet, *argv: str) -> subprocess.CompletedProcess:
+    """``scan --input /dev/stdin`` in a new interpreter, with the fleet's bytes on a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "bucketlens.cli", "scan", "--input", "/dev/stdin", *argv],
+        input=fleet.read_bytes(), env=fresh_interpreter_env(), capture_output=True, timeout=60,
+    )
+
+
+def test_piped_scan_needs_a_scan_id(paper_fleets, tmp_path, capsys):
+    fleet, state = paper_fleets[1000], tmp_path / "state.json"
+    capsys.readouterr()
+    assert main(["scan", "--input", str(fleet), "--rules", "unified", "--state", str(state)]) == 0
+    by_file = json.loads(capsys.readouterr().out)
+    assert by_file["total_alerts"] > 0
+    saved = state.read_bytes()
+
+    # hashing the pipe for a default scan id would drain it: the scan would
+    # see no buckets and resolve every alert of the saved state
+    piped = _piped_scan(fleet, "--rules", "unified", "--state", str(state))
+    assert (piped.returncode, piped.stdout) == (3, b"")
+    assert b"--scan-id" in piped.stderr
+    assert state.read_bytes() == saved
+
+    piped = _piped_scan(fleet, "--rules", "unified", "--scan-id", "piped")
+    assert piped.returncode == 0, piped.stderr
+    assert json.loads(piped.stdout)["alerts"] == by_file["alerts"]
