@@ -281,7 +281,7 @@ def _minutes(text: str) -> float:
         value = math.nan
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number of minutes >= 0, got {text!r}")
-    return value
+    return value or 0.0  # -0 renders as 0
 
 
 def build_parser() -> argparse.ArgumentParser:

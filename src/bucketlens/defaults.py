@@ -23,7 +23,7 @@ from typing import Callable
 
 from .model import BPA_FLAGS, AclGrant, Alert, BucketConfig, Effect, GranteeType, Permission, PublicAccessBlock
 from .model import Severity, new_alert
-from .policy import DerivedProperties, Exposure, _runs_match
+from .policy import DerivedProperties, Exposure, action_matches
 
 Predicate = Callable[[BucketConfig, DerivedProperties], "str | None"]
 
@@ -97,21 +97,17 @@ def _wildcard_any_effect(config: BucketConfig, derived: DerivedProperties) -> st
     return None
 
 
-@lru_cache(maxsize=256)
-def _allows(pattern: str, target: str) -> bool:
-    # policy.action_matches on a lowercased target; fleets repeat a few patterns.
-    return _runs_match(pattern.lower().split("*"), target)
+# fleets repeat a few action patterns
+_allows = lru_cache(maxsize=256)(action_matches)
 
 
 def _wildcard_allow_action(target_action: str) -> Predicate:
-    target = target_action.lower()
-
     def check(config: BucketConfig, derived: DerivedProperties) -> str | None:
         for stmt in config.policy or ():
             if stmt.effect is not Effect.ALLOW or not stmt.wildcard_principal:
                 continue
             for pattern in stmt.actions:
-                if _allows(pattern, target):
+                if _allows(pattern, target_action):
                     sid = stmt.sid or "<no sid>"
                     return f"statement {sid} allows {target_action} (pattern {pattern!r}) to a wildcard principal"
         return None
@@ -264,16 +260,9 @@ _NO_CONDITIONS: tuple[int, ...] = ()
 Hit = tuple[str, Severity, str]  # (rule id, severity, explanation)
 
 
-@lru_cache(maxsize=256)
-def _explanation(title: str, evidence: str) -> str:
-    # A fleet repeats a few thousand distinct texts across tens of thousands
-    # of alerts; equal explanations share one string while they stay cached.
-    return f"{title}: {evidence}"
-
-
 def _hits(rules: tuple[DefaultRule, ...], config: BucketConfig, derived: DerivedProperties) -> list[Hit]:
     return [
-        (rule.id, rule.severity, _explanation(rule.title, evidence))
+        (rule.id, rule.severity, f"{rule.title}: {evidence}")
         for rule in rules
         if (evidence := rule.predicate(config, derived)) is not None
     ]
@@ -295,8 +284,8 @@ def evaluate_default(config: BucketConfig, derived: DerivedProperties) -> list[A
     """Evaluate every catalog rule; one alert per match, ordered by rule id.
 
     Buckets with equal BPA flags, derived bundle, website flag and grants share
-    one decision of the 20 non-policy rules while it stays in a bounded cache.
-    Equal explanations may be one shared string.
+    one decision of the 20 non-policy rules while it stays in a bounded cache,
+    explanation strings included.
     """
     head, tail = _signature_hits(config.public_access_block, derived, config.website_enabled, config.acl_grants)
     hits = [*head, *_hits(_POLICY_RULES, config, derived), *tail] if config.policy else head + tail

@@ -102,39 +102,26 @@ _TOKEN_KINDS = {"word": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": To
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize rule source; raises LexError with a byte offset on failure."""
-    if source.isascii():
-        def off(i: int) -> int:
-            return i
-    else:
-        offsets = [0] * (len(source) + 1)
-        total = 0
-        for idx, ch in enumerate(source):
-            offsets[idx] = total
-            total += len(ch.encode("utf-8"))
-        offsets[len(source)] = total
-
-        def off(i: int) -> int:
-            return offsets[i]
-
     tokens: list[Token] = []
-    i = 0
+    i = offset = 0  # character index, and its byte offset in UTF-8
     n = len(source)
     while i < n:
         match = _TOKEN_RE.match(source, i)
         if match is None:
             if source[i] == "'":
-                raise LexError("unterminated string", off(i))
-            raise LexError(f"illegal character {source[i]!r}", off(i))
+                raise LexError("unterminated string", offset)
+            raise LexError(f"illegal character {source[i]!r}", offset)
         group = match.lastgroup
         text = match.group(group)
         if group == "word" and text.upper() in KEYWORDS:
-            tokens.append(Token(TokenKind.KEYWORD, text.upper(), off(i)))
+            tokens.append(Token(TokenKind.KEYWORD, text.upper(), offset))
         elif group == "string":
-            tokens.append(Token(TokenKind.STRING, text.replace("''", "'"), off(i)))
+            tokens.append(Token(TokenKind.STRING, text.replace("''", "'"), offset))
         elif group != "skip":
-            tokens.append(Token(_TOKEN_KINDS[group], text, off(i)))
+            tokens.append(Token(_TOKEN_KINDS[group], text, offset))
+        offset += len(match.group().encode("utf-8"))
         i = match.end()
-    tokens.append(Token(TokenKind.EOF, "", off(n)))
+    tokens.append(Token(TokenKind.EOF, "", offset))
     return tokens
 
 
@@ -168,25 +155,25 @@ class Not:
 
 @dataclass(frozen=True, slots=True)
 class Exists:
-    path: tuple[str, ...]
+    path: str
     inner: "Node"
 
 
 @dataclass(frozen=True, slots=True)
 class Compare:
-    path: tuple[str, ...]
+    path: str
     op: CompareOp
     literal: Literal
 
 
 @dataclass(frozen=True, slots=True)
 class IsNull:
-    path: tuple[str, ...]
+    path: str
 
 
 @dataclass(frozen=True, slots=True)
 class IsNotNull:
-    path: tuple[str, ...]
+    path: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,10 +263,8 @@ class BoundRecord:
         self.keys = keys
 
 
-def _resolve(
-    path: tuple[str, ...], scopes: Sequence[str], use: str, offset: int | None = None
-) -> tuple[int | None, str]:
-    """Resolve a field path to (index of the binding EXISTS scope, or None for
+def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = None) -> tuple[int | None, str]:
+    """Resolve a field name to (index of the binding EXISTS scope, or None for
     the record; canonical field name).
 
     ``scopes`` names the enclosing EXISTS collections, outermost first; the
@@ -288,24 +273,22 @@ def _resolve(
     must not be one) or ``"null"`` (any field). Every failure is a
     ``SchemaError`` at ``offset``.
     """
-    depth, name = None, None
-    if len(path) == 1:
-        key = path[0].lower()
-        for index in range(len(scopes) - 1, -1, -1):
-            fields = _ELEMENT_NAMES[scopes[index]]
-            if key in fields:
-                depth, name = index, fields[key]
-                break
-        else:
-            name = _RECORD_NAMES.get(key)
+    depth, name, key = None, None, path.lower()
+    for index in range(len(scopes) - 1, -1, -1):
+        fields = _ELEMENT_NAMES[scopes[index]]
+        if key in fields:
+            depth, name = index, fields[key]
+            break
+    else:
+        name = _RECORD_NAMES.get(key)
     is_collection = depth is None and name in _ELEMENT_FIELDS
     if use == "exists":
         if not is_collection:
-            raise SchemaError(f"EXISTS requires a collection path, got {'.'.join(path)!r}", offset=offset)
+            raise SchemaError(f"EXISTS requires a collection path, got {path!r}", offset=offset)
     elif name is None:
-        raise SchemaError(f"unknown path {'.'.join(path)!r}", offset=offset)
+        raise SchemaError(f"unknown path {path!r}", offset=offset)
     elif is_collection and use == "compare":
-        raise SchemaError(f"collection {path[0]!r} cannot be compared to a literal", offset=offset)
+        raise SchemaError(f"collection {path!r} cannot be compared to a literal", offset=offset)
     return depth, name
 
 
@@ -413,7 +396,7 @@ class _Parser:
             finally:
                 self._scopes.pop()
             self._expect_punct(")")
-            return Exists((canonical,), inner)
+            return Exists(canonical, inner)
         if token.kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):
             self._advance()
             return LiteralBool(token.text == "TRUE")
@@ -424,22 +407,22 @@ class _Parser:
             {"(", "EXISTS", "NOT", "TRUE", "FALSE", "identifier"},
         )
 
-    def _raw_path(self) -> tuple[str, ...]:
+    def _raw_path(self) -> str:
         if self._peek().kind is not TokenKind.IDENT:
             raise self._error("expected a field path", {"identifier"})
-        return (self._advance().text,)
+        return self._advance().text
 
     def _predicate(self) -> Node:
         path_token = self._peek()
         raw = self._raw_path()
         token = self._peek()
         if token.kind is TokenKind.PUNCT and token.text in ("=", "!="):
-            path = (_resolve(raw, self._scopes, "compare", path_token.offset)[1],)
+            path = _resolve(raw, self._scopes, "compare", path_token.offset)[1]
             self._advance()
             literal = self._literal()
             return Compare(path, CompareOp.EQ if token.text == "=" else CompareOp.NE, literal)
         if token.kind is TokenKind.KEYWORD and token.text == "LIKE":
-            path = (_resolve(raw, self._scopes, "compare", path_token.offset)[1],)
+            path = _resolve(raw, self._scopes, "compare", path_token.offset)[1]
             self._advance()
             pattern_token = self._peek()
             literal = self._literal()
@@ -447,7 +430,7 @@ class _Parser:
                 raise ParseError("LIKE pattern must be a string", pattern_token.offset)
             return Compare(path, CompareOp.LIKE, literal)
         if token.kind is TokenKind.KEYWORD and token.text == "IS":
-            path = (_resolve(raw, self._scopes, "null", path_token.offset)[1],)
+            path = _resolve(raw, self._scopes, "null", path_token.offset)[1]
             self._advance()
             negated = False
             if self._peek().kind is TokenKind.KEYWORD and self._peek().text == "NOT":
@@ -456,7 +439,7 @@ class _Parser:
             self._expect_keyword("NULL")
             return IsNotNull(path) if negated else IsNull(path)
         raise self._error(
-            f"expected a predicate operator after {raw[0]!r}",
+            f"expected a predicate operator after {raw!r}",
             {"=", "!=", "LIKE", "IS"},
         )
 
@@ -530,13 +513,13 @@ def _render(node: Node) -> str:
             rendered = f"({rendered})"
         return f"NOT {rendered}"
     if isinstance(node, Exists):
-        return f"EXISTS({'.'.join(node.path)} WHERE {_render(node.inner)})"
+        return f"EXISTS({node.path} WHERE {_render(node.inner)})"
     if isinstance(node, Compare):
-        return f"{'.'.join(node.path)} {node.op.value} {_render_literal(node.literal)}"
+        return f"{node.path} {node.op.value} {_render_literal(node.literal)}"
     if isinstance(node, IsNull):
-        return f"{'.'.join(node.path)} IS NULL"
+        return f"{node.path} IS NULL"
     if isinstance(node, IsNotNull):
-        return f"{'.'.join(node.path)} IS NOT NULL"
+        return f"{node.path} IS NOT NULL"
     if isinstance(node, LiteralBool):
         return "TRUE" if node.value else "FALSE"
     raise TypeError(f"unknown node type {type(node).__name__}")
@@ -584,9 +567,7 @@ def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
     return lambda v: v != literal or isinstance(v, bool)
 
 
-def _compile_value(
-    path: tuple[str, ...], scopes: tuple[str, ...], use: str
-) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
+def _compile_value(path: str, scopes: tuple[str, ...], use: str) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
     """(canonical field, reader of its value) for a path."""
     depth, name = _resolve(path, scopes, use)
     if depth is None:

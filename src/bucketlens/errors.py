@@ -15,8 +15,7 @@ class SchemaError(BucketlensError):
     """Input data violates a documented schema.
 
     Carries the bare message and optional context: the offending field, the
-    input line number (JSONL sources) and an offset (rule sources, or the
-    byte offset of undecodable input).
+    input line number (JSONL sources) and an offset (rule sources).
     """
 
     def __init__(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from .defaults import evaluate_default
-from .errors import StateCorruptionError, StateLockError, UnknownBucketError
+from .errors import BucketlensError, StateCorruptionError, StateLockError, UnknownBucketError
 from .model import Alert, BucketConfig, read_json
 from .policy import derive
 from .unified import evaluate_unified
@@ -137,9 +138,15 @@ def compute_metrics(
     minutes_per_alert_default: float = 8.0,
     minutes_per_alert_unified: float = 1.0,
 ) -> EvaluationReport:
-    """Score both rulesets against one truth set and fill every report field."""
+    """Score both rulesets against one truth set and fill every report field.
+
+    Raises ``BucketlensError`` when a modeled triage total is not finite.
+    """
     default = _ruleset_metrics(default_alerts, truth, minutes_per_alert_default)
     unified = _ruleset_metrics(unified_alerts, truth, minutes_per_alert_unified)
+    for name, metrics in (("default", default), ("unified", unified)):
+        if not math.isfinite(metrics.modeled_triage_minutes):
+            raise BucketlensError(f"{name} ruleset: modeled triage minutes not finite ({metrics.total_alerts} alerts)")
     reduction = (
         1 - Fraction(unified.total_alerts, default.total_alerts)
         if default.total_alerts
@@ -509,7 +516,8 @@ def load_state(path: str | Path) -> dict[str, str]:
         raw = read_json(path, lambda reason: StateCorruptionError(f"cannot read alert state {path}: {reason}"))
     except OSError as exc:
         raise StateCorruptionError(f"cannot read alert state {path}: {exc}") from None
-    if not isinstance(raw, dict) or raw.get("schema_version") != STATE_SCHEMA_VERSION:
+    version = raw.get("schema_version") if isinstance(raw, dict) else None
+    if type(version) is not int or version != STATE_SCHEMA_VERSION:  # not True, not 1.0
         raise StateCorruptionError(
             f"alert state {path} has missing or unsupported schema_version"
         )

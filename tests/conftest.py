@@ -31,6 +31,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # ``--hypothesis-profile=deep`` runs each property test on 3000 examples
 # instead of 100; CI's writer-deep job runs the JSON writer's tests with it.
+# A test whose own ``@settings`` sets ``max_examples`` keeps that count.
 settings.register_profile("deep", max_examples=3000, deadline=None)
 
 

@@ -68,12 +68,12 @@ def _plain(name: str, value: Any) -> Any:
     return value
 
 
-def _lookup(env: list[Mapping[str, Any]], path: tuple[str, ...]) -> Any:
-    key = path[0].lower()
+def _lookup(env: list[Mapping[str, Any]], path: str) -> Any:
+    key = path.lower()
     for frame in reversed(env):
         if key in frame:
             return frame[key]
-    raise SchemaError(f"unresolvable path {'.'.join(path)!r}")  # unreachable post-parse
+    raise SchemaError(f"unresolvable path {path!r}")  # unreachable post-parse
 
 
 def _scalar_eq(value: Any, literal: Literal) -> bool:

@@ -297,6 +297,68 @@ def test_evaluate_accepts_zero_minutes(small_fleet, capsys):
     assert [ruleset["modeled_triage_minutes"] for ruleset in doc["rulesets"].values()] == [0, 0]
 
 
+@pytest.mark.parametrize("flag,ruleset", [("--minutes-default", "default"), ("--minutes-unified", "unified")])
+def test_evaluate_rejects_an_overflowing_triage_total(small_fleet, tmp_path, capsys, flag, ruleset):
+    # finite minutes per alert, but their product with the alert count is not
+    report = tmp_path / "report.json"
+    truth = small_fleet.with_name("fleet.truth.jsonl")
+    argv = ["evaluate", "--input", str(small_fleet), "--truth", str(truth), "--report", str(report), flag, "1e308"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and f"{ruleset} ruleset" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("format", ["table", "csv", "json"])
+def test_evaluate_renders_negative_zero_minutes_as_zero(small_fleet, tmp_path, capsys, format):
+    report = tmp_path / "report.json"
+    truth = small_fleet.with_name("fleet.truth.jsonl")
+    argv = ["evaluate", "--input", str(small_fleet), "--truth", str(truth), "--report", str(report), "--format", format]
+    assert main([*argv, "--minutes-default", "-0", "--minutes-unified", "-0"]) == 0
+    out, written = capsys.readouterr().out, report.read_bytes()
+    assert "-0" not in out and b"-0" not in written
+    assert main([*argv, "--minutes-default", "0", "--minutes-unified", "0"]) == 0
+    assert (capsys.readouterr().out, report.read_bytes()) == (out, written)
+
+
+def _strict_json(text: str):
+    def reject(constant: str):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_document_is_strict_json(small_fleet, tmp_path, capsys):
+    state, report = tmp_path / "state.json", tmp_path / "report.json"
+    truth = small_fleet.with_name("fleet.truth.jsonl")
+    rule_file = tmp_path / "always.rule"
+    rule_file.write_text("RULE always SEVERITY Low WHEN TRUE\n")
+    commands = [
+        ["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s1"],
+        ["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)],
+        # 1e300 minutes per alert stays finite for a 100-bucket fleet
+        ["evaluate", "--input", str(small_fleet), "--truth", str(truth), "--format", "json",
+         "--report", str(report), "--minutes-default", "1e300", "--minutes-unified", "1e300"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+        _strict_json(capsys.readouterr().out)
+    _strict_json(state.read_text(encoding="utf-8"))
+    assert _strict_json(report.read_text(encoding="utf-8"))["rulesets"]["default"]["modeled_triage_minutes"] > 1e300
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_scan_rejects_a_state_whose_version_is_not_the_integer_one(small_fleet, tmp_path, capsys, version):
+    state = tmp_path / "state.json"
+    state.write_text('{"schema_version": %s, "first_seen": {}}' % version)
+    before = state.read_bytes()
+    assert main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "schema_version" in err
+    assert state.read_bytes() == before
+
+
 def test_explain_fired_bucket(small_fleet, capsys):
     names = [json.loads(l)["name"] for l in small_fleet.read_text().splitlines()]
     target = next(n for n in names if n.startswith("s5-"))

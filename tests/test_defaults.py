@@ -265,12 +265,15 @@ def test_equal_explanations_are_one_string():
 
 
 def test_explanations_stay_exact_past_the_cache_size():
-    # more distinct evidence texts than the cache holds, then the first again
-    count = defaults._explanation.cache_info().maxsize + 50
+    # more distinct action patterns than the match cache holds, each in its
+    # own evidence text, then the first again
+    count = defaults._allows.cache_info().maxsize + 50
     configs = [
         BucketConfig(
             name=f"bucket-{index}",
-            policy=(PolicyStatement(Effect.ALLOW, ("*",), ("s3:GetObject",), ("*",), sid=f"sid-{index}"),),
+            policy=(
+                PolicyStatement(Effect.ALLOW, ("*",), (f"s3:Get*{index}", "S3:*object"), ("*",), sid=f"sid-{index}"),
+            ),
         )
         for index in range(count)
     ]

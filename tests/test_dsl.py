@@ -127,6 +127,11 @@ _LEX_PIECES = st.sampled_from(
 @example("'a''")
 @example("'it''s' -- end")
 @example("x = '\n'''")
+@example("'é' #")  # an illegal character after a multi-byte string
+@example("x = 'é")  # unterminated after a multi-byte character
+@example("-- é")  # a multi-byte comment up to the end
+@example("é٣")  # a non-ASCII digit
+@example("٣ é")  # an illegal character after a two-byte digit
 def test_tokenize_matches_reference_lexer(source):
     assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
 
@@ -211,27 +216,47 @@ def test_collection_cannot_be_compared():
 
 
 @pytest.mark.parametrize(
+    "body,message",
+    [
+        (Compare("Exposure.value", CompareOp.EQ, "internal"), "unknown path 'Exposure.value'"),
+        (IsNull("PolicyStatements.Sid"), "unknown path 'PolicyStatements.Sid'"),
+        (
+            Exists("PolicyStatements.Action", LiteralBool(True)),
+            "EXISTS requires a collection path, got 'PolicyStatements.Action'",
+        ),
+        (Exists("PolicyStatements", Compare("Action.0", CompareOp.LIKE, "s3:%")), "unknown path 'Action.0'"),
+    ],
+    ids=[f"body{index}" for index in range(4)],
+)
+def test_built_rule_with_a_dotted_path_is_a_schema_error(body, message):
+    # a path is one field name; a dotted name is no field of the schema
+    with pytest.raises(SchemaError) as exc:
+        RuleAst("r", Severity.LOW, body)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "body",
     [
-        Compare(("Exposure", "value"), CompareOp.EQ, "internal"),
-        IsNull(("PolicyStatements", "Sid")),
-        Exists(("PolicyStatements", "Action"), LiteralBool(True)),
-        Exists(("PolicyStatements",), Compare(("Action", "0"), CompareOp.LIKE, "s3:%")),
+        Compare(("Exposure",), CompareOp.EQ, "internal"),
+        IsNotNull(("PolicyStatements",)),
+        Exists(("PolicyStatements",), LiteralBool(True)),
     ],
+    ids=repr,
 )
-def test_built_rule_with_a_dotted_path_is_a_schema_error(body):
-    # only single-identifier paths exist; the compiler must not read path[0] alone
-    with pytest.raises(SchemaError):
+def test_built_rule_with_a_tuple_path_is_an_error(body):
+    # a tuple is no field name: the rule must not be built, let alone match
+    with pytest.raises(AttributeError):
         RuleAst("r", Severity.LOW, body)
 
 
 def test_built_rule_is_resolved_like_a_parsed_one():
     with pytest.raises(SchemaError, match="cannot be compared"):
-        RuleAst("r", Severity.LOW, Compare(("AclGrants",), CompareOp.EQ, "x"))
+        RuleAst("r", Severity.LOW, Compare("AclGrants", CompareOp.EQ, "x"))
     with pytest.raises(SchemaError, match="EXISTS requires a collection"):
-        RuleAst("r", Severity.LOW, Exists(("Exposure",), LiteralBool(True)))
+        RuleAst("r", Severity.LOW, Exists("Exposure", LiteralBool(True)))
     with pytest.raises(SchemaError, match="unknown path"):
-        RuleAst("r", Severity.LOW, IsNull(("Sid",)))
+        RuleAst("r", Severity.LOW, IsNull("Sid"))
 
 
 def test_element_fields_only_resolve_inside_their_exists():
@@ -247,9 +272,9 @@ def test_record_fields_visible_inside_exists():
 
 
 def test_paths_resolve_case_insensitively_to_canonical():
-    assert _parse_body("exposure = 'internal'") == Compare(("Exposure",), CompareOp.EQ, "internal")
+    assert _parse_body("exposure = 'internal'") == Compare("Exposure", CompareOp.EQ, "internal")
     body = _parse_body("EXISTS(policystatements WHERE condition IS NULL)")
-    assert body == Exists(("PolicyStatements",), IsNull(("Condition",)))
+    assert body == Exists("PolicyStatements", IsNull("Condition"))
 
 
 def test_unified_rule_parses_to_five_way_or():
@@ -431,25 +456,25 @@ HAND_RULES = [
 
 def _random_ast(rng: random.Random, depth: int = 0):
     scalar_preds = [
-        Compare(("SensitiveData",), CompareOp.EQ, True),
-        Compare(("Exposure",), CompareOp.NE, "internal"),
-        Compare(("Name",), CompareOp.LIKE, "prod-%"),
-        Compare(("Region",), CompareOp.EQ, "us-east-1"),
-        IsNull(("PolicyStatements",)),
+        Compare("SensitiveData", CompareOp.EQ, True),
+        Compare("Exposure", CompareOp.NE, "internal"),
+        Compare("Name", CompareOp.LIKE, "prod-%"),
+        Compare("Region", CompareOp.EQ, "us-east-1"),
+        IsNull("PolicyStatements"),
         LiteralBool(rng.random() < 0.5),
         Exists(
-            ("AclGrants",),
-            Compare(("GranteeURI",), CompareOp.LIKE, "%global/AllUsers%"),
+            "AclGrants",
+            Compare("GranteeURI", CompareOp.LIKE, "%global/AllUsers%"),
         ),
         Exists(
-            ("PolicyStatements",),
-            And((Compare(("Effect",), CompareOp.EQ, "Allow"), IsNull(("RestrictedAccessCondition",)))),
+            "PolicyStatements",
+            And((Compare("Effect", CompareOp.EQ, "Allow"), IsNull("RestrictedAccessCondition"))),
         ),
-        IsNotNull(("PolicyStatements",)),
-        Exists(("PolicyStatements",), IsNotNull(("Sid",))),
-        Exists(("PolicyStatements",), Compare(("Action",), CompareOp.LIKE, "%s3:Get%")),
-        Exists(("PolicyStatements",), Compare(("Principal_AWS",), CompareOp.EQ, "*")),
-        Exists(("PolicyStatements",), Compare(("RestrictedAccessCondition",), CompareOp.NE, "aws:SourceIp")),
+        IsNotNull("PolicyStatements"),
+        Exists("PolicyStatements", IsNotNull("Sid")),
+        Exists("PolicyStatements", Compare("Action", CompareOp.LIKE, "%s3:Get%")),
+        Exists("PolicyStatements", Compare("Principal_AWS", CompareOp.EQ, "*")),
+        Exists("PolicyStatements", Compare("RestrictedAccessCondition", CompareOp.NE, "aws:SourceIp")),
     ]
     if depth >= 3 or rng.random() < 0.35:
         return rng.choice(scalar_preds)
@@ -476,7 +501,7 @@ def test_round_trip_corpus():
 @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
 def test_float_literals_round_trip(number):
     # the parser only produces non-negative finite floats
-    ast = RuleAst("f", Severity.LOW, Compare(("WebsiteEnabled",), CompareOp.EQ, number))
+    ast = RuleAst("f", Severity.LOW, Compare("WebsiteEnabled", CompareOp.EQ, number))
     reparsed = parse_rule(render_rule(ast))
     assert reparsed == ast
     assert type(reparsed.body.literal) is float

@@ -325,6 +325,7 @@ def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
     [
         "not json", "[]", '{"schema_version": 99, "first_seen": {}}', '{"schema_version": 1, "first_seen": [1]}',
         '{"schema_version": 1, "first_seen": {"fp": "s1", "fp2": 1}}',
+        '{"schema_version": true, "first_seen": {}}', '{"schema_version": 1.0, "first_seen": {}}',
     ],
 )
 def test_state_corruption(tmp_path, content):
