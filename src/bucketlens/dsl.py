@@ -86,13 +86,14 @@ KEYWORDS = frozenset(
 
 # One alternative per token class, tried in this order; the ``(?!')`` keeps
 # a closing quote from being the first half of a doubled quote, so ``'a''``
-# stays unterminated.
+# stays unterminated. Numbers are ASCII digits: ``\d`` would also take the
+# decimal digits of other scripts, which ``int`` reads as the same number.
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>[ \t\r\n]+|--[^\n]*\n?)
     |'(?P<string>[^']*(?:''[^']*)*)'(?!')
     |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    |(?P<number>\d+(?:\.\d+)?)
+    |(?P<number>[0-9]+(?:\.[0-9]+)?)
     |(?P<punct>!=|[()=])
     """,
     re.VERBOSE,
@@ -119,7 +120,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(TokenKind.STRING, text.replace("''", "'"), offset))
         elif group != "skip":
             tokens.append(Token(_TOKEN_KINDS[group], text, offset))
-        offset += len(match.group().encode("utf-8"))
+        try:
+            offset += len(match.group().encode("utf-8"))
+        except UnicodeEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
+            char, before = exc.object[exc.start], exc.object[: exc.start]
+            raise LexError(f"illegal character {char!r}", offset + len(before.encode("utf-8"))) from None
         i = match.end()
     tokens.append(Token(TokenKind.EOF, "", offset))
     return tokens

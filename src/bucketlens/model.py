@@ -48,13 +48,21 @@ AUTHENTICATED_USERS_URI = "http://acs.amazonaws.com/groups/global/AuthenticatedU
 LOG_DELIVERY_URI = "http://acs.amazonaws.com/groups/s3/LogDelivery"
 
 
+# Each model enum hashes by identity, in C: members are singletons compared by
+# identity, and Enum's own Python-level hash of the member name varies per
+# process just the same. The parser's grant keys and the default catalog's
+# signature keys hash these members on every bucket.
 class GranteeType(enum.Enum):
+    __hash__ = object.__hash__
+
     GROUP = "Group"
     CANONICAL_USER = "CanonicalUser"
     EMAIL = "Email"
 
 
 class Permission(enum.Enum):
+    __hash__ = object.__hash__
+
     READ = "READ"
     WRITE = "WRITE"
     READ_ACP = "READ_ACP"
@@ -63,11 +71,15 @@ class Permission(enum.Enum):
 
 
 class Effect(enum.Enum):
+    __hash__ = object.__hash__
+
     ALLOW = "Allow"
     DENY = "Deny"
 
 
 class Severity(enum.Enum):
+    __hash__ = object.__hash__
+
     LOW = "Low"
     MEDIUM = "Medium"
     HIGH = "High"
@@ -136,9 +148,11 @@ class BucketConfig:
 
     Immutable after construction; safe to share across concurrent readers.
     ``tags``, and each policy statement's ``condition``, are plain dicts that
-    every holder of the record shares, so they must not be mutated. They are
-    left out of ``hash`` (equality still compares them), which makes the
-    records hashable.
+    every holder of the record shares, so they must not be mutated:
+    ``load_fleet`` gives the buckets of a file with equal tags one dict, so a
+    change to one bucket's tags would change them all. They are left out of
+    ``hash`` (equality still compares them), which makes the records
+    hashable.
     """
 
     name: str
@@ -330,7 +344,9 @@ def new_alert(
     return alert
 
 
-def _parse_grant(raw: Any) -> AclGrant:
+def _parse_grant(raw: Any) -> tuple[GranteeType, str, Permission]:
+    """An ``acl_grants`` entry, checked as ``AclGrant`` would check it, as the
+    triple of its fields; the caller builds, or finds, the grant."""
     if type(raw) is not dict:
         raise SchemaError("each acl_grants entry must be an object", field="acl_grants")
     if not _GRANT_KEYS.issuperset(raw):
@@ -347,7 +363,9 @@ def _parse_grant(raw: Any) -> AclGrant:
     if type(permission) is not str:
         raise _field_error("permission", str, permission)
     permission = _PERMISSIONS.get(permission) or _enum_value(permission, Permission, "permission")
-    return AclGrant(grantee_type, uri, permission)
+    if not uri:
+        AclGrant(grantee_type, uri, permission)  # raises the model's empty-URI error
+    return grantee_type, uri, permission
 
 
 def _string_list_field(raw: dict, key: str, default: Any = _ABSENT) -> tuple[str, ...]:
@@ -369,7 +387,7 @@ def _parse_condition(raw: Any) -> dict[str, tuple[str, ...]] | None:
     return out or None
 
 
-def _parse_statement(raw: Any) -> PolicyStatement:
+def _parse_statement(raw: Any, shared: dict | None) -> PolicyStatement:
     if type(raw) is not dict:
         raise SchemaError("each policy entry must be an object", field="policy")
     if not _STMT_KEYS.issuperset(raw):
@@ -388,6 +406,9 @@ def _parse_statement(raw: Any) -> PolicyStatement:
     condition = _parse_condition(get("condition"))
     if not actions:
         PolicyStatement(effect, principal, actions)  # raises the model's empty-actions error
+    if shared is not None:
+        principal = shared.get(principal) or _keep(shared, principal, principal)
+        actions = shared.get(actions) or _keep(shared, actions, actions)
     stmt = _new(PolicyStatement)
     set_effect, set_principal, set_actions, set_resources, set_sid, set_condition, set_wildcard = _STMT_SLOTS
     set_effect(stmt, effect)
@@ -427,14 +448,21 @@ def _parse_bpa(raw: Any) -> PublicAccessBlock:
     return _BPA_BY_FLAGS[flags]
 
 
-def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
+def parse_snapshot_line(text: str, *, line: int | None = None, shared: dict | None = None) -> BucketConfig:
     """Parse one line of the JSONL snapshot format into a BucketConfig.
 
     Missing BPA normalizes to all-false, missing tags to an empty map.
     Raises SchemaError naming the offending field (and line, when given).
+
+    ``shared`` is a value table for the lines of one file, empty at first;
+    ``load_fleet`` passes one. With it, each region, non-empty tag map,
+    ``acl_grants`` tuple and statement ``principal_aws`` or ``actions`` tuple
+    that equals one an earlier line entered in the table is that earlier
+    object, so buckets with equal tags share one tag dict. Without it, the
+    record shares none of these values.
     """
     try:
-        return _parse_record(text)
+        return _parse_record(text, shared)
     except SchemaError as exc:
         # the one place line numbers are added, for the checks in _parse_record
         # and in the model classes' __post_init__ alike
@@ -463,7 +491,24 @@ def _decode(text: str) -> Any:
     return parse_json(text, SchemaError)
 
 
-def _parse_record(text: str) -> BucketConfig:
+# The value table of ``parse_snapshot_line``. Its keys are of four kinds that
+# cannot collide: a region is a str; a tag map is keyed by the tuple of its
+# (key, value) str pairs, in order, so maps that only order their keys apart
+# stay apart; a grant list by the tuple of its (GranteeType, str, Permission)
+# triples; and a principal or action list is a tuple of str, where equal
+# ones are interchangeable. A table holds at most _SHARED_MAX entries, so a
+# file whose every tag map differs keeps no more than that many extra keys.
+_SHARED_MAX = 4096
+
+
+def _keep(shared: dict, key: Any, value: Any) -> Any:
+    """``value``, entered in ``shared`` under ``key`` while the table has room."""
+    if len(shared) < _SHARED_MAX:
+        shared[key] = value
+    return value
+
+
+def _parse_record(text: str, shared: dict | None) -> BucketConfig:
     raw = _decode(text)
     if type(raw) is not dict:
         raise SchemaError("snapshot line must be a JSON object")
@@ -492,14 +537,26 @@ def _parse_record(text: str) -> BucketConfig:
     region = get("region", "us-east-1")
     if type(region) is not str:
         raise _field_error("region", str, region)
-    grants = tuple(map(_parse_grant, grants_raw)) if grants_raw else ()
-    policy = None if policy_raw is None else tuple(map(_parse_statement, policy_raw))
+    if grants_raw:
+        triples = tuple(map(_parse_grant, grants_raw))
+        if shared is None:
+            grants = tuple(itertools.starmap(AclGrant, triples))
+        else:
+            grants = shared.get(triples) or _keep(shared, triples, tuple(itertools.starmap(AclGrant, triples)))
+    else:
+        grants = ()
+    policy = None if policy_raw is None else tuple(map(_parse_statement, policy_raw, itertools.repeat(shared)))
     bpa = _parse_bpa(get("public_access_block"))
     website = get("website_enabled", False)
     if type(website) is not bool:
         raise _field_error("website_enabled", bool, website)
     if not _NAME_RE.match(name):
         BucketConfig(name)  # raises the model's invalid-name error
+    if shared is not None:
+        region = shared.get(region) or _keep(shared, region, region)
+        if tags:
+            key = tuple(tags.items())
+            tags = shared.get(key) or _keep(shared, key, tags)
 
     bucket = _new(BucketConfig)
     set_name, set_region, set_grants, set_policy, set_bpa, set_tags, set_website = _BUCKET_SLOTS
@@ -508,7 +565,7 @@ def _parse_record(text: str) -> BucketConfig:
     set_grants(bucket, grants)
     set_policy(bucket, policy)
     set_bpa(bucket, bpa)
-    set_tags(bucket, tags)  # the decoder's own dict: nothing else holds it
+    set_tags(bucket, tags)  # the decoder's own dict, or the table's copy of an equal one
     set_website(bucket, website)
     return bucket
 
@@ -553,25 +610,36 @@ def serialize_snapshot_line(config: BucketConfig) -> str:
     return json.dumps(to_snapshot_dict(config), separators=(",", ":"), ensure_ascii=False)
 
 
-def iter_fleet(path: str | Path) -> Iterator[BucketConfig]:
-    """Yield the buckets of a snapshot JSONL file in file order, parsing one line at a time.
-
-    Bucket names must be unique: a repeated name raises DuplicateNameError
-    when its line is reached, so buckets before it have already been yielded.
-    Only the set of names seen so far is held.
-    """
+def _read_fleet(path: str | Path, shared: dict | None) -> Iterator[BucketConfig]:
     seen: set[str] = set()
     for lineno, text in read_jsonl(path):
-        config = parse_snapshot_line(text, line=lineno)
+        config = parse_snapshot_line(text, line=lineno, shared=shared)
         if config.name in seen:
             raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
         seen.add(config.name)
         yield config
 
 
+def iter_fleet(path: str | Path) -> Iterator[BucketConfig]:
+    """Yield the buckets of a snapshot JSONL file in file order, parsing one line at a time.
+
+    Bucket names must be unique: a repeated name raises DuplicateNameError
+    when its line is reached, so buckets before it have already been yielded.
+    Only the set of names seen so far is held. The buckets share no values
+    (see ``load_fleet``): a table of them would keep the values of buckets
+    already let go, and cost time on every line.
+    """
+    return _read_fleet(path, None)
+
+
 def load_fleet(path: str | Path) -> list[BucketConfig]:
-    """Load a snapshot JSONL file; bucket names must be unique."""
-    return list(iter_fleet(path))
+    """Load a snapshot JSONL file, as ``iter_fleet`` reads it, into a list.
+
+    The lines share one value table (see ``parse_snapshot_line``), so equal
+    regions, tag maps, grant lists and statement principal and action lists
+    are one object across the buckets, which the fleet repeats many times.
+    """
+    return list(_read_fleet(path, {}))
 
 
 def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:

@@ -45,6 +45,8 @@ _PUBLIC_GROUP_URIS = ("global/AllUsers", "global/AuthenticatedUsers")
 
 
 class Exposure(enum.Enum):
+    __hash__ = object.__hash__  # by identity, in C, as the model's enums
+
     PUBLIC_FACING = "public_facing"
     INTERNAL = "internal"
 

@@ -30,7 +30,8 @@ from bucketlens.model import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # ``--hypothesis-profile=deep`` runs each property test on 3000 examples
-# instead of 100; CI's writer-deep job runs the JSON writer's tests with it.
+# instead of 100; CI's deep job runs the JSON writer's tests and
+# load_fleet's property test with it.
 # A test whose own ``@settings`` sets ``max_examples`` keeps that count.
 settings.register_profile("deep", max_examples=3000, deadline=None)
 

@@ -120,7 +120,7 @@ def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 def reference_tokenize(source: str) -> list[Token]:

@@ -116,7 +116,7 @@ def _lex_outcome(lex, source: str):
 
 
 # Every character class the lexer tells apart, multi-byte characters (offsets
-# are UTF-8 bytes) and a non-ASCII digit, which ``\d`` matches.
+# are UTF-8 bytes) and a non-ASCII digit, which is an illegal character.
 _LEX_PIECES = st.sampled_from(
     [*" \t\r\n'-!=().#_aZq09é٣", "''", "--", "!=", "rule", "When", "null", "1.5"]
 )
@@ -130,10 +130,29 @@ _LEX_PIECES = st.sampled_from(
 @example("'é' #")  # an illegal character after a multi-byte string
 @example("x = 'é")  # unterminated after a multi-byte character
 @example("-- é")  # a multi-byte comment up to the end
-@example("é٣")  # a non-ASCII digit
-@example("٣ é")  # an illegal character after a two-byte digit
+@example("é٣")  # a non-ASCII digit after a multi-byte character
+@example("٣ é")  # a two-byte non-ASCII digit first
 def test_tokenize_matches_reference_lexer(source):
     assert _lex_outcome(tokenize, source) == _lex_outcome(reference_tokenize, source)
+
+
+def test_a_number_is_ascii_digits_only():
+    with pytest.raises(LexError) as exc:
+        parse_rule("RULE r SEVERITY Low WHEN Name = ٣٤")
+    assert str(exc.value) == "illegal character '٣' (offset 32)"
+    assert exc.value.offset == 32
+
+
+@pytest.mark.parametrize(
+    "source,offset",
+    [("x = '\ud800'", 5), ("-- é\udfff", 5), ("\ud800", 0)],
+    ids=["in-string", "in-comment", "alone"],
+)
+def test_a_lone_surrogate_is_an_illegal_character_at_its_byte_offset(source, offset):
+    surrogate = next(char for char in source if "\ud800" <= char <= "\udfff")
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert str(exc.value) == f"illegal character {surrogate!r} (offset {offset})"
 
 
 # ---------------------------------------------------------------------------

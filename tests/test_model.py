@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import pickle
 import random
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bucketlens import model
 from bucketlens.errors import DuplicateNameError, MissingArtifactError, MixError, SchemaError
+from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import (
+    ALL_USERS_URI,
     AclGrant,
     BucketConfig,
     Effect,
@@ -18,7 +29,9 @@ from bucketlens.model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
+    Severity,
     import_aws_artifacts,
+    iter_fleet,
     load_fleet,
     parse_json,
     parse_snapshot_line,
@@ -26,8 +39,11 @@ from bucketlens.model import (
     read_jsonl,
     read_utf8,
     serialize_snapshot_line,
+    write_fleet,
 )
+from bucketlens.policy import Exposure
 
+import model_oracle
 from conftest import FIXTURES, random_bucket_config
 
 MINIMAL = (
@@ -299,6 +315,183 @@ def test_load_fleet_reports_line_numbers(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# load_fleet's value table
+# ---------------------------------------------------------------------------
+
+def _typed(value):
+    """``value`` as nested (type, contents) pairs, dict order and slot values included."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple((f.name, _typed(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if type(value) is dict:
+        return dict, tuple((key, _typed(item)) for key, item in value.items())
+    if type(value) in (tuple, list):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def _write_lines(path, lines) -> str:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+def _assert_loads_as_each_line(path, lines) -> list[BucketConfig]:
+    fleet = load_fleet(path)
+    assert list(map(_typed, fleet)) == [_typed(parse_snapshot_line(line)) for line in lines]
+    return fleet
+
+
+def _shared_values(fleet) -> dict[str, list]:
+    """Each shared kind of value in ``fleet``: the regions, non-empty tag maps,
+    non-empty grant lists, and statement principal and action lists."""
+    statements = [stmt for bucket in fleet for stmt in bucket.policy or ()]
+    return {
+        "region": [bucket.region for bucket in fleet],
+        "tags": [bucket.tags for bucket in fleet if bucket.tags],
+        "acl_grants": [bucket.acl_grants for bucket in fleet if bucket.acl_grants],
+        "principal and actions": [
+            strings for stmt in statements for strings in (stmt.principal_aws, stmt.actions) if strings
+        ],
+    }
+
+
+def _key(value):
+    return tuple(value.items()) if type(value) is dict else value
+
+
+@pytest.fixture(scope="module")
+def seed_fleets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("seed-fleets")
+    fleets = {}
+    for mix, spec in (("paper", PAPER_MIX), ("adversarial", ADVERSARIAL_MIX)):
+        path = root / f"{mix}.jsonl"
+        write_fleet((config for config, _ in generate_fleet(MixSpec(dict(spec), total=1000, seed=42))), path)
+        fleets[mix] = path
+    return fleets
+
+
+@pytest.mark.parametrize("mix", ["paper", "adversarial"])
+def test_load_fleet_shares_one_object_per_equal_value(seed_fleets, mix):
+    path = seed_fleets[mix]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    shared = _assert_loads_as_each_line(path, lines)
+    streamed = list(iter_fleet(path))  # every bucket kept alive, so no id is reused
+    single = [parse_snapshot_line(line) for line in lines]
+    for kind, values in _shared_values(shared).items():
+        distinct = {_key(value) for value in values}
+        assert len({id(value) for value in values}) == len(distinct) < len(values), kind
+        for fleet in (streamed, single):
+            unshared = _shared_values(fleet)[kind]
+            assert len({id(value) for value in unshared}) == len(unshared), kind
+
+
+def test_load_fleet_table_keeps_tag_order_and_stops_growing_at_its_cap(tmp_path, monkeypatch):
+    tags = ['{"a":"1","b":"2"}', '{"b":"2","a":"1"}', '{"a":"1","b":"2"}', '{}', '{"c":"3"}', '{"c":"3"}']
+    lines = [f'{{"name":"bucket-{i}","region":"eu-west-1","tags":{text}}}' for i, text in enumerate(tags)]
+    path = _write_lines(tmp_path / "fleet.jsonl", lines)
+    fleet = _assert_loads_as_each_line(path, lines)
+    assert fleet[0].tags is fleet[2].tags is not fleet[1].tags
+    assert list(fleet[1].tags) == ["b", "a"]
+    assert fleet[4].tags is fleet[5].tags
+    # room for the region and the first tag map only: later maps are each their own
+    monkeypatch.setattr(model, "_SHARED_MAX", 2)
+    fleet = _assert_loads_as_each_line(path, lines)
+    assert fleet[0].tags is fleet[2].tags and fleet[0].region is fleet[5].region
+    assert fleet[4].tags is not fleet[5].tags
+
+
+_GRANT = '{"grantee_type":"Group","grantee_uri":"http://acs.amazonaws.com/groups/global/AllUsers","permission":"READ"}'
+
+
+@pytest.mark.parametrize(
+    "grants",
+    [
+        [_GRANT, '{"grantee_type":"Nobody","grantee_uri":7,"permission":"READ"}'],
+        [_GRANT, '{"grantee_type":"Group","grantee_uri":"","permission":"WRITE"}', '{"grantee_type":7}'],
+        [_GRANT, '{"grantee_type":"Group","grantee_uri":"u","permission":"ALL"}'],
+        ['{"grantee_type":"Group","permission":"READ"}'],
+        [_GRANT, "[]"],
+    ],
+    ids=[
+        "unknown-type-before-uri-type", "empty-uri-before-next-grant", "unknown-permission", "missing-uri", "not-object"
+    ],
+)
+def test_load_fleet_reports_a_bad_grant_as_the_line_parsers_do(tmp_path, grants):
+    good = f'{{"name":"good-bucket","acl_grants":[{_GRANT}]}}'
+    bad = f'{{"name":"bad-bucket","acl_grants":[{",".join(grants)}]}}'
+    path = _write_lines(tmp_path / "fleet.jsonl", [good, bad])
+    outcomes = []
+    for parse in (
+        lambda: load_fleet(path),
+        lambda: parse_snapshot_line(bad, line=2),
+        lambda: model_oracle.parse_snapshot_line(bad, line=2),
+    ):
+        with pytest.raises(SchemaError) as exc:
+            parse()
+        outcomes.append((str(exc.value), exc.value.field, exc.value.line))
+    assert outcomes == [outcomes[-1]] * 3 and outcomes[0][2] == 2
+
+
+_REGIONS = st.sampled_from(["us-east-1", "eu-west-1", "ap-south-1", ""])
+_TAG_MAPS = st.one_of(
+    st.sampled_from([{}, {"team": "data"}, {"env": "prod", "team": "data"}, {"team": "data", "env": "prod"}]),
+    st.dictionaries(st.sampled_from(["a", "b", "team"]), st.sampled_from(["1", "2", "data"]), max_size=3),
+)
+_GRANT_LISTS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "grantee_type": st.sampled_from(["Group", "CanonicalUser"]),
+            "grantee_uri": st.sampled_from([ALL_USERS_URI, "owner-id"]),
+            "permission": st.sampled_from(["READ", "WRITE"]),
+        }
+    ),
+    max_size=2,
+)
+_STRING = st.sampled_from(["*", "s3:GetObject", "arn:aws:iam::1:root"])
+_STATEMENT = st.fixed_dictionaries(
+    {
+        "effect": st.sampled_from(["Allow", "Deny"]),
+        "principal_aws": st.lists(_STRING, max_size=2),
+        "actions": st.lists(_STRING, min_size=1, max_size=2),
+    }
+)
+_RECORD = st.fixed_dictionaries(
+    {"region": _REGIONS, "tags": _TAG_MAPS, "acl_grants": _GRANT_LISTS},
+    optional={"policy": st.lists(_STATEMENT, max_size=2)},
+)
+
+
+# Caps of 1 and 3 fill the table within a file, so later values go unshared.
+@settings(deadline=None)
+@given(records=st.lists(_RECORD, min_size=1, max_size=12), cap=st.sampled_from([1, 3, 4096]))
+def test_load_fleet_equals_parsing_each_line(records, cap):
+    lines = [json.dumps({"name": f"bucket-{i}", **record}) for i, record in enumerate(records)]
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(model, "_SHARED_MAX", cap):
+        fleet = _assert_loads_as_each_line(_write_lines(Path(root) / "fleet.jsonl", lines), lines)
+    if cap == 4096:
+        for kind, values in _shared_values(fleet).items():
+            assert len({id(value) for value in values}) == len({_key(value) for value in values}), kind
+
+
+def test_load_fleet_retains_well_under_the_unshared_fleet(seed_fleets):
+    path = seed_fleets["paper"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+
+    def retained(load) -> int:
+        """Bytes still allocated once ``load`` has returned, its result alive."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fleet = load()  # held while measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    shared = retained(lambda: load_fleet(path))
+    unshared = retained(lambda: [parse_snapshot_line(line) for line in lines])
+    assert shared < 0.6 * unshared, (shared, unshared)
+
+
+# ---------------------------------------------------------------------------
 # AWS artifact import
 # ---------------------------------------------------------------------------
 
@@ -497,6 +690,16 @@ def test_records_with_tags_or_conditions_are_hashable():
     assert len({tagged, retagged}) == 2 and len({stmt, other_vpc}) == 2
     assert "tags={'SensitiveData': 'true'}" in repr(tagged)
     assert "condition={'aws:SourceVpc': ('vpc-1',)}" in repr(stmt)
+
+
+@pytest.mark.parametrize("enum_cls", [GranteeType, Permission, Effect, Severity, Exposure], ids=lambda c: c.__name__)
+def test_enum_members_hash_by_identity_and_survive_pickling(enum_cls):
+    by_member = {member: member.value for member in enum_cls}
+    for member in enum_cls:
+        assert hash(member) == object.__hash__(member)
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert by_member[pickle.loads(pickle.dumps(member))] == member.value
+        assert by_member[enum_cls(member.value)] == member.value
 
 
 def _bpa_bucket(tmp_path, configuration: dict):
