@@ -19,10 +19,11 @@ import stat
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Any, Callable
 
 from . import evaluation
 from .defaults import default_catalog, evaluate_default
-from .errors import BucketlensError, LexError, ParseError, SchemaError, UnknownBucketError
+from .errors import BucketlensError, DuplicateNameError, LexError, ParseError, SchemaError, UnknownBucketError
 from .evaluation import (
     alert_to_dict,
     compute_metrics,
@@ -36,17 +37,9 @@ from .model import (
     write_fleet,
 )
 from .policy import derive, load_restrictive_keys
-from .unified import UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts, evaluate_unified
+from .unified import _CONDITION_SUMMARIES, UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts, evaluate_unified
 
 RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
-
-_CONDITION_SUMMARIES = {
-    1: "public ACL grants (AuthenticatedUsers any permission; AllUsers READ)",
-    2: "public policy status on a public-facing bucket",
-    3: "public-facing + RestrictPublicBuckets off + unrestricted wildcard allow of a risky action",
-    4: "any unrestricted wildcard allow statement while RestrictPublicBuckets is off",
-    5: "public-facing bucket tagged as holding sensitive data",
-}
 
 
 def _restrictive_keys() -> frozenset[str] | None:
@@ -130,7 +123,7 @@ def _default_scan_id(path: str | Path) -> str:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
-    scan_id = args.scan_id or _default_scan_id(args.input)
+    scan_id = args.scan_id or _default_scan_id(args.input)  # an empty --scan-id is a usage error
     buckets = load_fleet(args.input)
     alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys)
     del buckets  # freed before the diff and the document are built
@@ -159,12 +152,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_input(path: str, load: Callable[[str], Any]) -> Any:
+    """``load(path)``, with ``path`` in front of the message of a SchemaError or DuplicateNameError."""
+    try:
+        return load(path)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc.message}", field=exc.field, line=exc.line) from None
+    except DuplicateNameError as exc:
+        raise DuplicateNameError(f"{path}: {exc}") from None
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .fleetgen import load_truth
 
     keys = _restrictive_keys()
-    buckets = load_fleet(args.input)
-    truth = load_truth(args.truth)
+    # both inputs are JSONL, so an error names its file; the fleet is read first, and its errors win
+    buckets = _read_input(args.input, load_fleet)
+    truth = _read_input(args.truth, load_truth)
     default_alerts = scan_fleet(buckets, rules="default", restrictive_keys=keys)
     unified_alerts = scan_fleet(buckets, rules="unified", restrictive_keys=keys)
     report = compute_metrics(
@@ -284,6 +288,12 @@ def _minutes(text: str) -> float:
     return value or 0.0  # -0 renders as 0
 
 
+def _scan_id(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty scan id")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bucketlens",
@@ -321,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which ruleset(s) to evaluate",
     )
     p.add_argument("--state", help="alert-state file for stateful new/unchanged/resolved diffing")
-    p.add_argument("--scan-id", help="scan identifier recorded as first_seen for new alerts")
+    p.add_argument("--scan-id", type=_scan_id, help="scan identifier recorded as first_seen for new alerts")
     p.add_argument(
         "--fail-on-findings",
         action="store_true",
@@ -339,20 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="stdout rendering",
     )
-    p.add_argument(
-        "--minutes-default",
-        type=_minutes,
-        default=8.0,
-        dest="minutes_default",
-        help="modeled triage minutes per default-ruleset alert",
-    )
-    p.add_argument(
-        "--minutes-unified",
-        type=_minutes,
-        default=1.0,
-        dest="minutes_unified",
-        help="modeled triage minutes per unified-rule alert",
-    )
+    for ruleset, noun in (("default", "default-ruleset"), ("unified", "unified-rule")):
+        p.add_argument(
+            f"--minutes-{ruleset}",
+            type=_minutes,
+            default=evaluation._MINUTES_PER_ALERT[ruleset],
+            help=f"modeled triage minutes per {noun} alert",
+        )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("explain", help="explain every unified condition for one bucket")

@@ -131,12 +131,16 @@ def _ruleset_metrics(
     )
 
 
+# modeled triage minutes per alert of each ruleset, unless the caller gives others
+_MINUTES_PER_ALERT = {"default": 8.0, "unified": 1.0}
+
+
 def compute_metrics(
     default_alerts: Sequence[Alert],
     unified_alerts: Sequence[Alert],
     truth: Mapping[str, GroundTruth],
-    minutes_per_alert_default: float = 8.0,
-    minutes_per_alert_unified: float = 1.0,
+    minutes_per_alert_default: float = _MINUTES_PER_ALERT["default"],
+    minutes_per_alert_unified: float = _MINUTES_PER_ALERT["unified"],
 ) -> EvaluationReport:
     """Score both rulesets against one truth set and fill every report field.
 

@@ -45,7 +45,7 @@ from .model import (
     read_json,
     read_jsonl,
 )
-from .policy import Exposure, derive, effective_anonymous_access
+from .policy import SENSITIVE_TAG_KEY, Exposure, derive, effective_anonymous_access
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +127,7 @@ def _bucket(
     policy = None if statement is None else (statement(name, rng),)
     tags = _noise_tags(rng)
     if sensitive:
-        tags["SensitiveData"] = rng.choice(("true", "True", "TRUE"))
+        tags[SENSITIVE_TAG_KEY] = rng.choice(("true", "True", "TRUE"))
     return BucketConfig(
         name=name,
         region=region,

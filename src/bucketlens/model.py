@@ -7,7 +7,8 @@ Two input formats are supported:
   ``load_fleet`` for a whole file);
 * AWS-CLI-shaped per-bucket artifact directories containing ``acl.json`` and
   optionally ``policy.json``, ``public-access-block.json``, ``tagging.json``
-  and ``website.json`` (``import_aws_artifacts``).
+  and ``website.json`` (``import_aws_artifacts``; each error in one of these
+  files starts with the file's path).
 
 Both produce the same normalized, immutable :class:`BucketConfig`:
 
@@ -653,51 +654,54 @@ def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:
 # AWS-CLI-shaped artifact directories
 # ---------------------------------------------------------------------------
 
-_AWS_GRANTEE_TYPES = {
-    "Group": GranteeType.GROUP,
-    "CanonicalUser": GranteeType.CANONICAL_USER,
-    "AmazonCustomerByEmail": GranteeType.EMAIL,
+# AWS grantee Type -> the model's type, and the Grantee key holding its identifier
+_AWS_GRANTEES = {
+    "Group": (GranteeType.GROUP, "URI"),
+    "CanonicalUser": (GranteeType.CANONICAL_USER, "ID"),
+    "AmazonCustomerByEmail": (GranteeType.EMAIL, "EmailAddress"),
 }
+_JSON_KINDS = {list: "array", str: "string", dict: "object"}
 
 
-def _load_json_file(path: Path) -> Any:
-    return read_json(path, lambda reason: SchemaError(f"{path.name}: {reason}"))
+def _artifact(path: Path, key: str | None, kind: type, parse: Callable[[Any], Any], absent: Any = _ABSENT) -> Any:
+    """``parse`` of the ``key`` member, a ``kind``, of the JSON object in the
+    artifact file ``path`` (of the whole document if ``key`` is None), or
+    ``absent``, if given and there is no such file. Each SchemaError met in
+    reading the file is raised again with ``path`` in front of its message."""
+    if absent is not _ABSENT and not path.is_file():
+        return absent
+    try:
+        document = read_json(path, SchemaError)
+        if key is None:
+            return parse(document)
+        if not isinstance(document, dict) or not isinstance(document.get(key), kind):
+            raise SchemaError(f"expected an object with a {key!r} {_JSON_KINDS[kind]}")
+        return parse(document[key])
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc.message}", field=exc.field) from None
 
 
-def _import_acl(path: Path) -> tuple[AclGrant, ...]:
-    raw = _load_json_file(path)
-    if not isinstance(raw, dict) or not isinstance(raw.get("Grants"), list):
-        raise SchemaError(f"{path.name}: expected an object with a 'Grants' array")
+def _import_acl(entries: list) -> tuple[AclGrant, ...]:
     grants: list[AclGrant] = []
-    for entry in raw["Grants"]:
+    for entry in entries:
         if not isinstance(entry, dict) or "Grantee" not in entry or "Permission" not in entry:
-            raise SchemaError(f"{path.name}: each grant needs 'Grantee' and 'Permission'")
+            raise SchemaError("each grant needs 'Grantee' and 'Permission'")
         grantee = entry["Grantee"]
         if not isinstance(grantee, dict):
-            raise SchemaError(f"{path.name}: 'Grantee' must be an object", field="Grantee")
+            raise SchemaError("'Grantee' must be an object", field="Grantee")
         gtype_raw = grantee.get("Type")
-        if not isinstance(gtype_raw, str) or gtype_raw not in _AWS_GRANTEE_TYPES:
-            raise SchemaError(f"{path.name}: unknown grantee type {gtype_raw!r}", field="Grantee.Type")
-        gtype = _AWS_GRANTEE_TYPES[gtype_raw]
-        if gtype is GranteeType.GROUP:
-            identifier = grantee.get("URI")
-        elif gtype is GranteeType.CANONICAL_USER:
-            identifier = grantee.get("ID")
-        else:
-            identifier = grantee.get("EmailAddress")
+        if not isinstance(gtype_raw, str) or gtype_raw not in _AWS_GRANTEES:
+            raise SchemaError(f"unknown grantee type {gtype_raw!r}", field="Grantee.Type")
+        gtype, identifier_key = _AWS_GRANTEES[gtype_raw]
+        identifier = grantee.get(identifier_key)
         if not isinstance(identifier, str) or not identifier:
-            raise SchemaError(f"{path.name}: grantee is missing its identifier", field="Grantee")
-        grants.append(
-            AclGrant(
-                grantee_type=gtype,
-                grantee_uri=identifier,
-                permission=_enum_value(entry["Permission"], Permission, "Permission"),
-            )
-        )
+            raise SchemaError("grantee is missing its identifier", field="Grantee")
+        permission = _enum_value(entry["Permission"], Permission, "Permission")
+        grants.append(AclGrant(gtype, identifier, permission))
     return tuple(grants)
 
 
-def _normalize_principal(raw: Any, path: Path) -> tuple[str, ...]:
+def _normalize_principal(raw: Any) -> tuple[str, ...]:
     if raw == "*":
         return ("*",)
     if isinstance(raw, dict):
@@ -706,26 +710,23 @@ def _normalize_principal(raw: Any, path: Path) -> tuple[str, ...]:
             return (aws,)
         if isinstance(aws, list) and all(isinstance(x, str) for x in aws):
             return tuple(aws)
-    raise SchemaError(f"{path.name}: unsupported Principal form {raw!r}", field="Principal")
+    raise SchemaError(f"unsupported Principal form {raw!r}", field="Principal")
 
 
-def _flatten_condition(raw: Any, path: Path) -> dict[str, tuple[str, ...]] | None:
+def _flatten_condition(raw: Any) -> dict[str, tuple[str, ...]] | None:
     # AWS nests condition keys under operators ({"IpAddress": {"aws:SourceIp": ...}});
     # the model keys on the condition key alone.
     if raw is None:
         return None
     if not isinstance(raw, dict):
-        raise SchemaError(f"{path.name}: 'Condition' must be an object", field="Condition")
+        raise SchemaError("'Condition' must be an object", field="Condition")
     flat: dict[str, list[str]] = {}
     for operator_block in raw.values():
         if not isinstance(operator_block, dict):
-            raise SchemaError(f"{path.name}: condition operator value must be an object", field="Condition")
+            raise SchemaError("condition operator value must be an object", field="Condition")
         for key, values in operator_block.items():
-            if isinstance(values, list):
-                values = [_condition_text(v) for v in values]
-            else:
-                values = _condition_text(values)
-            flat.setdefault(key, []).extend(_string_list(values, f"Condition.{key}"))
+            texts = [_condition_text(v) for v in values] if isinstance(values, list) else _condition_text(values)
+            flat.setdefault(key, []).extend(_string_list(texts, f"Condition.{key}"))
     return {k: tuple(v) for k, v in flat.items()} or None
 
 
@@ -737,35 +738,30 @@ def _condition_text(value: Any) -> Any:
     return value
 
 
-def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
-    raw = _load_json_file(path)
-    if not isinstance(raw, dict) or not isinstance(raw.get("Policy"), str):
-        raise SchemaError(f"{path.name}: expected an object with a 'Policy' string")
-    document = parse_json(
-        raw["Policy"], lambda reason: SchemaError(f"{path.name}: embedded policy document is {reason}")
-    )
+def _import_policy(text: str) -> tuple[PolicyStatement, ...]:
+    document = parse_json(text, lambda reason: SchemaError(f"embedded policy document is {reason}"))
     if not isinstance(document, dict):
-        raise SchemaError(f"{path.name}: embedded policy document must be a JSON object")
+        raise SchemaError("embedded policy document must be a JSON object")
     statements_raw = document.get("Statement", [])
     if isinstance(statements_raw, dict):
         statements_raw = [statements_raw]
     if not isinstance(statements_raw, list):
-        raise SchemaError(f"{path.name}: 'Statement' must be an object or an array", field="Statement")
+        raise SchemaError("'Statement' must be an object or an array", field="Statement")
     statements: list[PolicyStatement] = []
     for stmt in statements_raw:
         if not isinstance(stmt, dict):
-            raise SchemaError(f"{path.name}: each Statement entry must be an object")
+            raise SchemaError("each Statement entry must be an object")
         for key in ("Principal", "Action"):
             if key in stmt and f"Not{key}" in stmt:
-                raise SchemaError(f"{path.name}: statement has both '{key}' and 'Not{key}'", field=key)
+                raise SchemaError(f"statement has both '{key}' and 'Not{key}'", field=key)
         if "Principal" not in stmt and "NotPrincipal" not in stmt:
-            raise SchemaError(f"{path.name}: bucket-policy statement is missing 'Principal'", field="Principal")
+            raise SchemaError("bucket-policy statement is missing 'Principal'", field="Principal")
         actions = stmt.get("Action")
         if actions is None and "NotAction" not in stmt:
-            raise SchemaError(f"{path.name}: statement is missing 'Action'", field="Action")
+            raise SchemaError("statement is missing 'Action'", field="Action")
         sid = stmt.get("Sid")
         if sid is not None and not isinstance(sid, str):
-            raise SchemaError(f"{path.name}: 'Sid' must be a string", field="Sid")
+            raise SchemaError("'Sid' must be a string", field="Sid")
         effect = _enum_value(stmt.get("Effect"), Effect, "Effect")
         # NotPrincipal and NotAction name what a statement leaves out, and the
         # model has no exclusions: an Allow is widened to every principal or
@@ -776,44 +772,34 @@ def _import_policy(path: Path) -> tuple[PolicyStatement, ...]:
         statements.append(
             PolicyStatement(
                 effect=effect,
-                principal_aws=_normalize_principal(stmt["Principal"], path) if "Principal" in stmt else ("*",),
+                principal_aws=_normalize_principal(stmt["Principal"]) if "Principal" in stmt else ("*",),
                 actions=_string_list(actions, "Action") if actions is not None else ("*",),
                 resources=_string_list(stmt.get("Resource", []), "Resource"),
                 sid=sid,
-                condition=_flatten_condition(stmt.get("Condition"), path),
+                condition=_flatten_condition(stmt.get("Condition")),
             )
         )
     return tuple(statements)
 
 
-def _import_bpa(path: Path) -> PublicAccessBlock:
-    raw = _load_json_file(path)
-    if not isinstance(raw, dict) or not isinstance(raw.get("PublicAccessBlockConfiguration"), dict):
-        raise SchemaError(f"{path.name}: expected a 'PublicAccessBlockConfiguration' object")
-    cfg = raw["PublicAccessBlockConfiguration"]
-    flags = []
-    for _, key in BPA_FLAGS:
-        # only JSON booleans: "false" or 1 must not pass for a setting
-        value = cfg.get(key, False)
-        if not isinstance(value, bool):
-            raise SchemaError(f"{path.name}: {key} must be true or false, got {value!r}", field=key)
-        flags.append(value)
-    return _BPA_BY_FLAGS[tuple(flags)]
+def _import_bpa(cfg: dict) -> PublicAccessBlock:
+    flags = tuple(cfg.get(key, False) for _, key in BPA_FLAGS)
+    for (_, key), value in zip(BPA_FLAGS, flags):
+        if not isinstance(value, bool):  # only JSON booleans: "false" or 1 must not pass for a setting
+            raise SchemaError(f"{key} must be true or false, got {value!r}", field=key)
+    return _BPA_BY_FLAGS[flags]
 
 
-def _import_tags(path: Path) -> dict[str, str]:
-    raw = _load_json_file(path)
-    if not isinstance(raw, dict) or not isinstance(raw.get("TagSet"), list):
-        raise SchemaError(f"{path.name}: expected a 'TagSet' array")
+def _import_tags(entries: list) -> dict[str, str]:
     tags: dict[str, str] = {}
-    for entry in raw["TagSet"]:
+    for entry in entries:
         if not isinstance(entry, dict) or "Key" not in entry or "Value" not in entry:
-            raise SchemaError(f"{path.name}: each TagSet entry needs 'Key' and 'Value'")
+            raise SchemaError("each TagSet entry needs 'Key' and 'Value'")
         key, value = entry["Key"], entry["Value"]
         if not isinstance(key, str) or not isinstance(value, str):
-            raise SchemaError(f"{path.name}: tag 'Key' and 'Value' must be strings", field="TagSet")
+            raise SchemaError("tag 'Key' and 'Value' must be strings", field="TagSet")
         if key in tags:
-            raise SchemaError(f"{path.name}: duplicate tag key {key!r}", field="TagSet")
+            raise SchemaError(f"duplicate tag key {key!r}", field="TagSet")
         tags[key] = value
     return tags
 
@@ -823,26 +809,24 @@ def import_aws_artifacts(directory: str | Path) -> BucketConfig:
 
     The directory name is the bucket name. ``acl.json`` is mandatory; all
     other artifact files are optional and default to the same normalized
-    values the snapshot parser applies.
+    values the snapshot parser applies. A malformed artifact raises a
+    SchemaError whose message starts with the file's path: ``directory``, as
+    given, joined to the file name.
     """
     directory = Path(directory)
     acl_path = directory / "acl.json"
     if not acl_path.is_file():
         raise MissingArtifactError(f"mandatory artifact {acl_path} is missing")
-
-    policy_path = directory / "policy.json"
-    bpa_path = directory / "public-access-block.json"
-    tagging_path = directory / "tagging.json"
-    website_path = directory / "website.json"
-    if website_path.is_file():
-        _load_json_file(website_path)  # validate only; presence means enabled
-
+    # website.json is only decoded: its presence enables the website
+    website = _artifact(directory / "website.json", None, object, lambda document: True, False)
     return BucketConfig(
         name=directory.name,
         region="us-east-1",
-        acl_grants=_import_acl(acl_path),
-        policy=_import_policy(policy_path) if policy_path.is_file() else None,
-        public_access_block=_import_bpa(bpa_path) if bpa_path.is_file() else PublicAccessBlock(),
-        tags=_import_tags(tagging_path) if tagging_path.is_file() else {},
-        website_enabled=website_path.is_file(),
+        acl_grants=_artifact(acl_path, "Grants", list, _import_acl),
+        policy=_artifact(directory / "policy.json", "Policy", str, _import_policy, None),
+        public_access_block=_artifact(
+            directory / "public-access-block.json", "PublicAccessBlockConfiguration", dict, _import_bpa, _NO_BPA
+        ),
+        tags=_artifact(directory / "tagging.json", "TagSet", list, _import_tags, {}),
+        website_enabled=website,
     )

@@ -29,6 +29,15 @@ from .policy import DerivedProperties, Exposure, _is_open_statement
 UNIFIED_RULE_ID = "UNIFIED-S3-PUBLIC-ACCESS"
 UNIFIED_RULE_TITLE = "S3 Public Access Validation and Data Exposure"
 
+# one line per condition, for ``rules list --set unified``
+_CONDITION_SUMMARIES = {
+    1: "public ACL grants (AuthenticatedUsers any permission; AllUsers READ)",
+    2: "public policy status on a public-facing bucket",
+    3: "public-facing + RestrictPublicBuckets off + unrestricted wildcard allow of a risky action",
+    4: "any unrestricted wildcard allow statement while RestrictPublicBuckets is off",
+    5: "public-facing bucket tagged as holding sensitive data",
+}
+
 #: Substring markers for risky actions (matched LIKE-style: contained in the
 #: action string). Version/ACL variants already contain their base action.
 RISKY_ACTION_MARKERS: tuple[str, ...] = (

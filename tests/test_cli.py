@@ -97,6 +97,87 @@ def test_import_duplicate_names_exit_three(tmp_path, capsys):
     assert capsys.readouterr().err == "error: duplicate bucket directories: dup-x, dup-y\n"
 
 
+def _embedded(*statements) -> str:
+    """A policy.json whose policy document holds ``statements``."""
+    return json.dumps({"Policy": json.dumps({"Statement": list(statements)})})
+
+
+def _statement(**fields) -> str:
+    """A policy.json of one statement: a valid Allow, with ``fields`` replaced, or removed when None."""
+    statement = {"Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", **fields}
+    return _embedded({key: value for key, value in statement.items() if value is not None})
+
+
+def _grant(**fields) -> str:
+    """An acl.json of one grant: an AllUsers READ, with ``fields`` replaced."""
+    grant = {"Grantee": {"Type": "Group", "URI": "http://acs.amazonaws.com/groups/global/AllUsers"},
+             "Permission": "READ", **fields}
+    return json.dumps({"Grants": [grant]})
+
+
+_BPA = "public-access-block.json"
+
+
+@pytest.mark.parametrize(
+    "name,content,message",
+    [
+        pytest.param("acl.json", b'{"Grants": ["\xff"]}', "invalid UTF-8", id="acl-not-utf8"),
+        pytest.param("acl.json", "{", "invalid JSON", id="acl-invalid-json"),
+        pytest.param("acl.json", '{"Grants": {}}', "expected an object with a 'Grants' array", id="acl-no-grants"),
+        pytest.param("acl.json", '{"Grants": [{"Permission": "READ"}]}', "each grant needs", id="acl-grant-shape"),
+        pytest.param("acl.json", _grant(Grantee="x"), "'Grantee' must be an object", id="acl-string-grantee"),
+        pytest.param("acl.json", _grant(Grantee={"Type": "Role"}), "unknown grantee type", id="acl-grantee-type"),
+        pytest.param("acl.json", _grant(Grantee={"Type": "CanonicalUser"}), "missing its identifier", id="acl-no-id"),
+        pytest.param("acl.json", _grant(Permission="READ_ALL"), "unknown Permission 'READ_ALL'", id="acl-permission"),
+        pytest.param("policy.json", '{"Policy": {}}', "expected an object with a 'Policy' string", id="policy-no-text"),
+        pytest.param("policy.json", '{"Policy": "{not json"}', "embedded policy document is invalid JSON",
+                     id="policy-embedded-invalid"),
+        pytest.param("policy.json", '{"Policy": "[]"}', "must be a JSON object", id="policy-embedded-array"),
+        pytest.param("policy.json", '{"Policy": "{\\"Statement\\": 5}"}', "'Statement' must be",
+                     id="policy-statement-number"),
+        pytest.param("policy.json", _embedded(5), "each Statement entry", id="policy-statement-entry"),
+        pytest.param("policy.json", _statement(NotAction="s3:*"), "both 'Action' and 'NotAction'", id="policy-not-key"),
+        pytest.param("policy.json", _statement(Principal=None), "missing 'Principal'", id="policy-no-principal"),
+        pytest.param("policy.json", _statement(Action=None), "missing 'Action'", id="policy-no-action"),
+        pytest.param("policy.json", _statement(Sid=5), "'Sid' must be a string", id="policy-sid"),
+        pytest.param("policy.json", _statement(Effect="Alow"), "unknown Effect 'Alow'", id="policy-effect"),
+        pytest.param("policy.json", _statement(Principal=5), "unsupported Principal form", id="policy-principal"),
+        pytest.param("policy.json", _statement(Action=5), "field 'Action' must be a list of strings",
+                     id="policy-action"),
+        pytest.param("policy.json", _statement(Action=[]), "statement actions must be non-empty",
+                     id="policy-no-actions"),
+        pytest.param("policy.json", _statement(Resource=[1]), "field 'Resource' must be a list of strings",
+                     id="policy-resource"),
+        pytest.param("policy.json", _statement(Condition=[]), "'Condition' must be an object", id="policy-condition"),
+        pytest.param("policy.json", _statement(Condition={"Bool": 5}), "condition operator value",
+                     id="policy-condition-operator"),
+        pytest.param("policy.json", _statement(Condition={"Bool": {"aws:SecureTransport": None}}),
+                     "field 'Condition.aws:SecureTransport' must be a list of strings", id="policy-condition-value"),
+        pytest.param(_BPA, "[]", "expected an object with a 'PublicAccessBlockConfiguration' object", id="bpa-shape"),
+        pytest.param(_BPA, '{"PublicAccessBlockConfiguration": {"BlockPublicAcls": "false"}}',
+                     "BlockPublicAcls must be true or false", id="bpa-flag"),
+        pytest.param("tagging.json", '{"TagSet": 5}', "expected an object with a 'TagSet' array", id="tags-shape"),
+        pytest.param("tagging.json", '{"TagSet": [{"Key": "team"}]}', "needs 'Key' and 'Value'", id="tags-entry"),
+        pytest.param("tagging.json", '{"TagSet": [{"Key": ["team"], "Value": "x"}]}', "must be strings",
+                     id="tags-key"),
+        pytest.param("tagging.json", '{"TagSet": [{"Key": "a", "Value": "1"}, {"Key": "a", "Value": "2"}]}',
+                     "duplicate tag key 'a'", id="tags-duplicate"),
+        pytest.param("website.json", "{", "invalid JSON", id="website-invalid-json"),
+    ],
+)
+def test_import_error_names_the_artifact_file(name, content, message, tmp_path, capsys):
+    good, bad = tmp_path / "good-bucket", tmp_path / "bad-bucket"
+    for bucket in (good, bad):
+        bucket.mkdir()
+        (bucket / "acl.json").write_text('{"Grants": []}')
+    _write(bad / name, content)
+    assert main(["import", str(good), str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = f"error: {bad / name}: "
+    assert err.startswith(prefix) and message in err[len(prefix):], err
+
+
 def test_scan_imports_only_the_layers_it_runs(small_fleet):
     script = (
         "import sys\n"
@@ -308,6 +389,46 @@ def test_evaluate_rejects_an_overflowing_triage_total(small_fleet, tmp_path, cap
     assert out == ""
     assert err.startswith("error: ") and f"{ruleset} ruleset" in err
     assert not report.exists()
+
+
+_TRUTH_LINE = '{"name": "abc", "exploitable": "yes", "business_risk": false, "reason": "r"}\n'
+_FLEET_LINE = '{"name": "abc", "region": 7}\n'
+
+
+@pytest.mark.parametrize(
+    "bad_fleet,bad_truth,expected",
+    [
+        pytest.param(False, True, "truth.jsonl: field 'exploitable' missing or mistyped (field: exploitable) (line 2)",
+                     id="truth"),
+        pytest.param(True, False, "fleet.jsonl: field 'region' must be str, got int (field: region) (line 2)",
+                     id="fleet"),
+        pytest.param(True, True, "fleet.jsonl: field 'region' must be str, got int (field: region) (line 2)",
+                     id="both-fleet-wins"),
+    ],
+)
+def test_evaluate_error_names_its_input(bad_fleet, bad_truth, expected, small_fleet, tmp_path, capsys):
+    def copy(source, name, bad_line):
+        """``source`` as ``name``, with ``bad_line``, if given, as its second line."""
+        lines = source.read_text().splitlines(keepends=True)
+        (tmp_path / name).write_text("".join(lines[:1] + ([bad_line] if bad_line else []) + lines[1:]))
+        return str(tmp_path / name)
+
+    fleet = copy(small_fleet, "fleet.jsonl", bad_fleet and _FLEET_LINE)
+    truth = copy(small_fleet.with_name("fleet.truth.jsonl"), "truth.jsonl", bad_truth and _TRUTH_LINE)
+    assert main(["evaluate", "--input", fleet, "--truth", truth]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {tmp_path}/{expected}\n"
+
+
+def test_evaluate_duplicate_name_names_its_input(small_fleet, tmp_path, capsys):
+    truth = small_fleet.with_name("fleet.truth.jsonl")
+    first = truth.read_text().splitlines(keepends=True)[0]
+    truth.write_text(truth.read_text() + first)
+    assert main(["evaluate", "--input", str(small_fleet), "--truth", str(truth)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {truth}: duplicate bucket name ")
 
 
 @pytest.mark.parametrize("format", ["table", "csv", "json"])

@@ -227,3 +227,21 @@ def test_piped_scan_needs_a_scan_id(paper_fleets, tmp_path, capsys):
     piped = _piped_scan(fleet, "--rules", "unified", "--scan-id", "piped")
     assert piped.returncode == 0, piped.stderr
     assert json.loads(piped.stdout)["alerts"] == by_file["alerts"]
+
+
+def test_an_empty_scan_id_is_a_usage_error(paper_fleets, tmp_path, capsys):
+    # an empty id used to stand for none: a file scan recorded the file's
+    # hash as its id, and a piped one failed asking for the id it was given
+    fleet, state = paper_fleets[1000], tmp_path / "state.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--input", str(fleet), "--state", str(state), "--scan-id", ""])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--scan-id: expected a non-empty scan id" in err
+    assert not state.exists()
+
+    piped = _piped_scan(fleet, "--state", str(state), "--scan-id", "")
+    assert (piped.returncode, piped.stdout) == (2, b"")
+    assert b"--scan-id: expected a non-empty scan id" in piped.stderr
+    assert not state.exists()
