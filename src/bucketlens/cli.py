@@ -90,9 +90,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_import(args: argparse.Namespace) -> int:
     configs = [import_aws_artifacts(directory) for directory in args.directories]
-    duplicates = [name for name, count in Counter(c.name for c in configs).items() if count > 1]
+    counts = Counter(c.name for c in configs)
+    duplicates = sorted(directory for directory, config in zip(args.directories, configs) if counts[config.name] > 1)
     if duplicates:
-        raise SchemaError(f"duplicate bucket directories: {', '.join(sorted(duplicates))}")
+        raise SchemaError(f"duplicate bucket directories: {', '.join(duplicates)}")
     configs.sort(key=lambda c: c.name)
     if args.out:
         write_fleet(configs, args.out)

@@ -342,7 +342,9 @@ def ground_truth_for(scenario: Scenario, config: BucketConfig) -> GroundTruth:
     )
 
 
-def _check_finite(scenario_id: str, proportion: int | float) -> None:
+def _check_proportion(scenario_id: str, proportion: object) -> None:
+    if not isinstance(proportion, (int, float)) or isinstance(proportion, bool):
+        raise MixError(f"proportion for {scenario_id} must be a number")
     try:
         finite = math.isfinite(proportion)
     except OverflowError:  # an int too large for a float
@@ -359,9 +361,7 @@ def _validate_mix(mix: MixSpec) -> None:
     for scenario_id, proportion in mix.proportions.items():
         if scenario_id not in _BY_ID:
             raise UnknownScenarioError(f"unknown scenario id {scenario_id!r}")
-        if not isinstance(proportion, (int, float)) or isinstance(proportion, bool):
-            raise MixError(f"proportion for {scenario_id} must be a number")
-        _check_finite(scenario_id, proportion)
+        _check_proportion(scenario_id, proportion)
         if proportion < 0:
             raise MixError(f"proportion for {scenario_id} must be non-negative")
     total_proportion = sum(mix.proportions.values())
@@ -463,13 +463,14 @@ def load_truth(path: str | Path) -> dict[str, GroundTruth]:
 
 
 def load_mix_file(path: str | Path) -> dict[str, float]:
-    """Custom mix file: a JSON object mapping scenario ids to proportions."""
-    raw = read_json(path, lambda reason: MixError(f"mix file is {reason}"))
-    if not isinstance(raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-        for k, v in raw.items()
-    ):
-        raise MixError("mix file must map scenario ids to numeric proportions")
-    for scenario_id, proportion in raw.items():
-        _check_finite(scenario_id, proportion)
+    """Custom mix file: a JSON object mapping scenario ids to proportions.
+    Each error's message starts with ``path``."""
+    try:
+        raw = read_json(path, lambda reason: MixError(f"mix file is {reason}"))
+        if not isinstance(raw, dict):
+            raise MixError("mix file must map scenario ids to numeric proportions")
+        for scenario_id, proportion in raw.items():
+            _check_proportion(scenario_id, proportion)
+    except MixError as exc:
+        raise MixError(f"{path}: {exc}") from None
     return {k: float(v) for k, v in raw.items()}

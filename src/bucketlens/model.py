@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -666,11 +667,14 @@ _JSON_KINDS = {list: "array", str: "string", dict: "object"}
 def _artifact(path: Path, key: str | None, kind: type, parse: Callable[[Any], Any], absent: Any = _ABSENT) -> Any:
     """``parse`` of the ``key`` member, a ``kind``, of the JSON object in the
     artifact file ``path`` (of the whole document if ``key`` is None), or
-    ``absent``, if given and there is no such file. Each SchemaError met in
-    reading the file is raised again with ``path`` in front of its message."""
-    if absent is not _ABSENT and not path.is_file():
+    ``absent``, if given and nothing exists at ``path`` (anything else that is
+    not a regular file is an error). Each SchemaError met in reading the file
+    is raised again with ``path`` in front of its message."""
+    if absent is not _ABSENT and not os.path.lexists(path):
         return absent
     try:
+        if not path.is_file():
+            raise SchemaError("not a regular file")
         document = read_json(path, SchemaError)
         if key is None:
             return parse(document)
@@ -809,13 +813,14 @@ def import_aws_artifacts(directory: str | Path) -> BucketConfig:
 
     The directory name is the bucket name. ``acl.json`` is mandatory; all
     other artifact files are optional and default to the same normalized
-    values the snapshot parser applies. A malformed artifact raises a
-    SchemaError whose message starts with the file's path: ``directory``, as
-    given, joined to the file name.
+    values the snapshot parser applies; one is absent only when nothing
+    exists at its path. A malformed artifact, or one that is not a regular
+    file, raises a SchemaError whose message starts with the file's path:
+    ``directory``, as given, joined to the file name.
     """
     directory = Path(directory)
     acl_path = directory / "acl.json"
-    if not acl_path.is_file():
+    if not os.path.lexists(acl_path):
         raise MissingArtifactError(f"mandatory artifact {acl_path} is missing")
     # website.json is only decoded: its presence enables the website
     website = _artifact(directory / "website.json", None, object, lambda document: True, False)

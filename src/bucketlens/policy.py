@@ -8,7 +8,8 @@ Three layers live here:
   bundle (``derive``) that the rule engines consume;
 * an independent ground-truth oracle (``effective_anonymous_access``) that
   simulates what an unauthenticated caller can actually do, used to label
-  synthetic fleets.
+  synthetic fleets. It decides each of four capabilities from one table,
+  ``_CAPABILITIES``, of the ACL permissions and the actions that grant it.
 
 The heuristic deliberately over-approximates the oracle: whenever the oracle
 finds anonymous access, the heuristic reports ``public_facing``, but the
@@ -62,7 +63,8 @@ class DerivedProperties:
 
 @dataclass(frozen=True, slots=True)
 class AccessSet:
-    """Capabilities an unauthenticated caller effectively holds."""
+    """Capabilities an unauthenticated caller effectively holds: one flag per
+    entry of ``_CAPABILITIES``, true when ``effective_anonymous_access`` finds it."""
 
     read: bool = False
     write: bool = False
@@ -72,31 +74,16 @@ class AccessSet:
     def __bool__(self) -> bool:
         return self.read or self.write or self.acl_read or self.acl_write
 
-    def union(self, other: "AccessSet") -> "AccessSet":
-        return AccessSet(
-            read=self.read or other.read,
-            write=self.write or other.write,
-            acl_read=self.acl_read or other.acl_read,
-            acl_write=self.acl_write or other.acl_write,
-        )
-
-    def difference(self, other: "AccessSet") -> "AccessSet":
-        return AccessSet(
-            read=self.read and not other.read,
-            write=self.write and not other.write,
-            acl_read=self.acl_read and not other.acl_read,
-            acl_write=self.acl_write and not other.acl_write,
-        )
-
 
 def load_restrictive_keys(path: str | Path) -> frozenset[str]:
     """Load an override for the restrictive condition-key set.
 
-    The file is a JSON array of condition-key strings.
+    The file is a JSON array of condition-key strings. Each error's message
+    starts with ``path``.
     """
-    raw = read_json(path, lambda reason: SchemaError(f"restrictive-key file is {reason}"))
+    raw = read_json(path, lambda reason: SchemaError(f"{path}: restrictive-key file is {reason}"))
     if not isinstance(raw, list) or not all(isinstance(k, str) for k in raw):
-        raise SchemaError("restrictive-key file must be a JSON array of strings")
+        raise SchemaError(f"{path}: restrictive-key file must be a JSON array of strings")
     return frozenset(raw)
 
 
@@ -159,32 +146,22 @@ def _runs_match(chunks: list[str], text: str) -> bool:
     return True
 
 
-_ACL_CAPABILITIES = {
-    Permission.READ: AccessSet(read=True),
-    Permission.WRITE: AccessSet(write=True),
-    Permission.READ_ACP: AccessSet(acl_read=True),
-    Permission.WRITE_ACP: AccessSet(acl_write=True),
-    Permission.FULL_CONTROL: AccessSet(read=True, write=True, acl_read=True, acl_write=True),
+# Each AccessSet field, with the ACL permissions and the actions that grant it.
+_CAPABILITIES = {
+    "read": ({Permission.READ, Permission.FULL_CONTROL}, ("s3:GetObject", "s3:ListBucket")),
+    "write": ({Permission.WRITE, Permission.FULL_CONTROL}, ("s3:PutObject", "s3:DeleteObject")),
+    "acl_read": ({Permission.READ_ACP, Permission.FULL_CONTROL}, ("s3:GetBucketAcl", "s3:GetObjectAcl")),
+    "acl_write": ({Permission.WRITE_ACP, Permission.FULL_CONTROL}, ("s3:PutBucketAcl", "s3:PutObjectAcl")),
 }
 
-_CAPABILITY_ACTIONS = (
-    ("read", ("s3:GetObject", "s3:ListBucket")),
-    ("write", ("s3:PutObject", "s3:DeleteObject")),
-    ("acl_read", ("s3:GetBucketAcl", "s3:GetObjectAcl")),
-    ("acl_write", ("s3:PutBucketAcl", "s3:PutObjectAcl")),
-)
 
-
-def _statement_capabilities(stmt: PolicyStatement) -> AccessSet:
-    flags = {
-        capability: any(
-            action_matches(pattern, action)
-            for pattern in stmt.actions
-            for action in actions
-        )
-        for capability, actions in _CAPABILITY_ACTIONS
+def _matched(patterns: list[str]) -> set[str]:
+    """The capabilities one of whose actions some pattern matches."""
+    return {
+        capability
+        for capability, (_, actions) in _CAPABILITIES.items()
+        if any(action_matches(pattern, action) for pattern in patterns for action in actions)
     }
-    return AccessSet(**flags)
 
 
 def effective_anonymous_access(
@@ -192,37 +169,35 @@ def effective_anonymous_access(
 ) -> AccessSet:
     """Ground-truth simulation of unauthenticated access to the bucket.
 
-    ACL path: unless IgnorePublicAcls is set, grants to the AllUsers and
-    AuthenticatedUsers groups contribute their permission's capabilities.
-    Policy path: unless RestrictPublicBuckets is set, wildcard-principal
-    Allow statements without restrictive conditions contribute capabilities
-    for the actions they match; wildcard-principal Deny statements then
-    subtract, regardless of conditions (a sound under-approximation of
-    deny-overrides). The result is the union of the two paths.
+    A capability is held when either of two paths gives it (their union):
+
+    * ACL path: IgnorePublicAcls is off, and a grant to the AllUsers or
+      AuthenticatedUsers group has one of its permissions;
+    * policy path: RestrictPublicBuckets is off, a wildcard-principal Allow
+      without restrictive conditions matches one of its actions, and no
+      wildcard-principal Deny matches one, whatever the Deny's conditions (a
+      sound under-approximation of deny-overrides).
     """
     bpa = config.public_access_block
-
-    acl_access = AccessSet()
-    if not bpa.ignore_public_acls:
-        for grant in config.acl_grants:
-            if grant.grantee_uri.endswith(_PUBLIC_GROUP_URIS):
-                acl_access = acl_access.union(_ACL_CAPABILITIES[grant.permission])
-
-    policy_access = AccessSet()
-    if not bpa.restrict_public_buckets and config.policy is not None:
-        allowed = AccessSet()
-        denied = AccessSet()
+    held: set[str] = set()
+    if config.acl_grants and not bpa.ignore_public_acls:
+        granted = {g.permission for g in config.acl_grants if g.grantee_uri.endswith(_PUBLIC_GROUP_URIS)}
+        held = {
+            capability for capability, (permissions, _) in _CAPABILITIES.items() if not granted.isdisjoint(permissions)
+        }
+    if config.policy is not None and not bpa.restrict_public_buckets:
+        allowed: list[str] = []
+        denied: list[str] = []
         for stmt in config.policy:
             if not stmt.wildcard_principal:
                 continue
-            if stmt.effect is Effect.ALLOW:
-                if not has_restrictive_condition(stmt, restrictive_keys):
-                    allowed = allowed.union(_statement_capabilities(stmt))
-            else:
-                denied = denied.union(_statement_capabilities(stmt))
-        policy_access = allowed.difference(denied)
-
-    return acl_access.union(policy_access)
+            if stmt.effect is Effect.DENY:
+                denied.extend(stmt.actions)
+            elif not has_restrictive_condition(stmt, restrictive_keys):
+                allowed.extend(stmt.actions)
+        if allowed:
+            held |= _matched(allowed) - _matched(denied)
+    return AccessSet(**dict.fromkeys(held, True))
 
 
 def _has_public_group_grant(config: BucketConfig) -> bool:

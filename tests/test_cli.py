@@ -94,7 +94,25 @@ def test_import_duplicate_names_exit_three(tmp_path, capsys):
         (bucket / "acl.json").write_bytes(acl)
         dirs.append(str(bucket))
     assert main(["import", *dirs]) == 3
-    assert capsys.readouterr().err == "error: duplicate bucket directories: dup-x, dup-y\n"
+    colliding = ", ".join(str(tmp_path / d) for d in ("a/dup-x", "a/dup-y", "b/dup-x", "b/dup-y", "c/dup-y"))
+    assert capsys.readouterr().err == f"error: duplicate bucket directories: {colliding}\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling-symlink"])
+@pytest.mark.parametrize("name", ["acl.json", "policy.json", "public-access-block.json", "tagging.json", "website.json"])
+def test_import_rejects_an_artifact_that_is_not_a_regular_file(name, kind, tmp_path, capsys):
+    bucket = tmp_path / "odd-bucket"
+    bucket.mkdir()
+    if name != "acl.json":
+        (bucket / "acl.json").write_text('{"Grants": []}')
+    if kind == "directory":
+        (bucket / name).mkdir()
+    else:
+        (bucket / name).symlink_to(tmp_path / "nowhere.json")
+    assert main(["import", str(bucket)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bucket / name}: "), err
 
 
 def _embedded(*statements) -> str:
@@ -176,6 +194,32 @@ def test_import_error_names_the_artifact_file(name, content, message, tmp_path, 
     assert out == ""
     prefix = f"error: {bad / name}: "
     assert err.startswith(prefix) and message in err[len(prefix):], err
+
+
+@pytest.mark.parametrize(
+    "option,content,message",
+    [
+        ("keys", "{}", "restrictive-key file must be a JSON array of strings"),
+        ("keys", "[", "restrictive-key file is invalid JSON"),
+        ("mix", "[", "mix file is invalid JSON"),
+        ("mix", "[]", "mix file must map scenario ids to numeric proportions"),
+        ("mix", '{"S1": "1"}', "proportion for S1 must be a number"),
+        ("mix", '{"S1": Infinity}', "proportion for S1 must be a finite number"),
+    ],
+    ids=["keys-shape", "keys-invalid-json", "mix-invalid-json", "mix-shape", "mix-string", "mix-infinite"],
+)
+def test_mix_and_restrictive_key_errors_name_the_file(option, content, message, small_fleet, tmp_path, capsys,
+                                                      monkeypatch):
+    path = _write(tmp_path / f"{option}.json", content)
+    if option == "keys":
+        monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, path)
+        argv = ["scan", "--input", str(small_fleet)]
+    else:
+        argv = ["generate", "--total", "5", "--mix", path, "--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}"), err
 
 
 def test_scan_imports_only_the_layers_it_runs(small_fleet):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
+    LOG_DELIVERY_URI,
     AclGrant,
     BucketConfig,
     Effect,
@@ -413,3 +415,95 @@ def test_heuristic_dominates_oracle():
         config = random_bucket_config(rng)
         if effective_anonymous_access(config):
             assert classify_exposure(config) is Exposure.PUBLIC_FACING
+
+
+# ---------------------------------------------------------------------------
+# effective_anonymous_access: every config of a bounded domain
+# ---------------------------------------------------------------------------
+
+_EVERY_CAPABILITY = frozenset({"read", "write", "acl_read", "acl_write"})
+
+# The reference's own tables: what each permission and each action pattern of
+# the domain grants, written out by hand.
+_PERMISSION_GRANTS = {
+    Permission.READ: {"read"},
+    Permission.WRITE: {"write"},
+    Permission.READ_ACP: {"acl_read"},
+    Permission.WRITE_ACP: {"acl_write"},
+    Permission.FULL_CONTROL: _EVERY_CAPABILITY,
+}
+_PATTERN_GRANTS = {
+    "s3:GetObject": {"read"},
+    "s3:Put*": {"write", "acl_write"},  # PutObject, PutBucketAcl, PutObjectAcl
+    "*": _EVERY_CAPABILITY,
+    "ec2:DescribeInstances": set(),
+}
+_CONDITIONS = {None: False, "aws:SourceVpc": True, "aws:SecureTransport": False}  # form -> restrictive
+
+
+def _domain_statements():
+    """The 48 statement forms, each with the reference's reading of it."""
+    for effect, wildcard, pattern, key in itertools.product(
+        Effect, (True, False), _PATTERN_GRANTS, _CONDITIONS
+    ):
+        stmt = _stmt(
+            effect=effect,
+            principal=("*",) if wildcard else ("arn:aws:iam::123456789012:root",),
+            actions=(pattern,),
+            condition=None if key is None else {key: ("x",)},
+        )
+        yield stmt, (effect, wildcard, pattern, _CONDITIONS[key])
+
+
+def _reference_policy_path(readings) -> set[str]:
+    """Per capability: some open wildcard Allow grants it and no wildcard Deny does."""
+    return {
+        capability
+        for capability in _EVERY_CAPABILITY
+        if any(
+            effect is Effect.ALLOW and wildcard and not restrictive and capability in _PATTERN_GRANTS[pattern]
+            for effect, wildcard, pattern, restrictive in readings
+        )
+        and not any(
+            effect is Effect.DENY and wildcard and capability in _PATTERN_GRANTS[pattern]
+            for effect, wildcard, pattern, _ in readings
+        )
+    }
+
+
+def test_oracle_equals_a_reference_on_a_bounded_domain():
+    """4 flag pairs x 16 grant options x 2353 policy options: 150,592 configs.
+
+    Only IgnorePublicAcls and RestrictPublicBuckets reach the oracle (all 16
+    flag sets are in ``test_acl_truth_table_exhaustive``).
+    """
+    statements = list(_domain_statements())
+    policies = [(None, [])] + [
+        (tuple(s for s, _ in pair), [r for _, r in pair])
+        for size in (1, 2)
+        for pair in itertools.product(statements, repeat=size)
+    ]
+    grants = [((), set(), False)] + [
+        ((AclGrant(GranteeType.GROUP, uri, permission),), _PERMISSION_GRANTS[permission], uri != LOG_DELIVERY_URI)
+        for uri in (ALL_USERS_URI, AUTHENTICATED_USERS_URI, LOG_DELIVERY_URI)
+        for permission in Permission
+    ]
+    assert (len(statements), len(policies), len(grants)) == (48, 2353, 16)
+    checked = 0
+    for policy, readings in policies:
+        policy_path = _reference_policy_path(readings)
+        for ignore, restrict in itertools.product((False, True), repeat=2):
+            bpa = PublicAccessBlock(ignore_public_acls=ignore, restrict_public_buckets=restrict)
+            for acl_grants, permission_grants, public_group in grants:
+                config = BucketConfig(
+                    name="bounded-bucket", acl_grants=acl_grants, policy=policy, public_access_block=bpa
+                )
+                held = (permission_grants if public_group and not ignore else set()) | (
+                    set() if restrict else policy_path
+                )
+                got = effective_anonymous_access(config)
+                assert got == AccessSet(**{c: c in held for c in _EVERY_CAPABILITY}), config
+                if got:
+                    assert derive(config).exposure is Exposure.PUBLIC_FACING, config
+                checked += 1
+    assert checked == 150_592
