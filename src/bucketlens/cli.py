@@ -37,7 +37,7 @@ from .model import (
     write_fleet,
 )
 from .policy import derive, load_restrictive_keys
-from .unified import _CONDITION_SUMMARIES, UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts, evaluate_unified
+from .unified import _CONDITION_SUMMARIES, UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts
 
 RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
 
@@ -197,7 +197,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         raise UnknownBucketError(f"bucket {args.bucket!r} not found in {args.input}")
     derived = derive(config, keys)
     verdicts = condition_verdicts(config, derived, keys)
-    unified_alert = evaluate_unified(config, derived, keys)
     default_alerts = evaluate_default(config, derived)
 
     bpa = config.public_access_block
@@ -218,13 +217,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     for verdict in verdicts:
         marker = "YES" if verdict.fired else "no"
         lines.append(f"  C{verdict.number} [{marker}] {verdict.detail}")
-    if unified_alert is None:
-        lines.append("unified alert: none")
-    else:
-        lines.append(
-            f"unified alert: {unified_alert.rule_id} [{unified_alert.severity.value}] "
-            f"conditions {list(unified_alert.fired_conditions)}"
-        )
+    # the unified rule's one alert is High and lists the fired conditions
+    lines.append(f"unified alert: {UNIFIED_RULE_ID} [High] conditions {fired}" if fired else "unified alert: none")
     lines.append(f"default alerts ({len(default_alerts)}):")
     for alert in default_alerts:
         lines.append(f"  {alert.rule_id} [{alert.severity.value}] {alert.explanation}")
@@ -256,11 +250,8 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     source = read_utf8(args.file, lambda reason: SchemaError(f"rule file {args.file} is {reason}"))
     try:
         ast = parse_rule(source)
-    except (LexError, ParseError, SchemaError) as exc:
-        offset = getattr(exc, "offset", None)
-        location = f"{args.file}:{offset if offset is not None else '?'}"
-        print(f"error: {location}: {exc}", file=sys.stderr)
-        return 3
+    except (LexError, ParseError, SchemaError) as exc:  # each carries the offending token's offset
+        raise BucketlensError(f"{args.file}:{exc.offset}: {exc}") from exc
     explanation = f"rule {ast.name!r} matched"
     alerts: list[Alert] = []
     for config in iter_fleet(args.input):

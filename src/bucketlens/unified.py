@@ -1,9 +1,9 @@
 """The unified rule: S3 Public Access Validation and Data Exposure.
 
 One context-aware rule replaces the whole default catalog. Five numbered
-conditions are evaluated per bucket and at most one High-severity
-``model.Alert`` is emitted, recording which conditions fired as an ascending
-tuple:
+conditions are decided per bucket, in one pass that also writes each fired
+condition's evidence, and at most one High-severity ``model.Alert`` is
+emitted, recording which conditions fired as an ascending tuple:
 
 1. public ACL grants (AuthenticatedUsers with any permission, AllUsers with
    READ);
@@ -13,6 +13,9 @@ tuple:
 4. any wildcard Allow statement without a restrictive condition while
    RestrictPublicBuckets is disabled;
 5. public-facing bucket tagged as holding sensitive data.
+
+``evaluate_unified`` and ``explain``'s ``condition_verdicts`` read that one
+pass; only ``explain`` also asks why an unmet condition does not hold.
 
 The same logic ships as a DSL rule, kept once in ``rules/unified.rule`` and
 read through ``unified_dsl_source``; the built-in evaluation and the parsed
@@ -62,108 +65,78 @@ class ConditionVerdict:
     detail: str
 
 
-def _grant_matches_c1(uri: str, permission: Permission) -> bool:
-    # the rule text's third disjunct (groups/global/AuthenticatedUsers, READ) is implied by the first
-    return "global/AuthenticatedUsers" in uri or (
-        "global/AllUsers" in uri and permission is Permission.READ
-    )
-
-
-def _open_statements(
-    config: BucketConfig, restrictive_keys: frozenset[str] | None
-) -> list[PolicyStatement]:
-    """Wildcard-principal Allow statements without a restrictive condition."""
-    return [stmt for stmt in config.policy or () if _is_open_statement(stmt, restrictive_keys)]
-
-
 def _risky_markers(stmt: PolicyStatement) -> list[str]:
     return sorted({m for m in RISKY_ACTION_MARKERS for action in stmt.actions if m in action})
-
-
-def _fired_conditions(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None = None,
-) -> tuple[int, ...]:
-    """The numbers of the conditions that hold, ascending; no evidence text.
-
-    This is the only place the five conditions are decided. Most buckets
-    fire none, so it touches ACL grants and policy statements only when
-    the bucket has them.
-    """
-    fired: list[int] = []
-    for grant in config.acl_grants:
-        if _grant_matches_c1(grant.grantee_uri, grant.permission):
-            fired.append(1)
-            break
-    public_facing = derived.exposure is Exposure.PUBLIC_FACING
-    if public_facing and derived.policy_status_public:
-        fired.append(2)
-    if config.policy and not config.public_access_block.restrict_public_buckets:
-        open_stmts = _open_statements(config, restrictive_keys)
-        if open_stmts:
-            if public_facing and any(map(_risky_markers, open_stmts)):
-                fired.append(3)
-            fired.append(4)
-    if public_facing and derived.sensitive_data:
-        fired.append(5)
-    return tuple(fired)
 
 
 def _sid(stmt: PolicyStatement) -> str:
     return stmt.sid or "<no sid>"
 
 
-def _evidence(
-    number: int,
+def _fired_evidence(
     config: BucketConfig,
     derived: DerivedProperties,
     restrictive_keys: frozenset[str] | None,
-    fired: bool,
-) -> str:
-    """Evidence for one condition, given whether it fired.
+) -> dict[int, str]:
+    """Each condition that holds, ascending, mapped to its evidence text.
 
-    Built only for an alerting bucket or for ``explain``.
+    This is the only place the five conditions are decided, each once; a
+    fired condition's text is written as it is decided. Most buckets fire
+    none: they get an empty dict, no text is built for them, and ACL grants
+    and policy statements are read only when the bucket has them.
     """
-    bpa = config.public_access_block
-    if number == 1:
-        if not fired:
-            return "no qualifying ACL grant"
-        return "public ACL grant(s): " + "; ".join(
+    fired: dict[int, str] = {}
+    if config.acl_grants:
+        # the rule text's third disjunct (groups/global/AuthenticatedUsers, READ) is implied by the first
+        public = [
             f"{g.grantee_uri} ({g.permission.value})"
             for g in config.acl_grants
-            if _grant_matches_c1(g.grantee_uri, g.permission)
-        )
-    if number == 2:
-        return (
-            f"policy_status_public={str(derived.policy_status_public).lower()}, "
-            f"exposure={derived.exposure.value}"
-        )
-    if number == 3:
-        if fired:
-            risky = ((stmt, _risky_markers(stmt)) for stmt in _open_statements(config, restrictive_keys))
-            return "risky wildcard statement(s): " + "; ".join(
-                f"{_sid(stmt)} matches {', '.join(matched)}" for stmt, matched in risky if matched
-            )
-        if derived.exposure is not Exposure.PUBLIC_FACING:
-            return "bucket is not public-facing"
-        if bpa.restrict_public_buckets:
-            return "RestrictPublicBuckets is enabled"
-        return "no unrestricted wildcard Allow statement over a risky action"
-    if number == 4:
-        open_stmts = _open_statements(config, restrictive_keys)
-        if fired:
-            return (
+            if "global/AuthenticatedUsers" in g.grantee_uri
+            or ("global/AllUsers" in g.grantee_uri and g.permission is Permission.READ)
+        ]
+        if public:
+            fired[1] = "public ACL grant(s): " + "; ".join(public)
+    public_facing = derived.exposure is Exposure.PUBLIC_FACING
+    if public_facing and derived.policy_status_public:
+        fired[2] = "policy_status_public=true, exposure=public_facing"
+    if config.policy and not config.public_access_block.restrict_public_buckets:
+        # wildcard-principal Allow statements without a restrictive condition
+        open_stmts = [stmt for stmt in config.policy if _is_open_statement(stmt, restrictive_keys)]
+        if open_stmts:
+            if public_facing:
+                risky = [
+                    f"{_sid(stmt)} matches {', '.join(matched)}"
+                    for stmt in open_stmts
+                    if (matched := _risky_markers(stmt))
+                ]
+                if risky:
+                    fired[3] = "risky wildcard statement(s): " + "; ".join(risky)
+            fired[4] = (
                 "unrestricted wildcard Allow statement(s) "
-                + ", ".join(_sid(s) for s in open_stmts)
+                + ", ".join(map(_sid, open_stmts))
                 + " while RestrictPublicBuckets is disabled"
             )
-        if not open_stmts:
-            return "no unrestricted wildcard Allow statement"
-        return "RestrictPublicBuckets is enabled"
+    if public_facing and derived.sensitive_data:
+        fired[5] = "exposure=public_facing, sensitive_data=true"
+    return fired
+
+
+def _unmet_reasons(config: BucketConfig, derived: DerivedProperties) -> tuple[str, ...]:
+    """Why each of C1-C5 does not hold, in order; only ``explain`` reads them."""
+    rpb = "RestrictPublicBuckets is enabled"
+    if derived.exposure is not Exposure.PUBLIC_FACING:
+        c3 = "bucket is not public-facing"
+    elif config.public_access_block.restrict_public_buckets:
+        c3 = rpb
+    else:
+        c3 = "no unrestricted wildcard Allow statement over a risky action"
+    # an open statement is what makes the policy public; with one, only the flag keeps C4 off
+    c4 = rpb if derived.policy_status_public else "no unrestricted wildcard Allow statement"
     return (
-        f"exposure={derived.exposure.value}, "
-        f"sensitive_data={str(derived.sensitive_data).lower()}"
+        "no qualifying ACL grant",
+        f"policy_status_public={str(derived.policy_status_public).lower()}, exposure={derived.exposure.value}",
+        c3, c4,
+        f"exposure={derived.exposure.value}, sensitive_data={str(derived.sensitive_data).lower()}",
     )
 
 
@@ -172,12 +145,13 @@ def condition_verdicts(
     derived: DerivedProperties,
     restrictive_keys: frozenset[str] | None = None,
 ) -> list[ConditionVerdict]:
-    """Evaluate all five conditions with human-readable evidence."""
-    fired = _fired_conditions(config, derived, restrictive_keys)
-    return [
-        ConditionVerdict(number, number in fired, _evidence(number, config, derived, restrictive_keys, number in fired))
-        for number in range(1, 6)
-    ]
+    """All five conditions, C1 to C5, decided by ``evaluate_unified``'s one pass.
+
+    A fired condition carries that pass's evidence, an unmet one the reason.
+    """
+    fired = _fired_evidence(config, derived, restrictive_keys)
+    unmet = _unmet_reasons(config, derived)
+    return [ConditionVerdict(n, n in fired, fired.get(n, unmet[n - 1])) for n in range(1, 6)]
 
 
 def evaluate_unified(
@@ -185,14 +159,16 @@ def evaluate_unified(
     derived: DerivedProperties,
     restrictive_keys: frozenset[str] | None = None,
 ) -> Alert | None:
-    """Emit at most one High alert per bucket, listing every fired condition."""
-    fired = _fired_conditions(config, derived, restrictive_keys)
+    """Emit at most one High alert per bucket, listing every fired condition.
+
+    One pass decides the conditions and writes the evidence of those that
+    fire; the explanation joins that evidence as ``C<n>: <text>``.
+    """
+    fired = _fired_evidence(config, derived, restrictive_keys)
     if not fired:
         return None
-    explanation = "; ".join(
-        f"C{number}: {_evidence(number, config, derived, restrictive_keys, True)}" for number in fired
-    )
-    return new_alert(config.name, UNIFIED_RULE_ID, Severity.HIGH, fired, explanation)
+    explanation = "; ".join(f"C{number}: {text}" for number, text in fired.items())
+    return new_alert(config.name, UNIFIED_RULE_ID, Severity.HIGH, tuple(fired), explanation)
 
 
 def unified_dsl_source() -> str:

@@ -591,8 +591,9 @@ def test_rules_run_malformed_rule_reports_offset(small_fleet, capsys, tmp_path):
     rule_file.write_text("RULE broken SEVERITY High WHEN 'unclosed")
     rc = main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)])
     assert rc == 3
-    err = capsys.readouterr().err
-    assert f"{rule_file}:31" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {rule_file}:31: unterminated string (offset 31)\n"
 
 
 def test_restrictive_keys_env_override(small_fleet, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import re
 
@@ -12,6 +13,7 @@ from bucketlens.dsl import bind_record, eval_rule, parse_rule
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
+    LOG_DELIVERY_URI,
     AclGrant,
     BucketConfig,
     Effect,
@@ -26,7 +28,7 @@ from bucketlens.model import (
 from bucketlens.policy import derive
 from bucketlens.unified import (
     UNIFIED_RULE_ID,
-    _fired_conditions,
+    ConditionVerdict,
     condition_verdicts,
     evaluate_unified,
     unified_dsl_source,
@@ -191,16 +193,15 @@ def test_dsl_text_mentions_each_risky_action():
 
 
 def test_alerts_and_verdicts_share_one_decision():
-    # evaluate_unified and condition_verdicts both take their flags from
-    # _fired_conditions; the alert keeps that ascending tuple as it is, and
-    # its text is the fired verdicts' evidence
+    # evaluate_unified and condition_verdicts both read one pass's fired
+    # conditions and evidence; the alert keeps the ascending fired numbers,
+    # and its text is the fired verdicts' evidence
     for keys in (None, frozenset({"s3:prefix"})):
         for config in agreement_configs():
             derived = derive(config, keys)
-            fired = _fired_conditions(config, derived, keys)
             verdicts = condition_verdicts(config, derived, keys)
             assert [v.number for v in verdicts] == [1, 2, 3, 4, 5]
-            assert fired == tuple(v.number for v in verdicts if v.fired)
+            fired = tuple(v.number for v in verdicts if v.fired)
             alert = evaluate_unified(config, derived, keys)
             if not fired:
                 assert alert is None
@@ -229,7 +230,8 @@ def test_each_fired_condition_agrees_with_its_dsl_condition():
             derived = derive(config, keys)
             record = bind_record(config, derived, keys)
             expected = tuple(n for n, ast in sorted(rules.items()) if eval_rule(ast, record))
-            assert _fired_conditions(config, derived, keys) == expected, config.name
+            alert = evaluate_unified(config, derived, keys)
+            assert (alert.fired_conditions if alert else ()) == expected, config.name
 
 
 def test_new_alert_is_the_same_frozen_alert():
@@ -245,3 +247,224 @@ def test_new_alert_is_the_same_frozen_alert():
     for alert in (built, made):
         with pytest.raises(dataclasses.FrozenInstanceError):
             alert.rule_id = "OTHER"
+
+
+# ---------------------------------------------------------------------------
+# condition_verdicts: every evidence text, fired and unmet
+# ---------------------------------------------------------------------------
+
+def _grant(uri: str, permission: Permission) -> AclGrant:
+    return AclGrant(GranteeType.GROUP, uri, permission)
+
+
+def _allow(*actions: str, sid: str | None = None, condition: dict | None = None) -> PolicyStatement:
+    return PolicyStatement(Effect.ALLOW, ("*",), actions, sid=sid, condition=condition)
+
+
+_RPB_ON = PublicAccessBlock(restrict_public_buckets=True)
+_OPEN_READ = (_allow("s3:GetObject", sid="OpenRead"),)
+_OPEN_EC2 = (_allow("ec2:DescribeInstances", sid="Ec2"),)
+_SENSITIVE = {"SensitiveData": "true"}
+
+_DETAIL_CASES = [
+    # C1
+    (
+        BucketConfig(
+            name="c1-two-grants",
+            acl_grants=(
+                _grant(ALL_USERS_URI, Permission.READ),
+                _grant(LOG_DELIVERY_URI, Permission.READ),
+                _grant(ALL_USERS_URI, Permission.WRITE),
+                _grant(AUTHENTICATED_USERS_URI, Permission.WRITE),
+            ),
+        ),
+        1,
+        True,
+        f"public ACL grant(s): {ALL_USERS_URI} (READ); {AUTHENTICATED_USERS_URI} (WRITE)",
+    ),
+    (
+        BucketConfig(name="c1-unmet", acl_grants=(_grant(ALL_USERS_URI, Permission.WRITE),)),
+        1,
+        False,
+        "no qualifying ACL grant",
+    ),
+    # C2, in each of its four states
+    (
+        BucketConfig(name="c2-fired", policy=_OPEN_READ),
+        2,
+        True,
+        "policy_status_public=true, exposure=public_facing",
+    ),
+    (
+        BucketConfig(name="c2-private-policy", website_enabled=True),
+        2,
+        False,
+        "policy_status_public=false, exposure=public_facing",
+    ),
+    (
+        BucketConfig(name="c2-internal", policy=_OPEN_READ, public_access_block=_RPB_ON),
+        2,
+        False,
+        "policy_status_public=true, exposure=internal",
+    ),
+    (BucketConfig(name="c2-neither"), 2, False, "policy_status_public=false, exposure=internal"),
+    # C3: fired with a sid-less statement and one matching two markers; the
+    # open non-risky and the restricted statements are left out
+    (
+        BucketConfig(
+            name="c3-fired",
+            policy=(
+                _allow("s3:GetObject"),
+                _allow("ec2:DescribeInstances", sid="Ec2"),
+                _allow("s3:PutObject", sid="VpcOnly", condition={"aws:SourceVpc": ("vpc-1",)}),
+                _allow("s3:GetObjectVersion", sid="Versions"),
+            ),
+        ),
+        3,
+        True,
+        "risky wildcard statement(s): <no sid> matches s3:GetObject; "
+        "Versions matches s3:GetObject, s3:GetObjectVersion",
+    ),
+    (
+        BucketConfig(name="c3-internal", policy=_OPEN_READ, public_access_block=_RPB_ON),
+        3,
+        False,
+        "bucket is not public-facing",
+    ),
+    (
+        BucketConfig(
+            name="c3-rpb",
+            acl_grants=(_grant(ALL_USERS_URI, Permission.READ),),
+            policy=_OPEN_READ,
+            public_access_block=_RPB_ON,
+        ),
+        3,
+        False,
+        "RestrictPublicBuckets is enabled",
+    ),
+    (
+        BucketConfig(name="c3-not-risky", policy=_OPEN_EC2),
+        3,
+        False,
+        "no unrestricted wildcard Allow statement over a risky action",
+    ),
+    # C4
+    (
+        BucketConfig(
+            name="c4-fired",
+            policy=(
+                _allow("ec2:DescribeInstances"),
+                _allow("s3:PutObject", sid="VpcOnly", condition={"aws:SourceVpc": ("vpc-1",)}),
+                _allow("s3:GetObject", sid="OpenRead"),
+                PolicyStatement(Effect.DENY, ("*",), ("s3:GetObject",), sid="DenyAll"),
+            ),
+        ),
+        4,
+        True,
+        "unrestricted wildcard Allow statement(s) <no sid>, OpenRead while RestrictPublicBuckets is disabled",
+    ),
+    (
+        BucketConfig(
+            name="c4-no-open-statement",
+            policy=(_allow("s3:GetObject", condition={"aws:SourceVpc": ("vpc-1",)}),),
+            public_access_block=_RPB_ON,
+        ),
+        4,
+        False,
+        "no unrestricted wildcard Allow statement",
+    ),
+    (
+        BucketConfig(name="c4-rpb", policy=_OPEN_EC2, public_access_block=_RPB_ON),
+        4,
+        False,
+        "RestrictPublicBuckets is enabled",
+    ),
+    # C5, in each of its four states
+    (
+        BucketConfig(name="c5-fired", website_enabled=True, tags=_SENSITIVE),
+        5,
+        True,
+        "exposure=public_facing, sensitive_data=true",
+    ),
+    (
+        BucketConfig(name="c5-not-sensitive", website_enabled=True),
+        5,
+        False,
+        "exposure=public_facing, sensitive_data=false",
+    ),
+    (BucketConfig(name="c5-internal", tags=_SENSITIVE), 5, False, "exposure=internal, sensitive_data=true"),
+    (BucketConfig(name="c5-neither"), 5, False, "exposure=internal, sensitive_data=false"),
+]
+
+
+@pytest.mark.parametrize(
+    ("config", "number", "fired", "detail"), _DETAIL_CASES, ids=[case[0].name for case in _DETAIL_CASES]
+)
+def test_every_condition_detail_text(config, number, fired, detail):
+    verdicts = condition_verdicts(config, derive(config))
+    assert [v.number for v in verdicts] == [1, 2, 3, 4, 5]
+    assert verdicts[number - 1] == ConditionVerdict(number, fired, detail)
+
+
+# ---------------------------------------------------------------------------
+# built-in rule, DSL rule and DSL slices: every config of a bounded domain
+# ---------------------------------------------------------------------------
+
+def _domain_policies():
+    """No policy, or one of 48 statement forms."""
+    yield None
+    for effect, principal, action, condition in itertools.product(
+        Effect,
+        ("*", "arn:aws:iam::123456789012:root"),
+        ("s3:GetObject", "s3:Put*", "*", "ec2:DescribeInstances"),
+        (None, {"aws:SourceVpc": ("x",)}, {"aws:SecureTransport": ("x",)}),
+    ):
+        yield (PolicyStatement(effect, (principal,), (action,), condition=condition),)
+
+
+def test_dsl_equals_built_in_on_a_bounded_domain():
+    """4 flag pairs x 121 grant sets x 49 policies x 4 website/tag pairs: 94,864 configs.
+
+    Only IgnorePublicAcls and RestrictPublicBuckets reach ``derive`` and the
+    rule. Per config: the parsed DSL rule matches iff the built-in rule
+    alerts, the per-condition DSL slices fire exactly the alert's
+    conditions, C3 implies C4, and the alert's text is the fired verdicts'.
+    """
+    ast = parse_rule(unified_dsl_source())
+    slices = sorted(_condition_rules().items())
+    single = [
+        _grant(uri, permission)
+        for uri in (ALL_USERS_URI, AUTHENTICATED_USERS_URI, LOG_DELIVERY_URI)
+        for permission in Permission
+    ]
+    grant_sets = [()] + [(g,) for g in single] + list(itertools.combinations(single, 2))
+    policies = list(_domain_policies())
+    assert (len(grant_sets), len(policies)) == (121, 49)
+    checked = 0
+    for ignore, restrict, website, sensitive in itertools.product((False, True), repeat=4):
+        bpa = PublicAccessBlock(ignore_public_acls=ignore, restrict_public_buckets=restrict)
+        tags = _SENSITIVE if sensitive else {}
+        for policy in policies:
+            for grants in grant_sets:
+                config = BucketConfig(
+                    name="bounded-bucket",
+                    acl_grants=grants,
+                    policy=policy,
+                    public_access_block=bpa,
+                    tags=tags,
+                    website_enabled=website,
+                )
+                derived = derive(config)
+                alert = evaluate_unified(config, derived)
+                record = bind_record(config, derived)
+                fired = alert.fired_conditions if alert else ()
+                assert eval_rule(ast, record) == bool(fired), config
+                assert tuple(n for n, rule in slices if eval_rule(rule, record)) == fired, config
+                assert 3 not in fired or 4 in fired, config
+                if alert:
+                    verdicts = condition_verdicts(config, derived)
+                    assert alert.explanation == "; ".join(
+                        f"C{v.number}: {v.detail}" for v in verdicts if v.fired
+                    ), config
+                checked += 1
+    assert checked == 94_864
