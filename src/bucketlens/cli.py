@@ -110,10 +110,9 @@ def _default_scan_id(path: str | Path) -> str:
     The file is read in 1 MiB chunks, so its bytes are never held whole.
     The fleet is then read from it a second time, so it must be a regular
     file: hashing a pipe would drain it and leave the scan an empty fleet.
+    The hash is the one the alert fingerprints use (see ``evaluation``).
     """
-    import hashlib  # loads OpenSSL; only scan needs it
-
-    digest = hashlib.sha256()
+    digest = evaluation._sha256()
     with open(path, "rb") as handle:
         if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             raise BucketlensError(f"--input {path} is not a regular file and cannot be read twice; give --scan-id")

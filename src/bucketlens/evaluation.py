@@ -6,11 +6,19 @@ sensitive-exposure alerts score as intended. Precision and the reduction rate
 are kept as exact rationals on the report object and rendered to four decimal
 places.
 
+An alert's fingerprint is the SHA-256 of its bucket name, rule id and fired
+conditions. The constructor, ``_sha256``, is picked once at import:
+CPython's built-in SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), which
+costs about 0.1 MB to load, and ``hashlib.sha256`` only on an interpreter
+built without it, since hashlib loads OpenSSL (about 3.5 MB resident). The
+default scan id in ``cli`` uses the same constructor.
+
 Alert state is the ``first_seen`` map, fingerprint -> id of the scan that
 first produced it. It persists as a single JSON document with a
 schema-version field, replaced atomically on every save. Scans that update
 state hold an exclusive ``flock`` on a sidecar ``<state>.lock`` file, which
-the kernel releases when the scan exits, however it exits.
+the kernel releases when the scan exits, however it exits. ``diff_alerts``
+holds each current fingerprint once, in one sorted list.
 
 Indented JSON documents (scan and rules-run output, alert state) are written
 a slice at a time by ``write_json``, so no whole document is held in memory.
@@ -29,6 +37,7 @@ import fcntl
 import json
 import math
 import os
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,6 +57,15 @@ from .unified import evaluate_unified
 
 if TYPE_CHECKING:
     from .fleetgen import GroundTruth
+
+# the one SHA-256 of the package; hashlib, which loads OpenSSL, only as a fallback
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 STATE_SCHEMA_VERSION = 1
 
@@ -457,19 +475,6 @@ def _cell_texts(cells: Sequence[object], newline: str) -> Iterable[str] | None:
 # Stateful alerting
 # ---------------------------------------------------------------------------
 
-def _sha256(data: bytes):
-    """``hashlib.sha256(data)``; the first call replaces this function with it.
-
-    Importing hashlib loads OpenSSL, a few MB that only the commands that
-    fingerprint alerts need. An import statement in ``alert_fingerprint``
-    would run on every call instead of once.
-    """
-    global _sha256
-    from hashlib import sha256 as _sha256
-
-    return _sha256(data)
-
-
 def alert_fingerprint(alert: Alert) -> str:
     """Stable identity of a finding across scans of unchanged configurations."""
     fired = alert.fired_conditions
@@ -503,19 +508,32 @@ def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: 
     Conservation: new + unchanged covers every current fingerprint and
     unchanged + resolved covers every previous one. The returned state holds
     exactly the current fingerprints, preserving first_seen for unchanged.
+
+    The current fingerprints are sorted once, and one pass over them fills
+    ``new``, ``unchanged`` and the state, so each fingerprint is held once
+    there; only ``resolved`` is a set difference, against the state's keys.
     """
-    current_fps = {alert_fingerprint(alert) for alert in current}
-    previous_fps = previous.keys()  # a set view, not a copy
-    new = sorted(current_fps - previous_fps)
-    unchanged = sorted(current_fps & previous_fps)
-    resolved = sorted(previous_fps - current_fps)
-    first_seen = {fp: scan_id for fp in new}
-    first_seen.update({fp: previous[fp] for fp in unchanged})
+    new: list[str] = []
+    unchanged: list[str] = []
+    first_seen: dict[str, str] = {}
+    for fp in sorted({alert_fingerprint(alert) for alert in current}):
+        seen = previous.get(fp)
+        if seen is None:
+            new.append(fp)
+            first_seen[fp] = scan_id
+        else:
+            unchanged.append(fp)
+            first_seen[fp] = seen
+    resolved = sorted(previous.keys() - first_seen.keys())
     return AlertDiff(new=tuple(new), unchanged=tuple(unchanged), resolved=tuple(resolved), state=first_seen)
 
 
 def load_state(path: str | Path) -> dict[str, str]:
-    """The first_seen map of a state file; equal scan ids share one string."""
+    """The first_seen map of a state file; equal scan ids share one string.
+
+    Every key must be a fingerprint, 64 lowercase hex digits, and every
+    value a string; anything else raises ``StateCorruptionError``.
+    """
     try:
         raw = read_json(path, lambda reason: StateCorruptionError(f"cannot read alert state {path}: {reason}"))
     except OSError as exc:
@@ -528,10 +546,14 @@ def load_state(path: str | Path) -> dict[str, str]:
     first_seen = raw.get("first_seen")
     if not isinstance(first_seen, dict):
         raise StateCorruptionError(f"alert state {path} has a malformed first_seen map")
+    # keys are what alert_fingerprint gives, or a later scan would report them resolved;
+    # compiled here, not at import, since only a stateful scan reads a state
+    if not all(map(re.compile("[0-9a-f]{64}").fullmatch, first_seen)):
+        raise StateCorruptionError(f"alert state {path} has a first_seen key that is not an alert fingerprint")
     # json gives every value its own string; a state names only a few scans
     scan_ids: dict[str, str] = {}
     for fp, scan_id in first_seen.items():
-        if not isinstance(fp, str) or not isinstance(scan_id, str):
+        if not isinstance(scan_id, str):
             raise StateCorruptionError(f"alert state {path} has a malformed first_seen map")
         first_seen[fp] = scan_ids.setdefault(scan_id, scan_id)
     return first_seen
@@ -570,7 +592,10 @@ def state_lock(path: str | Path) -> Iterator[None]:
     different files.
     """
     lock_path = Path(str(path) + ".lock")
-    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    except OSError as exc:  # the sidecar is ours; name the state file the user gave
+        raise StateLockError(f"cannot lock alert state {path}: {exc.strerror or exc}") from None
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

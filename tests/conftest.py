@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import os
 import random
 import subprocess
@@ -30,10 +31,17 @@ from bucketlens.model import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # ``--hypothesis-profile=deep`` runs each property test on 3000 examples
-# instead of 100; CI's deep job runs the JSON writer's tests and
-# load_fleet's property test with it.
+# instead of 100; CI's deep job runs the JSON writer's tests, load_fleet's
+# property test and diff_alerts's with it.
 # A test whose own ``@settings`` sets ``max_examples`` keeps that count.
 settings.register_profile("deep", max_examples=3000, deadline=None)
+
+
+# without CPython's built-in SHA-256 the package hashes through hashlib, which loads OpenSSL
+needs_builtin_sha256 = pytest.mark.skipif(
+    all(importlib.util.find_spec(name) is None for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module",
+)
 
 
 def fresh_interpreter_env() -> dict[str, str]:

@@ -16,7 +16,7 @@ import bucketlens
 from bucketlens.cli import RESTRICTIVE_KEYS_ENV, build_parser, main
 from bucketlens.evaluation import state_lock
 
-from conftest import FIXTURES, run_fresh_interpreter
+from conftest import FIXTURES, needs_builtin_sha256, run_fresh_interpreter
 
 
 @pytest.fixture
@@ -222,23 +222,32 @@ def test_mix_and_restrictive_key_errors_name_the_file(option, content, message, 
     assert err.startswith(f"error: {path}: {message}"), err
 
 
+@needs_builtin_sha256
 def test_scan_imports_only_the_layers_it_runs(small_fleet):
     script = (
         "import sys\n"
         "from bucketlens.cli import main\n"
         f"assert main(['scan', '--input', {str(small_fleet)!r}, '--rules', 'both']) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith(('bucketlens', 'hashlib')))), file=sys.stderr)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(('bucketlens', '_hashlib')))), file=sys.stderr)\n"
     )
     loaded = set(run_fresh_interpreter(script).split())
     assert "bucketlens.evaluation" in loaded
     assert "bucketlens.dsl" not in loaded and "bucketlens.fleetgen" not in loaded
-    assert "hashlib" in loaded  # the default scan id and the fingerprints
+    assert "_hashlib" not in loaded  # the default scan id and the fingerprints hash without OpenSSL
 
 
-def test_commands_that_fingerprint_nothing_do_not_load_hashlib(small_fleet, tmp_path):
-    # importing hashlib loads OpenSSL, a few MB of resident memory
+@needs_builtin_sha256
+def test_no_command_loads_openssl(small_fleet, tmp_path):
+    # importing hashlib loads OpenSSL (_hashlib), a few MB of resident memory
     bucket = json.loads(small_fleet.read_text().splitlines()[0])["name"]
+    state = str(tmp_path / "state.json")
     commands = [
+        ["scan", "--input", str(small_fleet)],
+        ["scan", "--input", str(small_fleet), "--rules", "unified", "--scan-id", "s1"],
+        ["scan", "--input", str(small_fleet), "--state", state, "--scan-id", "s1"],
+        ["scan", "--input", str(small_fleet), "--state", state],  # the rescan
+        ["rules", "run", "--file", os.path.join(os.path.dirname(bucketlens.__file__), "unified.rule"), "--input",
+         str(small_fleet)],
         ["evaluate", "--input", str(small_fleet), "--truth", str(small_fleet.with_name("fleet.truth.jsonl"))],
         ["explain", bucket, "--input", str(small_fleet)],
         ["generate", "--total", "20", "--mix", "adversarial", "--seed", "1", "--out", str(tmp_path / "g.jsonl")],
@@ -246,9 +255,10 @@ def test_commands_that_fingerprint_nothing_do_not_load_hashlib(small_fleet, tmp_
         ["rules", "list", "--set", "unified"],
     ]
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from bucketlens.cli import main\n"
-        + "".join(f"assert main({command!r}) == 0\n" for command in commands)
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    assert main({command!r}) == 0\n" for command in commands)
         + "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
@@ -338,6 +348,15 @@ def test_scan_rejects_held_lock(small_fleet, tmp_path, capsys):
     assert rc == 3
     assert "locked" in capsys.readouterr().err
     assert not state.exists()
+
+
+def test_scan_with_a_missing_state_directory_names_the_state_file(small_fleet, tmp_path, capsys):
+    state = tmp_path / "missing" / "dir" / "s.json"
+    assert main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot lock alert state {state}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def _lock_state_and_die(state: str) -> None:
@@ -521,6 +540,18 @@ def test_scan_rejects_a_state_whose_version_is_not_the_integer_one(small_fleet, 
     assert main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s1"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "schema_version" in err
+    assert state.read_bytes() == before
+
+
+def test_scan_rejects_a_state_key_that_is_not_a_fingerprint(small_fleet, tmp_path, capsys):
+    # such a key would be reported resolved by every later scan
+    state = tmp_path / "state.json"
+    state.write_text('{"schema_version": 1, "first_seen": {"a": "s1"}}')
+    before = state.read_bytes()
+    assert main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "s2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: alert state {state} has a first_seen key that is not an alert fingerprint\n"
     assert state.read_bytes() == before
 
 

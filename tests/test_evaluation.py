@@ -34,7 +34,9 @@ from bucketlens.evaluation import (
 from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
 from bucketlens.model import Alert, Severity
 
-from conftest import FIXTURES, allusers_read_bucket, locked_bucket, public_policy_bucket, run_fresh_interpreter
+from conftest import (
+    FIXTURES, allusers_read_bucket, locked_bucket, needs_builtin_sha256, public_policy_bucket, run_fresh_interpreter,
+)
 
 
 def _alert(bucket: str, rule: str = "RULE-X", conditions: tuple[int, ...] = ()) -> Alert:
@@ -221,6 +223,39 @@ def test_remediation_resolves_fingerprint():
     assert len(second.unchanged) == 1
 
 
+_DIFF_ALERTS = st.builds(
+    _alert, st.sampled_from(["a-bucket", "b-bucket", "c-bucket"]), st.sampled_from(["RULE-X", "RULE-Y"]),
+    st.sampled_from([(), (1,), (2, 3)]),
+)
+_A, _B = _alert("a-bucket"), _alert("b-bucket")
+
+
+@given(
+    current=st.lists(_DIFF_ALERTS, max_size=12),  # repeats are likely: 18 distinct alerts
+    previous=st.dictionaries(
+        st.one_of(_DIFF_ALERTS.map(alert_fingerprint), st.text("0123456789abcdef", min_size=64, max_size=64)),
+        st.sampled_from(["scan-1", "scan-2"]),
+        max_size=12,
+    ),
+    scan_id=st.sampled_from(["scan-2", "scan-3"]),
+)
+@example(current=[], previous={}, scan_id="scan-3")
+@example(current=[_A, _A, _B], previous={}, scan_id="scan-3")  # repeated alerts, empty previous
+@example(current=[_B, _A], previous={alert_fingerprint(_A): "scan-1", alert_fingerprint(_B): "scan-2"},
+         scan_id="scan-3")  # all unchanged
+@example(current=[], previous={alert_fingerprint(_A): "scan-1", alert_fingerprint(_B): "scan-1"},
+         scan_id="scan-3")  # all resolved
+def test_diff_alerts_is_the_set_algebra_of_its_fingerprints(current, previous, scan_id):
+    before = dict(previous)
+    diff = diff_alerts(previous, current, scan_id)
+    fps = {alert_fingerprint(alert) for alert in current}
+    assert diff.new == tuple(sorted(fps - previous.keys()))
+    assert diff.unchanged == tuple(sorted(fps & previous.keys()))
+    assert diff.resolved == tuple(sorted(previous.keys() - fps))
+    assert diff.state == {fp: previous.get(fp, scan_id) for fp in fps}
+    assert previous == before
+
+
 def test_diff_conservation():
     previous = diff_alerts({}, [_alert("a-bucket"), _alert("b-bucket")], "s1").state
     current = [_alert("b-bucket"), _alert("c-bucket")]
@@ -238,24 +273,49 @@ def test_fingerprint_depends_on_identity_fields():
     assert alert_fingerprint(base) != alert_fingerprint(_alert("a-bucket", "RULE-X", (1,)))
 
 
+@needs_builtin_sha256
 def test_fingerprint_is_the_sha256_of_its_payload_from_the_first_call():
-    # hashlib is bound on the first fingerprint, so the first call needs a
-    # process that has made none
+    # the hash is bound at import, so a process that has fingerprinted nothing
+    # must give the same digests, through the built-in SHA-256, not OpenSSL's
     script = (
-        "import hashlib\n"
+        "import sys\n"
         "from bucketlens import evaluation\n"
         "from bucketlens.model import Severity, new_alert\n"
-        "assert evaluation._sha256 is not hashlib.sha256\n"
         "cases = [\n"
         "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'x'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
         "    (new_alert('b-bucket', 'RULE-X', Severity.LOW, (), 'y'), 'b-bucket\\nRULE-X\\n'),\n"
         "    (new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'z'), 'a-bucket\\nUNIFIED\\n1,3'),\n"
         "]\n"
-        "for alert, payload in cases:\n"
-        "    assert evaluation.alert_fingerprint(alert) == hashlib.sha256(payload.encode()).hexdigest()\n"
-        "assert evaluation._sha256 is hashlib.sha256\n"
+        "digests = [evaluation.alert_fingerprint(alert) for alert, _ in cases]\n"
+        "assert '_hashlib' not in sys.modules\n"
+        "try:\n"
+        "    from _sha2 import sha256 as builtin\n"
+        "except ImportError:\n"
+        "    from _sha256 import sha256 as builtin\n"
+        "assert evaluation._sha256 is builtin\n"
+        "import hashlib\n"
+        "assert digests == [hashlib.sha256(payload.encode()).hexdigest() for _, payload in cases]\n"
     )
     run_fresh_interpreter(script)
+
+
+def test_fingerprint_and_scan_id_fall_back_to_hashlib(tmp_path):
+    # an interpreter built without the built-in SHA-256 hashes through hashlib
+    fleet = tmp_path / "fleet.jsonl"
+    data = bytes(range(256)) * 5000  # more than one 1 MiB chunk
+    fleet.write_bytes(data)
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from bucketlens import cli, evaluation\n"
+        "from bucketlens.model import Severity, new_alert\n"
+        "assert evaluation._sha256 is hashlib.sha256\n"
+        "alert = new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'x')\n"
+        "assert evaluation.alert_fingerprint(alert) == hashlib.sha256(b'a-bucket\\nUNIFIED\\n1,3').hexdigest()\n"
+        f"print(cli._default_scan_id({str(fleet)!r}), file=sys.stderr)\n"
+    )
+    assert run_fresh_interpreter(script) == f"scan-{hashlib.sha256(data).hexdigest()[:12]}\n"
 
 
 @given(st.text(max_size=20), st.text(max_size=20), st.frozensets(st.integers(1, 5)).map(sorted).map(tuple))
@@ -326,6 +386,11 @@ def test_failed_state_save_keeps_previous_state(tmp_path, monkeypatch):
         "not json", "[]", '{"schema_version": 99, "first_seen": {}}', '{"schema_version": 1, "first_seen": [1]}',
         '{"schema_version": 1, "first_seen": {"fp": "s1", "fp2": 1}}',
         '{"schema_version": true, "first_seen": {}}', '{"schema_version": 1.0, "first_seen": {}}',
+        # keys no scan could write: not 64 lowercase hex digits
+        '{"schema_version": 1, "first_seen": {"a": "s1"}}',
+        '{"schema_version": 1, "first_seen": {"%s": "s1"}}' % ("A" * 64),
+        '{"schema_version": 1, "first_seen": {"%s": "s1", "%s": "s1"}}' % ("a" * 64, "a" * 63),
+        '{"schema_version": 1, "first_seen": {"%s\\n": "s1"}}' % ("a" * 64),
     ],
 )
 def test_state_corruption(tmp_path, content):
