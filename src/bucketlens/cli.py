@@ -19,11 +19,10 @@ import stat
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable
 
 from . import evaluation
 from .defaults import default_catalog, evaluate_default
-from .errors import BucketlensError, DuplicateNameError, LexError, ParseError, SchemaError, UnknownBucketError
+from .errors import BucketlensError, LexError, ParseError, SchemaError, UnknownBucketError
 from .evaluation import (
     alert_to_dict,
     compute_metrics,
@@ -152,23 +151,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input(path: str, load: Callable[[str], Any]) -> Any:
-    """``load(path)``, with ``path`` in front of the message of a SchemaError or DuplicateNameError."""
-    try:
-        return load(path)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc.message}", field=exc.field, line=exc.line) from None
-    except DuplicateNameError as exc:
-        raise DuplicateNameError(f"{path}: {exc}") from None
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .fleetgen import load_truth
 
     keys = _restrictive_keys()
-    # both inputs are JSONL, so an error names its file; the fleet is read first, and its errors win
-    buckets = _read_input(args.input, load_fleet)
-    truth = _read_input(args.truth, load_truth)
+    buckets = load_fleet(args.input)  # read first, so its errors win
+    truth = load_truth(args.truth)
     default_alerts = scan_fleet(buckets, rules="default", restrictive_keys=keys)
     unified_alerts = scan_fleet(buckets, rules="unified", restrictive_keys=keys)
     report = compute_metrics(
@@ -282,6 +270,11 @@ def _minutes(text: str) -> float:
 def _scan_id(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("expected a non-empty scan id")
+    # an argument that is not UTF-8 arrives with surrogate escapes, which no later scan could read back
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"expected a UTF-8 scan id, got {text!r}") from None
     return text
 
 

@@ -17,6 +17,7 @@ unified rule's blind spots and only appear in the adversarial mix.
 Ground-truth labels are always recomputed from the access oracle, never
 hard-coded, so a scenario whose template drifts out of line with its declared
 expectations fails the expectation tests rather than silently mislabeling.
+Truth files are read through ``model.read_jsonl``, which names an error's file and line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
-    _decode,
+    parse_json,
     read_json,
     read_jsonl,
 )
@@ -439,26 +440,26 @@ def load_truth(path: str | Path) -> dict[str, GroundTruth]:
     """
     truths: dict[str, GroundTruth] = {}
     shared: dict[tuple[bool, bool, str], GroundTruth] = {}
-    for lineno, text in read_jsonl(path):
-        try:
-            raw = _decode(text)
-        except SchemaError as exc:
-            raise SchemaError(exc.message, line=lineno) from None
+
+    def parse(text: str) -> tuple[str, GroundTruth]:
+        raw = parse_json(text, SchemaError)
         if type(raw) is not dict:
-            raise SchemaError("truth line must be a JSON object", line=lineno)
+            raise SchemaError("truth line must be a JSON object")
         get = raw.get
         name, exploitable, risk, reason = get("name"), get("exploitable"), get("business_risk"), get("reason")
         if not (type(name) is str and type(exploitable) is bool and type(risk) is bool and type(reason) is str):
             for key, kind in _TRUTH_FIELDS:
                 if type(get(key)) is not kind:
-                    raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+                    raise SchemaError(f"field {key!r} missing or mistyped", field=key)
         if name in truths:
-            raise DuplicateNameError(f"duplicate bucket name {name!r} (line {lineno})")
+            raise DuplicateNameError(f"duplicate bucket name {name!r}")
         label = (exploitable, risk, reason)
         truth = shared.get(label)
         if truth is None:
             truth = shared[label] = GroundTruth(*label)
-        truths[name] = truth
+        return name, truth
+
+    truths.update(read_jsonl(path, parse))  # pair by pair, so parse sees each earlier name
     return truths
 
 

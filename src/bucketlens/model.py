@@ -24,10 +24,11 @@ back yields a field-by-field identical record.
 The module also holds :class:`Alert`, the one record both rulesets emit
 (``defaults`` and ``unified`` build it with ``new_alert``).
 
-Every input file is read through ``read_utf8``, ``parse_json``, ``read_json``
-or ``read_jsonl``, which turn each way a file fails to decode (not UTF-8,
-invalid JSON, nested too deeply, an integer with too many digits) into the
-caller's ``BucketlensError``.
+Every input file is read through ``read_utf8``, ``read_json`` or
+``read_jsonl``, and decoded by ``parse_json``; they turn each way a file fails
+to decode (not UTF-8, invalid JSON, nested too deeply, an integer with too
+many digits, a lone surrogate) into the caller's ``BucketlensError``.
+``read_jsonl`` puts the file and line in front of each JSONL error.
 """
 
 from __future__ import annotations
@@ -194,17 +195,51 @@ class Alert:
 # Input readers
 # ---------------------------------------------------------------------------
 
+_scan_once = json.JSONDecoder().scan_once
+
+
 def parse_json(text: str, error: Callable[[str], Exception]) -> Any:
-    """``json.loads(text)``; text that does not decode raises ``error(reason)``."""
+    """``json.loads(text)``; text that does not decode, or whose ``\\u`` escapes
+    spell a lone surrogate (which UTF-8 cannot encode), raises ``error(reason)``.
+
+    A text that is its value, or its value and one newline, as a JSONL line
+    is, goes to the decoder's scanner directly, skipping json.loads' wrapping.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        reason = f"invalid JSON: {exc.msg}"
-    except RecursionError:
-        reason = "invalid JSON: nested too deeply"
-    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
-        reason = "invalid JSON: integer has too many digits"
-    raise error(reason) from None
+        value, end = _scan_once(text, 0)
+        scanned = end == len(text) or (end == len(text) - 1 and text[end] == "\n")
+    except (ValueError, TypeError, StopIteration, RecursionError):  # ValueError: JSONDecodeError
+        scanned = False
+    if not scanned:
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise error("invalid JSON: nested too deeply") from None
+        except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+            raise error("invalid JSON: integer has too many digits") from None
+    if "\\" in text and _holds_lone_surrogate(value):  # only an escape spells a surrogate
+        raise error("invalid JSON: lone surrogate in a string")
+    return value
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_lone_surrogate(value: Any) -> bool:
+    """Whether a string or key in the decoded ``value`` holds a surrogate (the
+    decoder leaves only unpaired ones); walked without recursion."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is dict:
+            pending += (*item, *item.values())
+        elif type(item) is list:
+            pending += item
+        elif type(item) is str and _SURROGATE.search(item):
+            return True
+    return False
 
 
 def read_utf8(path: str | Path, error: Callable[[str], Exception]) -> str:
@@ -220,31 +255,28 @@ def read_json(path: str | Path, error: Callable[[str], Exception]) -> Any:
     return parse_json(read_utf8(path, error), error)
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, text) for each non-blank line of a UTF-8 JSONL file.
+def read_jsonl(path: str | Path, parse: Callable[[str], Any]) -> Iterator[Any]:
+    """Yield ``parse(text)`` for each non-blank line of a UTF-8 JSONL file.
 
-    A file that is not UTF-8 raises a SchemaError naming its first bad line.
-    Text reads decode in blocks, so the decode error does not tell which line
-    failed; the file is read again, as bytes, to find it, with lines ended as
-    text mode ends them (by LF, CR LF or a lone CR). The file is closed
-    however the iteration ends, early ones included.
+    Each SchemaError or DuplicateNameError that ``parse`` raises, and the
+    first line that is not UTF-8, is raised as ``<path>: <message> (line N)``.
+    Lines end as text mode ends them (LF, CR LF or a lone CR). The file is
+    closed however the iteration ends.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        # bytes that are not UTF-8 are read as escapes, and decoded again to raise their error on their own line
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, text in enumerate(handle, start=1):
+                if not text.isascii() and _SURROGATE.search(text):
+                    text.encode("utf-8", "surrogateescape").decode("utf-8")
                 if text.strip():
-                    yield lineno, text
-            return
-        except UnicodeDecodeError:
-            pass
-    with open(path, "rb") as handle:
-        data = handle.read()
-    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"invalid UTF-8: {exc.reason}", line=lineno) from None
-    raise SchemaError("invalid UTF-8")
+                    yield parse(text)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: invalid UTF-8: {exc.reason}", line=lineno) from None
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc.message}", field=exc.field, line=lineno) from None
+    except DuplicateNameError as exc:
+        raise DuplicateNameError(f"{path}: {exc} (line {lineno})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -450,49 +482,6 @@ def _parse_bpa(raw: Any) -> PublicAccessBlock:
     return _BPA_BY_FLAGS[flags]
 
 
-def parse_snapshot_line(text: str, *, line: int | None = None, shared: dict | None = None) -> BucketConfig:
-    """Parse one line of the JSONL snapshot format into a BucketConfig.
-
-    Missing BPA normalizes to all-false, missing tags to an empty map.
-    Raises SchemaError naming the offending field (and line, when given).
-
-    ``shared`` is a value table for the lines of one file, empty at first;
-    ``load_fleet`` passes one. With it, each region, non-empty tag map,
-    ``acl_grants`` tuple and statement ``principal_aws`` or ``actions`` tuple
-    that equals one an earlier line entered in the table is that earlier
-    object, so buckets with equal tags share one tag dict. Without it, the
-    record shares none of these values.
-    """
-    try:
-        return _parse_record(text, shared)
-    except SchemaError as exc:
-        # the one place line numbers are added, for the checks in _parse_record
-        # and in the model classes' __post_init__ alike
-        if line is None:
-            raise
-        raise SchemaError(exc.message, field=exc.field, line=line) from None
-
-
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(text: str) -> Any:
-    """``json.loads(text)``, with its errors as SchemaErrors.
-
-    A line that starts with its value and ends with it or with one newline
-    is decoded by the decoder's scanner directly, which skips json.loads'
-    Python-level wrapping. Any other text, and any text the scanner rejects,
-    goes through ``parse_json``, which reads it again and raises its error.
-    """
-    try:
-        value, end = _scan_once(text, 0)
-        if end == len(text) or (end == len(text) - 1 and text[end] == "\n"):
-            return value
-    except (ValueError, TypeError, StopIteration, RecursionError):  # ValueError: JSONDecodeError
-        pass
-    return parse_json(text, SchemaError)
-
-
 # The value table of ``parse_snapshot_line``. Its keys are of four kinds that
 # cannot collide: a region is a str; a tag map is keyed by the tuple of its
 # (key, value) str pairs, in order, so maps that only order their keys apart
@@ -510,8 +499,20 @@ def _keep(shared: dict, key: Any, value: Any) -> Any:
     return value
 
 
-def _parse_record(text: str, shared: dict | None) -> BucketConfig:
-    raw = _decode(text)
+def parse_snapshot_line(text: str, *, shared: dict | None = None) -> BucketConfig:
+    """Parse one line of the JSONL snapshot format into a BucketConfig.
+
+    Missing BPA normalizes to all-false, missing tags to an empty map.
+    Raises SchemaError naming the offending field.
+
+    ``shared`` is a value table for the lines of one file, empty at first;
+    ``load_fleet`` passes one. With it, each region, non-empty tag map,
+    ``acl_grants`` tuple and statement ``principal_aws`` or ``actions`` tuple
+    that equals one an earlier line entered in the table is that earlier
+    object, so buckets with equal tags share one tag dict. Without it, the
+    record shares none of these values.
+    """
+    raw = parse_json(text, SchemaError)
     if type(raw) is not dict:
         raise SchemaError("snapshot line must be a JSON object")
     if not _TOP_KEYS.issuperset(raw):
@@ -614,12 +615,16 @@ def serialize_snapshot_line(config: BucketConfig) -> str:
 
 def _read_fleet(path: str | Path, shared: dict | None) -> Iterator[BucketConfig]:
     seen: set[str] = set()
-    for lineno, text in read_jsonl(path):
-        config = parse_snapshot_line(text, line=lineno, shared=shared)
+
+    def parse(text: str) -> BucketConfig:
+        # parse_snapshot_line is looked up on each call, so a wrapper set on the module sees every line
+        config = parse_snapshot_line(text, shared=shared)
         if config.name in seen:
-            raise DuplicateNameError(f"duplicate bucket name {config.name!r} (line {lineno})")
+            raise DuplicateNameError(f"duplicate bucket name {config.name!r}")
         seen.add(config.name)
-        yield config
+        return config
+
+    return read_jsonl(path, parse)
 
 
 def iter_fleet(path: str | Path) -> Iterator[BucketConfig]:

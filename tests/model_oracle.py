@@ -1,7 +1,7 @@
 """The snapshot-line parser and the truth loader as they were before their
 fast-path rewrites: their test oracles.
 
-``_parse_record`` and its helpers are kept here unchanged, each check in
+``parse_snapshot_line`` and its helpers are kept here unchanged, each check in
 its own helper and every object built through its dataclass constructor,
 so the one-pass parser in ``bucketlens.model`` is checked against an
 independent reading of the same schema: it must return an equal
@@ -9,6 +9,10 @@ independent reading of the same schema: it must return an equal
 ``load_truth`` is ``bucketlens.fleetgen.load_truth`` before it decoded with
 the snapshot parser's scanner and shared equal labels: it must return an
 equal dict or raise the same error.
+
+The truth loader reads its file through the package's ``read_jsonl``, which
+puts the file and line in front of each error. The snapshot parser's one
+addition is its lone-surrogate check, made by re-encoding the value.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from bucketlens.model import (
 )
 
 _TOO_DEEP = "invalid JSON: nested too deeply"
+_LONE_SURROGATE = "invalid JSON: lone surrogate in a string"
 
 _ABSENT = object()
 
@@ -157,29 +162,23 @@ def _parse_bpa(raw: Any) -> PublicAccessBlock:
     )]
 
 
-def parse_snapshot_line(text: str, *, line: int | None = None) -> BucketConfig:
+def parse_snapshot_line(text: str) -> BucketConfig:
     """Parse one line of the JSONL snapshot format into a BucketConfig.
 
     Missing BPA normalizes to all-false, missing tags to an empty map.
-    Raises SchemaError naming the offending field (and line, when given).
+    Raises SchemaError naming the offending field.
     """
-    try:
-        return _parse_record(text)
-    except SchemaError as exc:
-        # the one place line numbers are added, for the checks in _parse_record
-        # and in the model classes' __post_init__ alike
-        if line is None:
-            raise
-        raise SchemaError(exc.message, field=exc.field, line=line) from None
-
-
-def _parse_record(text: str) -> BucketConfig:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise SchemaError(_TOO_DEEP) from None
+    if "\\u" in text:
+        try:
+            json.dumps(raw, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:  # a \u escape that spells a lone surrogate
+            raise SchemaError(_LONE_SURROGATE) from None
     if not isinstance(raw, dict):
         raise SchemaError("snapshot line must be a JSON object")
     _check_no_extra_keys(raw, _TOP_KEYS, "bucket record")
@@ -207,18 +206,22 @@ def _parse_record(text: str) -> BucketConfig:
 
 def load_truth(path: str | Path) -> dict[str, GroundTruth]:
     truths: dict[str, GroundTruth] = {}
-    for lineno, text in read_jsonl(path):
-        raw = parse_json(text, lambda reason: SchemaError(reason, line=lineno))
+
+    def parse(text: str) -> None:
+        raw = parse_json(text, SchemaError)
         if not isinstance(raw, dict):
-            raise SchemaError("truth line must be a JSON object", line=lineno)
+            raise SchemaError("truth line must be a JSON object")
         for key, kind in (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str)):
             if not isinstance(raw.get(key), kind):
-                raise SchemaError(f"field {key!r} missing or mistyped", field=key, line=lineno)
+                raise SchemaError(f"field {key!r} missing or mistyped", field=key)
         if raw["name"] in truths:
-            raise DuplicateNameError(f"duplicate bucket name {raw['name']!r} (line {lineno})")
+            raise DuplicateNameError(f"duplicate bucket name {raw['name']!r}")
         truths[raw["name"]] = GroundTruth(
             exploitable=raw["exploitable"],
             business_risk=raw["business_risk"],
             reason=raw["reason"],
         )
+
+    for _ in read_jsonl(path, parse):
+        pass
     return truths

@@ -484,14 +484,49 @@ def test_evaluate_error_names_its_input(bad_fleet, bad_truth, expected, small_fl
     assert err == f"error: {tmp_path}/{expected}\n"
 
 
-def test_evaluate_duplicate_name_names_its_input(small_fleet, tmp_path, capsys):
-    truth = small_fleet.with_name("fleet.truth.jsonl")
-    first = truth.read_text().splitlines(keepends=True)[0]
-    truth.write_text(truth.read_text() + first)
-    assert main(["evaluate", "--input", str(small_fleet), "--truth", str(truth)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {truth}: duplicate bucket name ")
+def _with_second_line(source, path, line):
+    """``source`` written to ``path`` with ``line`` inserted as its second line;
+    ``None`` inserts a copy of the first."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join([lines[0], line or lines[0], *lines[1:]]))
+    return str(path)
+
+
+# (second line, message) of each bad input; None repeats the first line, whose name is {name}
+_INPUT_FAULTS = {
+    ("fleet", "malformed"): (_FLEET_LINE.encode(), "field 'region' must be str, got int (field: region)"),
+    ("truth", "malformed"): (_TRUTH_LINE.encode(), "field 'exploitable' missing or mistyped (field: exploitable)"),
+    ("fleet", "duplicate"): (None, "duplicate bucket name {name!r}"),
+    ("truth", "duplicate"): (None, "duplicate bucket name {name!r}"),
+    ("fleet", "not-utf8"): (b'{"name": "bad-\xff"}\n', "invalid UTF-8: invalid start byte"),
+    ("truth", "not-utf8"): (b'{"name": "bad-\xff"}\n', "invalid UTF-8: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("fault", ["malformed", "duplicate", "not-utf8"])
+@pytest.mark.parametrize(
+    "command,bad_input",
+    [("scan", "fleet"), ("explain", "fleet"), ("rules run", "fleet"), ("evaluate", "fleet"), ("evaluate", "truth")],
+)
+def test_every_fleet_command_names_the_file_and_line_of_an_input_error(
+    command, bad_input, fault, small_fleet, tmp_path, capsys
+):
+    inputs = {"fleet": small_fleet, "truth": small_fleet.with_name("fleet.truth.jsonl")}
+    source = inputs[bad_input]
+    line, message = _INPUT_FAULTS[bad_input, fault]
+    bad = inputs[bad_input] = _with_second_line(source, tmp_path / f"bad-{bad_input}.jsonl", line)
+    first = json.loads(source.read_text().splitlines()[0])["name"]
+    rule = _write(tmp_path / "always.rule", "RULE always SEVERITY Low WHEN TRUE\n")
+    fleet, truth = str(inputs["fleet"]), str(inputs["truth"])
+    argv = {
+        "scan": ["scan", "--input", fleet],
+        "explain": ["explain", first, "--input", fleet],
+        "rules run": ["rules", "run", "--file", rule, "--input", fleet],
+        "evaluate": ["evaluate", "--input", fleet, "--truth", truth],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {bad}: {message.format(name=first)} (line 2)\n")
 
 
 @pytest.mark.parametrize("format", ["table", "csv", "json"])
@@ -842,3 +877,59 @@ def test_restrictive_keys_file_not_utf8_exits_three(small_fleet, tmp_path, capsy
     monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, _write(tmp_path / "keys.json", b'["\xff"]'))
     assert main(["scan", "--input", str(small_fleet)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scan_id_must_be_utf8(small_fleet, tmp_path, capsys):
+    # a command-line argument that is not UTF-8 arrives with surrogate escapes
+    state = tmp_path / "state.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--input", str(small_fleet), "--state", str(state), "--scan-id", "id\udcff"])
+    assert exc.value.code == 2
+    assert "expected a UTF-8 scan id" in capsys.readouterr().err
+    assert not state.exists()
+
+
+# \u escapes that spell a lone surrogate, which no UTF-8 output can hold
+_LONE_SURROGATES = {"high": "\\ud800", "low": "\\udc00", "reversed-pair": "\\udc00\\ud800"}
+# escapes that spell text: a surrogate pair, and an escaped backslash before "ud800"
+_SPELLED_TEXT = {"pair": ("\\ud83d\\ude00", "\U0001f600"), "escaped-backslash": ("\\\\ud800", "\\ud800")}
+
+
+@pytest.mark.parametrize("escape", _LONE_SURROGATES.values(), ids=_LONE_SURROGATES)
+@pytest.mark.parametrize("command", ["scan", "explain"])
+def test_a_lone_surrogate_in_a_fleet_exits_three(command, escape, tmp_path, capsys):
+    fleet = _write(tmp_path / "fleet.jsonl", '{"name": "abc"}\n{"name": "abd", "region": "%s"}\n' % escape)
+    argv = ["scan", "--input", fleet] if command == "scan" else ["explain", "abd", "--input", fleet]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {fleet}: invalid JSON: lone surrogate in a string (line 2)\n")
+
+
+@pytest.mark.parametrize("escape", _LONE_SURROGATES.values(), ids=_LONE_SURROGATES)
+@pytest.mark.parametrize("artifact", ["tagging.json", "policy document"])
+def test_a_lone_surrogate_in_an_artifact_exits_three_before_writing(artifact, escape, tmp_path, capsys):
+    if artifact == "tagging.json":
+        files = {"acl.json": '{"Grants": []}', "tagging.json": '{"TagSet": [{"Key": "k", "Value": "%s"}]}' % escape}
+        message = "invalid JSON: lone surrogate in a string"
+    else:  # the policy text, a JSON string, holds the escape as text, so the escape's backslash is doubled
+        policy = '{"Statement": {"Effect": "Allow", "Principal": "*", "Action": "s3:GetObject", "Sid": "%s"}}' % escape
+        files = {"acl.json": '{"Grants": []}', "policy.json": json.dumps({"Policy": policy})}
+        message = "embedded policy document is invalid JSON: lone surrogate in a string"
+    bucket = _artifact_dir(tmp_path, files)
+    out = tmp_path / "fleet.jsonl"
+    assert main(["import", bucket, "--out", str(out)]) == 3
+    name = "tagging.json" if artifact == "tagging.json" else "policy.json"
+    assert capsys.readouterr() == ("", f"error: {bucket}/{name}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("escape,text", _SPELLED_TEXT.values(), ids=_SPELLED_TEXT)
+def test_escapes_that_spell_text_come_out_unchanged(escape, text, tmp_path, capsys):
+    bucket = _artifact_dir(tmp_path, {
+        "acl.json": '{"Grants": []}', "tagging.json": '{"TagSet": [{"Key": "k", "Value": "%s"}]}' % escape,
+    })
+    assert main(["import", bucket]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["tags"] == {"k": text}
+    fleet = _write(tmp_path / "fleet.jsonl", '{"name": "abc", "region": "%s"}\n' % escape)
+    assert main(["explain", "abc", "--input", fleet]) == 0
+    assert capsys.readouterr().out.startswith(f"bucket: abc (region {text})\n")

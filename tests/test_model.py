@@ -95,9 +95,8 @@ def test_unknown_permission_rejected():
         }
     )
     with pytest.raises(SchemaError) as exc:
-        parse_snapshot_line(line, line=7)
+        parse_snapshot_line(line)
     assert "OWNER" in str(exc.value)
-    assert "line 7" in str(exc.value)
 
 
 SCHEMA_ERROR_CASES = [
@@ -128,11 +127,14 @@ def test_schema_errors(line, needle):
 
 
 @pytest.mark.parametrize("line,needle", SCHEMA_ERROR_CASES)
-def test_every_snapshot_error_names_its_line(line, needle):
+def test_every_snapshot_error_names_its_line(line, needle, tmp_path):
+    path = tmp_path / "fleet.jsonl"
+    path.write_text('{"name":"good-bucket"}\n\n' + line + "\n", encoding="utf-8")
     with pytest.raises(SchemaError) as exc:
-        parse_snapshot_line(line, line=41)
-    assert exc.value.line == 41
-    assert str(exc.value).endswith("(line 41)")
+        load_fleet(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).endswith("(line 3)")
     assert needle in str(exc.value)
 
 
@@ -151,17 +153,17 @@ def test_bad_name_message_is_unchanged_and_checked_once(monkeypatch):
     parse_snapshot_line('{"name":"good-name"}')
     assert calls == ["good-name"]
     with pytest.raises(SchemaError) as exc:
-        parse_snapshot_line('{"name":"Bad_Name"}', line=3)
+        parse_snapshot_line('{"name":"Bad_Name"}')
     assert str(exc.value) == (
         "invalid bucket name 'Bad_Name': expected 3-63 chars of lowercase letters, "
-        "digits, dots, hyphens (field: name) (line 3)"
+        "digits, dots, hyphens (field: name)"
     )
 
 
 def test_load_fleet_rejects_non_utf8_naming_the_line(tmp_path):
     fleet = tmp_path / "fleet.jsonl"
     good = b'{"name":"ok-bucket-%d"}\n'
-    # far past the first decode block, so the line is found by the byte scan
+    # far past the first decode block, so lines before it have been read and parsed
     fleet.write_bytes(b"".join(good % i for i in range(2000)) + b'{"name":"bad-\xff"}\n')
     with pytest.raises(SchemaError) as exc:
         load_fleet(fleet)
@@ -196,6 +198,33 @@ def test_parse_json_gives_each_decode_failure_to_the_callers_error(text, reason,
     assert str(exc.value) == f"doc is {reason}"
 
 
+_LONE = "invalid JSON: lone surrogate in a string"
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ('["\\ud800"]', _LONE),
+        ('{"\\udc00": 1}', _LONE),  # in a key
+        ('"\\udc00\\ud800"', _LONE),  # a pair in the wrong order
+        (" " + "[" * 500 + '"\\udbff"' + "]" * 500, _LONE),  # deep, and past the scanner's fast path
+        ('"\\ud83d\\ude00"', "\U0001f600"),
+        ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, then text
+        ('"\\u00e9\\n"', "\u00e9\n"),
+    ],
+)
+def test_parse_json_rejects_a_lone_surrogate_and_keeps_every_other_escape(text, value):
+    if value == _LONE:
+        with pytest.raises(MixError) as exc:
+            parse_json(text, MixError)
+        assert str(exc.value) == _LONE
+        with pytest.raises(SchemaError) as exc:
+            model_oracle.parse_snapshot_line(text)
+        assert exc.value.message == _LONE
+    else:
+        assert parse_json(text, MixError) == value
+
+
 def test_read_utf8_names_the_offset_of_the_first_bad_byte(tmp_path):
     path = tmp_path / "doc.txt"
     path.write_bytes("é".encode() + b"ok\xffmore")
@@ -206,18 +235,52 @@ def test_read_utf8_names_the_offset_of_the_first_bad_byte(tmp_path):
     assert read_utf8(path, SchemaError) == "ok é\n"
 
 
+def _rejecting(word):
+    """A line parser that gives each line back, but raises on one holding ``word``."""
+    def parse(text):
+        if word in text:
+            raise SchemaError(f"{word} here", field="f")
+        return text
+    return parse
+
+
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "doc.jsonl"
     path.write_bytes(b"a\n\n  \n\tb\n\r\nc")
-    assert list(read_jsonl(path)) == [(1, "a\n"), (4, "\tb\n"), (6, "c")]
+    assert list(read_jsonl(path, _rejecting("x"))) == ["a\n", "\tb\n", "c"]
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path, _rejecting("c")))
+    assert (str(exc.value), exc.value.field, exc.value.line) == (f"{path}: c here (field: f) (line 6)", "f", 6)
+
+
+def test_read_jsonl_names_the_file_and_line_of_a_duplicate(tmp_path):
+    path = tmp_path / "doc.jsonl"
+    path.write_bytes(b"a\n\nb\n")
+
+    def parse(text):
+        if text == "b\n":
+            raise DuplicateNameError("duplicate bucket name 'b'")
+        return text
+
+    with pytest.raises(DuplicateNameError) as exc:
+        list(read_jsonl(path, parse))
+    assert str(exc.value) == f"{path}: duplicate bucket name 'b' (line 3)"
 
 
 def test_read_jsonl_names_the_first_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "doc.jsonl"
     path.write_bytes(b"ok\n\n\xc3\n\xff\n")
     with pytest.raises(SchemaError) as exc:
-        list(read_jsonl(path))
-    assert (exc.value.message, exc.value.line) == ("invalid UTF-8: invalid continuation byte", 3)
+        list(read_jsonl(path, str))
+    assert (str(exc.value), exc.value.line) == (f"{path}: invalid UTF-8: invalid continuation byte (line 3)", 3)
+    # errors come in file order: an earlier line's parse error wins over a later bad byte
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path, _rejecting("ok")))
+    assert exc.value.line == 1
+    path.write_bytes("ok\né".encode() + b"\xff\n")  # a bad byte after a good non-ASCII one
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path, str))
+    assert (exc.value.message, exc.value.line) == (f"{path}: invalid UTF-8: invalid start byte", 2)
 
 
 @pytest.mark.parametrize(
@@ -229,16 +292,35 @@ def test_read_jsonl_names_the_first_line_that_is_not_utf8(tmp_path):
     ],
 )
 def test_read_jsonl_numbers_lines_as_text_mode_does(tmp_path, data, line):
-    # \n, \r\n and a lone \r each end one line, in the text read and in the
-    # bytes re-scan that names the bad line
+    # \n, \r\n and a lone \r each end one line, for a line that is parsed
+    # and for one that is not UTF-8 alike
     path = tmp_path / "doc.jsonl"
     path.write_bytes(data.replace(b"\xff", b""))
-    numbers = [number for number, _ in read_jsonl(path)]
-    assert numbers[-1] == line
+    with pytest.raises(SchemaError) as exc:
+        list(read_jsonl(path, _rejecting("bad")))
+    assert exc.value.line == line
     path.write_bytes(data)
     with pytest.raises(SchemaError) as exc:
-        list(read_jsonl(path))
-    assert (exc.value.message, exc.value.line) == ("invalid UTF-8: invalid start byte", line)
+        list(read_jsonl(path, str))
+    assert (exc.value.message, exc.value.line) == (f"{path}: invalid UTF-8: invalid start byte", line)
+
+
+def test_load_fleet_and_iter_fleet_parse_each_line_through_the_module_global(tmp_path, monkeypatch):
+    # a tracer that wraps model.parse_snapshot_line must see one call per bucket
+    path = tmp_path / "fleet.jsonl"
+    path.write_text('{"name":"abc"}\n\n{"name":"abd"}\r\n  \n{"name":"abe"}', encoding="utf-8")
+    calls = []
+    original = model.parse_snapshot_line
+
+    def counting(text, **kwargs):
+        calls.append(text)
+        return original(text, **kwargs)
+
+    monkeypatch.setattr(model, "parse_snapshot_line", counting)
+    for read in (load_fleet, iter_fleet):
+        calls.clear()
+        assert [bucket.name for bucket in read(path)] == ["abc", "abd", "abe"]
+        assert calls == ['{"name":"abc"}\n', '{"name":"abd"}\n', '{"name":"abe"}']
 
 
 def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypatch):
@@ -254,10 +336,10 @@ def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypat
     path = tmp_path / "fleet.jsonl"
     path.write_text('{"name":"abc"}\n{"name":"abc"}\n{"name":"abd"}\n')
 
-    lines = read_jsonl(path)
-    assert next(lines) == (1, '{"name":"abc"}\n')
+    lines = read_jsonl(path, str)
+    assert next(lines) == '{"name":"abc"}\n'
     lines.close()
-    lines = read_jsonl(path)
+    lines = read_jsonl(path, str)
     next(lines)
     del lines  # abandoned part-read
     with pytest.raises(DuplicateNameError):  # the consumer stops at line 2
@@ -265,7 +347,7 @@ def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypat
     path.write_bytes(b"ok\n\xff\n")
     with pytest.raises(SchemaError):
         load_fleet(path)
-    assert len(handles) == 5
+    assert len(handles) == 4  # a file that is not UTF-8 is opened once
     assert all(handle.closed for handle in handles)
 
 
@@ -420,15 +502,15 @@ def test_load_fleet_reports_a_bad_grant_as_the_line_parsers_do(tmp_path, grants)
     bad = f'{{"name":"bad-bucket","acl_grants":[{",".join(grants)}]}}'
     path = _write_lines(tmp_path / "fleet.jsonl", [good, bad])
     outcomes = []
-    for parse in (
-        lambda: load_fleet(path),
-        lambda: parse_snapshot_line(bad, line=2),
-        lambda: model_oracle.parse_snapshot_line(bad, line=2),
-    ):
+    for parse in (parse_snapshot_line, model_oracle.parse_snapshot_line):
         with pytest.raises(SchemaError) as exc:
-            parse()
-        outcomes.append((str(exc.value), exc.value.field, exc.value.line))
-    assert outcomes == [outcomes[-1]] * 3 and outcomes[0][2] == 2
+            parse(bad)
+        outcomes.append((exc.value.message, exc.value.field))
+    with pytest.raises(SchemaError) as exc:
+        load_fleet(path)
+    message, field = outcomes[-1]
+    assert outcomes[0] == outcomes[-1]
+    assert (exc.value.message, exc.value.field, exc.value.line) == (f"{path}: {message}", field, 2)
 
 
 _REGIONS = st.sampled_from(["us-east-1", "eu-west-1", "ap-south-1", ""])

@@ -84,7 +84,7 @@ def test_explain_duplicate_name_after_the_named_bucket(tmp_path, capsys):
     named = _line(allusers_read_bucket("named-bucket"))
     fleet = _fleet(tmp_path / "f.jsonl", named, _line(locked_bucket()), named)
     expected = _fleet_error(fleet)
-    assert expected == "error: duplicate bucket name 'named-bucket' (line 3)\n"
+    assert expected == f"error: {fleet}: duplicate bucket name 'named-bucket' (line 3)\n"
     _fails_with(["explain", "named-bucket", "--input", fleet], capsys, expected)
 
 
