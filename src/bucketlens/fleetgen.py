@@ -410,23 +410,22 @@ def generate_fleet(mix: MixSpec) -> list[tuple[BucketConfig, GroundTruth]]:
 # Ground-truth file format (JSONL alongside the fleet snapshot)
 # ---------------------------------------------------------------------------
 
+# json.dumps(ensure_ascii=False)'s own string escaper, so the line is what
+# json.dumps(separators=(",", ":"), ensure_ascii=False) writes for its dict
+_string = json.encoder.encode_basestring
+_BOOL = {False: "false", True: "true"}
+
+
 def serialize_truth_line(name: str, truth: GroundTruth) -> str:
-    return json.dumps(
-        {
-            "name": name,
-            "exploitable": truth.exploitable,
-            "business_risk": truth.business_risk,
-            "reason": truth.reason,
-        },
-        separators=(",", ":"),
-        ensure_ascii=False,
+    return (
+        f'{{"name":{_string(name)},"exploitable":{_BOOL[truth.exploitable]},'
+        f'"business_risk":{_BOOL[truth.business_risk]},"reason":{_string(truth.reason)}}}'
     )
 
 
 def write_truth(pairs: Iterable[tuple[BucketConfig, GroundTruth]], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for config, truth in pairs:
-            handle.write(serialize_truth_line(config.name, truth) + "\n")
+        handle.writelines(f"{serialize_truth_line(config.name, truth)}\n" for config, truth in pairs)
 
 
 _TRUTH_FIELDS = (("name", str), ("exploitable", bool), ("business_risk", bool), ("reason", str))

@@ -18,8 +18,8 @@ Both produce the same normalized, immutable :class:`BucketConfig`:
   ``("*",)``;
 * single-string actions/resources become one-element tuples.
 
-``serialize_snapshot_line`` emits the canonical snapshot form; parsing it
-back yields a field-by-field identical record.
+``serialize_snapshot_line`` writes the canonical snapshot form from string
+templates; parsing it back yields a field-by-field identical record.
 
 The module also holds :class:`Alert`, the one record both rulesets emit
 (``defaults`` and ``unified`` build it with ``new_alert``).
@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass, field, fields
@@ -199,8 +200,8 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def parse_json(text: str, error: Callable[[str], Exception]) -> Any:
-    """``json.loads(text)``; text that does not decode, or whose ``\\u`` escapes
-    spell a lone surrogate (which UTF-8 cannot encode), raises ``error(reason)``.
+    """``json.loads(text)``; text that does not decode, or whose strings hold a lone
+    surrogate (which UTF-8 cannot encode), raw or as ``\\u`` escapes, raises ``error(reason)``.
 
     A text that is its value, or its value and one newline, as a JSONL line
     is, goes to the decoder's scanner directly, skipping json.loads' wrapping.
@@ -219,7 +220,7 @@ def parse_json(text: str, error: Callable[[str], Exception]) -> Any:
             raise error("invalid JSON: nested too deeply") from None
         except ValueError:  # an integer longer than sys.get_int_max_str_digits()
             raise error("invalid JSON: integer has too many digits") from None
-    if "\\" in text and _holds_lone_surrogate(value):  # only an escape spells a surrogate
+    if ("\\" in text or not text.isascii()) and _holds_lone_surrogate(value):  # only these can hold one
         raise error("invalid JSON: lone surrogate in a string")
     return value
 
@@ -229,7 +230,7 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 def _holds_lone_surrogate(value: Any) -> bool:
     """Whether a string or key in the decoded ``value`` holds a surrogate (the
-    decoder leaves only unpaired ones); walked without recursion."""
+    decoder joins only escaped pairs); walked without recursion."""
     pending = [value]
     while pending:
         item = pending.pop()
@@ -574,43 +575,43 @@ def parse_snapshot_line(text: str, *, shared: dict | None = None) -> BucketConfi
 
 
 def to_snapshot_dict(config: BucketConfig) -> dict[str, Any]:
-    """Canonical dict form of a BucketConfig, with stable key order."""
-    out: dict[str, Any] = {
-        "name": config.name,
-        "region": config.region,
-        "acl_grants": [
-            {
-                "grantee_type": g.grantee_type.value,
-                "grantee_uri": g.grantee_uri,
-                "permission": g.permission.value,
-            }
-            for g in config.acl_grants
-        ],
-    }
-    if config.policy is not None:
-        stmts = []
-        for s in config.policy:
-            stmt: dict[str, Any] = {}
-            if s.sid is not None:
-                stmt["sid"] = s.sid
-            stmt["effect"] = s.effect.value
-            stmt["principal_aws"] = list(s.principal_aws)
-            stmt["actions"] = list(s.actions)
-            stmt["resources"] = list(s.resources)
-            if s.condition is not None:
-                stmt["condition"] = {k: list(s.condition[k]) for k in sorted(s.condition)}
-            stmts.append(stmt)
-        out["policy"] = stmts
-    bpa = config.public_access_block
-    out["public_access_block"] = {name: getattr(bpa, name) for name in _BPA_FIELDS}
-    out["tags"] = {k: config.tags[k] for k in sorted(config.tags)}
-    out["website_enabled"] = config.website_enabled
-    return out
+    """Canonical dict form of a BucketConfig: its ``serialize_snapshot_line``, decoded."""
+    return json.loads(serialize_snapshot_line(config))
+
+
+# json.dumps(ensure_ascii=False)'s own string escaper, so each string comes out as json.dumps writes it
+_string = json.encoder.encode_basestring
+_BOOL = {False: "false", True: "true"}
+_ENUM_TEXT = {member: _string(member.value) for cls in (GranteeType, Permission, Effect) for member in cls}
+_BPA_TEXT = {flags: json.dumps(dict(zip(_BPA_FIELDS, flags)), separators=(",", ":")) for flags in _BPA_BY_FLAGS}
+_bpa_flags = operator.attrgetter(*_BPA_FIELDS)
+
+
+def _array(texts: Iterable[str]) -> str:
+    return "[%s]" % ",".join(map(_string, texts))
+
+
+def _statement_text(s: PolicyStatement) -> str:
+    sid = "" if s.sid is None else f'"sid":{_string(s.sid)},'
+    condition = "" if s.condition is None else ',"condition":{%s}' % ",".join(
+        f"{_string(key)}:{_array(values)}" for key, values in sorted(s.condition.items())
+    )
+    lists = f'"principal_aws":{_array(s.principal_aws)},"actions":{_array(s.actions)},"resources":{_array(s.resources)}'
+    return f'{{{sid}"effect":{_ENUM_TEXT[s.effect]},{lists}{condition}}}'
 
 
 def serialize_snapshot_line(config: BucketConfig) -> str:
-    """Canonical single-line snapshot serialization (no trailing newline)."""
-    return json.dumps(to_snapshot_dict(config), separators=(",", ":"), ensure_ascii=False)
+    """One canonical snapshot line, without its newline, in the form README "File formats" states."""
+    grants = ",".join(
+        f'{{"grantee_type":{_ENUM_TEXT[g.grantee_type]},"grantee_uri":{_string(g.grantee_uri)},'
+        f'"permission":{_ENUM_TEXT[g.permission]}}}'
+        for g in config.acl_grants
+    )
+    policy = "" if config.policy is None else ',"policy":[%s]' % ",".join(map(_statement_text, config.policy))
+    tags = ",".join(f"{_string(key)}:{_string(value)}" for key, value in sorted(config.tags.items()))
+    head = f'{{"name":{_string(config.name)},"region":{_string(config.region)},"acl_grants":[{grants}]{policy}'
+    bpa = _BPA_TEXT[_bpa_flags(config.public_access_block)]
+    return f'{head},"public_access_block":{bpa},"tags":{{{tags}}},"website_enabled":{_BOOL[config.website_enabled]}}}'
 
 
 def _read_fleet(path: str | Path, shared: dict | None) -> Iterator[BucketConfig]:
@@ -652,8 +653,7 @@ def load_fleet(path: str | Path) -> list[BucketConfig]:
 def write_fleet(buckets: Iterable[BucketConfig], path: str | Path) -> None:
     """Write buckets as canonical snapshot JSONL."""
     with open(path, "w", encoding="utf-8") as handle:
-        for config in buckets:
-            handle.write(serialize_snapshot_line(config) + "\n")
+        handle.writelines(f"{serialize_snapshot_line(config)}\n" for config in buckets)
 
 
 # ---------------------------------------------------------------------------

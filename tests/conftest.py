@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import bucketlens
 from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
@@ -31,10 +32,16 @@ from bucketlens.model import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # ``--hypothesis-profile=deep`` runs each property test on 3000 examples
-# instead of 100; CI's deep job runs the JSON writer's tests, load_fleet's
-# property test and diff_alerts's with it.
+# instead of 100; CI's deep job runs the JSON writer's tests, the snapshot
+# and truth line writers', load_fleet's property test and diff_alerts's with it.
 # A test whose own ``@settings`` sets ``max_examples`` keeps that count.
 settings.register_profile("deep", max_examples=3000, deadline=None)
+
+# Arbitrary text, drawing often the characters JSON escapes, those json.dumps
+# writes as they are though they are special elsewhere, and lone surrogates.
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\u2029\U0001f600\ud800\udc00'), st.characters()), max_size=6
+)
 
 
 # without CPython's built-in SHA-256 the package hashes through hashlib, which loads OpenSSL

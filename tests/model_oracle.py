@@ -174,11 +174,10 @@ def parse_snapshot_line(text: str) -> BucketConfig:
         raise SchemaError(f"invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise SchemaError(_TOO_DEEP) from None
-    if "\\u" in text:
-        try:
-            json.dumps(raw, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:  # a \u escape that spells a lone surrogate
-            raise SchemaError(_LONE_SURROGATE) from None
+    try:
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, raw in the text or spelled by a \u escape
+        raise SchemaError(_LONE_SURROGATE) from None
     if not isinstance(raw, dict):
         raise SchemaError("snapshot line must be a JSON object")
     _check_no_extra_keys(raw, _TOP_KEYS, "bucket record")

@@ -41,6 +41,30 @@ def test_generate_writes_fleet_and_truth(tmp_path, capsys):
     assert "wrote 50 buckets" in err
 
 
+def test_generate_writes_through_the_module_globals(tmp_path, monkeypatch):
+    # a tracer that wraps model.serialize_snapshot_line or fleetgen.write_truth must see generate's calls
+    from bucketlens import fleetgen, model
+
+    lines, truths = [], []
+    serialize, write_truth = model.serialize_snapshot_line, fleetgen.write_truth
+
+    def counting_serialize(config):
+        lines.append(serialize(config))
+        return lines[-1]
+
+    def counting_write_truth(pairs, path):
+        truths.append(path)
+        write_truth(pairs, path)
+
+    monkeypatch.setattr(model, "serialize_snapshot_line", counting_serialize)
+    monkeypatch.setattr(fleetgen, "write_truth", counting_write_truth)
+    fleet = tmp_path / "fleet.jsonl"
+    assert main(["generate", "--total", "20", "--mix", "paper", "--seed", "3", "--out", str(fleet)]) == 0
+    assert fleet.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    assert len(lines) == 20
+    assert truths == [tmp_path / "fleet.truth.jsonl"]
+
+
 def test_generate_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (a, b):

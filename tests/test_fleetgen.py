@@ -7,12 +7,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucketlens.defaults import evaluate_default
 from bucketlens.errors import MixError, UnknownScenarioError
 from bucketlens.fleetgen import (
     ADVERSARIAL_MIX,
     PAPER_MIX,
+    GroundTruth,
     MixSpec,
     generate_fleet,
     get_scenario,
@@ -25,6 +28,8 @@ from bucketlens.fleetgen import (
 from bucketlens.model import serialize_snapshot_line
 from bucketlens.policy import derive, effective_anonymous_access
 from bucketlens.unified import evaluate_unified
+
+from conftest import JSON_TEXT
 
 
 def _instances(scenario_id: str, count: int, seed: int = 1):
@@ -170,6 +175,18 @@ def test_truth_round_trip(tmp_path):
     assert len(loaded) == 5
     for config, truth in pairs:
         assert loaded[config.name] == truth
+
+
+@settings(deadline=None)
+@given(name=JSON_TEXT, truth=st.builds(GroundTruth, st.booleans(), st.booleans(), JSON_TEXT))
+def test_serialize_truth_line_is_json_dumps_of_the_truth_dict(name, truth):
+    expected = {
+        "name": name,
+        "exploitable": truth.exploitable,
+        "business_risk": truth.business_risk,
+        "reason": truth.reason,
+    }
+    assert serialize_truth_line(name, truth) == json.dumps(expected, separators=(",", ":"), ensure_ascii=False)
 
 
 def test_names_match_snapshot_constraints():

@@ -39,12 +39,13 @@ from bucketlens.model import (
     read_jsonl,
     read_utf8,
     serialize_snapshot_line,
+    to_snapshot_dict,
     write_fleet,
 )
 from bucketlens.policy import Exposure
 
 import model_oracle
-from conftest import FIXTURES, random_bucket_config
+from conftest import FIXTURES, JSON_TEXT, random_bucket_config
 
 MINIMAL = (
     '{"name":"b-1","region":"us-east-1","acl_grants":[],'
@@ -225,6 +226,32 @@ def test_parse_json_rejects_a_lone_surrogate_and_keeps_every_other_escape(text, 
         assert parse_json(text, MixError) == value
 
 
+@pytest.mark.parametrize(
+    "surrogates",
+    [
+        pytest.param("\ud800", id="raw-high"),
+        pytest.param("\udfff", id="raw-low"),
+        pytest.param("\udc00\ud800", id="raw-reversed-pair"),
+    ],
+)
+def test_a_raw_lone_surrogate_is_rejected_as_an_escaped_one_is(surrogates, tmp_path):
+    # already in the str a library caller passes; no file can hold one
+    line = '{"name":"abc","region":"%s"}' % surrogates
+    with pytest.raises(MixError) as exc:
+        parse_json(line, MixError)
+    assert str(exc.value) == _LONE
+    for parse in (parse_snapshot_line, model_oracle.parse_snapshot_line):
+        with pytest.raises(SchemaError) as exc:
+            parse(line)
+        assert exc.value.message == _LONE
+    # in a file, its bytes are not UTF-8, and read_jsonl says so before parsing the line
+    path = tmp_path / "fleet.jsonl"
+    path.write_bytes(b'{"name":"abd"}\n' + line.encode("utf-8", "surrogatepass") + b"\n")
+    with pytest.raises(SchemaError) as exc:
+        load_fleet(path)
+    assert (exc.value.message, exc.value.line) == (f"{path}: invalid UTF-8: invalid continuation byte", 2)
+
+
 def test_read_utf8_names_the_offset_of_the_first_bad_byte(tmp_path):
     path = tmp_path / "doc.txt"
     path.write_bytes("é".encode() + b"ok\xffmore")
@@ -323,6 +350,22 @@ def test_load_fleet_and_iter_fleet_parse_each_line_through_the_module_global(tmp
         assert calls == ['{"name":"abc"}\n', '{"name":"abd"}\n', '{"name":"abe"}']
 
 
+def test_write_fleet_serializes_each_bucket_once_through_the_module_global(tmp_path, monkeypatch):
+    # a tracer that wraps model.serialize_snapshot_line must see one call per bucket
+    fleet = [BucketConfig(name) for name in ("abc", "abd", "abe")]
+    calls = []
+    original = model.serialize_snapshot_line
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(model, "serialize_snapshot_line", counting)
+    write_fleet(iter(fleet), tmp_path / "fleet.jsonl")
+    assert calls == fleet
+    assert (tmp_path / "fleet.jsonl").read_text(encoding="utf-8") == "".join(original(c) + "\n" for c in fleet)
+
+
 def test_read_jsonl_closes_its_file_however_the_reading_ends(tmp_path, monkeypatch):
     import bucketlens.model as model
 
@@ -359,6 +402,66 @@ def test_snapshot_round_trip_on_random_configs():
         reparsed = parse_snapshot_line(line)
         assert reparsed == config
         assert serialize_snapshot_line(reparsed) == line
+
+
+_TEXTS = st.lists(JSON_TEXT, max_size=3).map(tuple)
+_STATEMENTS = st.builds(
+    PolicyStatement,
+    effect=st.sampled_from(Effect),
+    principal_aws=_TEXTS,
+    actions=st.lists(JSON_TEXT, min_size=1, max_size=3).map(tuple),
+    resources=_TEXTS,
+    sid=st.none() | JSON_TEXT,
+    condition=st.none() | st.dictionaries(JSON_TEXT, _TEXTS, max_size=3),
+)
+_CONFIGS = st.builds(
+    BucketConfig,
+    name=st.from_regex(r"[a-z0-9.-]{3,63}", fullmatch=True),
+    region=JSON_TEXT,
+    acl_grants=st.lists(
+        st.builds(AclGrant, st.sampled_from(GranteeType), JSON_TEXT.filter(bool), st.sampled_from(Permission)), max_size=3
+    ).map(tuple),
+    policy=st.none() | st.lists(_STATEMENTS, max_size=3).map(tuple),
+    public_access_block=st.builds(PublicAccessBlock, st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    tags=st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4),
+    website_enabled=st.booleans(),
+)
+
+
+def _reference_snapshot_dict(config):
+    """The snapshot schema's dict of ``config``, built field by field."""
+    out = {
+        "name": config.name,
+        "region": config.region,
+        "acl_grants": [
+            {"grantee_type": g.grantee_type.value, "grantee_uri": g.grantee_uri, "permission": g.permission.value}
+            for g in config.acl_grants
+        ],
+    }
+    if config.policy is not None:
+        out["policy"] = []
+        for s in config.policy:
+            stmt = {} if s.sid is None else {"sid": s.sid}
+            stmt["effect"] = s.effect.value
+            stmt["principal_aws"] = list(s.principal_aws)
+            stmt["actions"] = list(s.actions)
+            stmt["resources"] = list(s.resources)
+            if s.condition is not None:
+                stmt["condition"] = {key: list(s.condition[key]) for key in sorted(s.condition)}
+            out["policy"].append(stmt)
+    bpa = config.public_access_block
+    out["public_access_block"] = {f.name: getattr(bpa, f.name) for f in dataclasses.fields(bpa)}
+    out["tags"] = {key: config.tags[key] for key in sorted(config.tags)}
+    out["website_enabled"] = config.website_enabled
+    return out
+
+
+@settings(deadline=None)
+@given(config=_CONFIGS)
+def test_serialize_snapshot_line_is_json_dumps_of_the_schema_dict(config):
+    expected = _reference_snapshot_dict(config)
+    assert serialize_snapshot_line(config) == json.dumps(expected, separators=(",", ":"), ensure_ascii=False)
+    assert to_snapshot_dict(config) == expected
 
 
 def test_empty_condition_normalizes_to_absent():
