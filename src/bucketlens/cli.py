@@ -127,7 +127,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys)
     del buckets  # freed before the diff and the document are built
 
-    diff_doc = None
+    diff = None
     if args.state:
         state_path = Path(args.state)
         with evaluation.state_lock(state_path):
@@ -135,7 +135,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             diff = diff_alerts(previous, alerts, scan_id)
             del previous  # diff.state holds what the new state keeps of it
             evaluation.save_state(diff.state, state_path)
-        diff_doc = {"new": diff.new, "unchanged": diff.unchanged, "resolved": diff.resolved}
 
     document = {
         "schema_version": 1,
@@ -143,7 +142,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "scan_id": scan_id,
         "total_alerts": len(alerts),
         "alerts": map(alert_to_dict, alerts),
-        "diff": diff_doc,
+        "diff": diff,
     }
     write_json(sys.stdout, document)
     if args.fail_on_findings and alerts:

@@ -20,15 +20,14 @@ state hold an exclusive ``flock`` on a sidecar ``<state>.lock`` file, which
 the kernel releases when the scan exits, however it exits. ``diff_alerts``
 holds each current fingerprint once, in one sorted list.
 
-Indented JSON documents (scan and rules-run output, alert state) are written
-a slice at a time by ``write_json``, so no whole document is held in memory.
-One recursive renderer takes every container and iterator ``_SLICE`` (256)
-members at a time: ``map(alert_to_dict, alerts)`` holds at most 256 alert
-dicts, not all of them. A uniform slice, such as 256 alert dicts that share
-one key tuple, 256 fingerprints of the diff or 256 entries of the state's
-``first_seen`` map, is one piece, a few C calls with no Python work per
-member; any other slice goes member by member. The text is written in batches
-of about ``_WRITE_BUDGET`` bytes.
+The scan and rules-run documents and the alert state are written by
+``write_json``, byte for byte as ``json.dumps(document, indent=2)`` lays
+them out, from one template per part: a head scalar by ``json.dumps``, an
+alert dict by one six-key template, and the alert array, the diff's three
+fingerprint arrays and the state's ``first_seen`` map ``_BATCH`` (256)
+members at a time. Strings are escaped by ``encode_basestring_ascii``, the
+escaper ``json.dumps`` uses by default. So ``map(alert_to_dict, alerts)`` has
+at most one alert dict out at a time, and no whole array's text is held.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, islice, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
@@ -282,193 +280,78 @@ def render_report(report: EvaluationReport, format: str = "table") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Streamed JSON output
+# JSON documents
 # ---------------------------------------------------------------------------
 
-# Members per slice. Containers and iterators are taken this many members at
-# a time, and a uniform slice is one piece of text. A whole long array as one
+# Members of an array or map joined into one write. A whole array as one
 # string would hold the text of the diff's fingerprint lists at once, and peak
 # memory would grow with them.
-_SLICE = 256
-
-# Characters gathered before one write; the output is ASCII, so they are
-# bytes. An unbuffered stdout (``python -u``, PYTHONUNBUFFERED) makes every
-# write a system call, which costs more than the writer's own work when each
-# piece is written on its own.
-_WRITE_BUDGET = 64 * 1024
-
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
+_BATCH = 256
 
 
-def write_json(out: TextIO, document: object) -> None:
-    """Write ``json.dumps(document, indent=2) + "\\n"`` to ``out``, a slice at a time.
+def write_json(out: TextIO, document: Mapping[str, object]) -> None:
+    """Write ``json.dumps(document, indent=2) + "\\n"`` for a scan, rules-run or state document.
 
-    Supported values are str (dict keys too), int, bool, None, and dicts,
-    lists and tuples of them. An iterator is written as an array, taking
-    ``_SLICE`` elements at a time, so ``map(alert_to_dict, alerts)`` holds
-    at most that many alert dicts instead of all of them. Any other type
-    (floats included) raises ``TypeError``.
+    Each value of ``document`` is one of:
 
-    Every dict, list, tuple and iterator is rendered a slice of up to
-    ``_SLICE`` members at a time. A uniform slice, such as 256 alert dicts
-    with one key tuple, 256 fingerprints or 256 ``first_seen`` entries, is
-    one piece, a few C calls; any other slice is rendered member by member.
-    Pieces are gathered until they reach ``_WRITE_BUDGET`` characters and
-    then written at once, so a write exceeds the budget by less than its
-    last piece.
+    - a str, int, bool or None, written by ``json.dumps``;
+    - a list, tuple or iterator of ``alert_to_dict`` dicts, such as
+      ``map(alert_to_dict, alerts)``;
+    - an ``AlertDiff``, written as its ``new``, ``unchanged`` and ``resolved``
+      arrays;
+    - a mapping of str to str, the ``first_seen`` map, written in sorted key
+      order.
+
+    Any other value raises ``TypeError``. Arrays and the map are written
+    ``_BATCH`` members at a time, and each alert dict becomes its text as it
+    is drawn, so the alert iterator never has more than one dict out.
     """
-    pending: list[str] = []
-    size = 0
-    for piece in _pieces(document, "\n"):
-        pending.append(piece)
-        size += len(piece)
-        if size >= _WRITE_BUDGET:
-            out.write("".join(pending))
-            pending.clear()
-            size = 0
-    pending.append("\n")
-    out.write("".join(pending))
-
-
-def _key_heads(keys: Iterable[object], inner: str, opening: str = "{") -> Iterator[str]:
-    """The text before each member of a dict with ``keys``: separator, indent, key and colon."""
-    separator = opening + inner
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        yield separator + encode_basestring_ascii(key) + ": "
-        separator = "," + inner
-
-
-def _pieces(value: object, newline: str) -> Iterator[str]:
-    """The text of ``value`` at the depth ``newline`` ends at, as json.dumps(indent=2) lays it out.
-
-    A scalar is one piece. A container's members are taken ``_SLICE`` at a
-    time: a uniform slice (see ``_uniform_text``) is one piece, and in any
-    other slice each member gives its head (separator, indent and key) and
-    then its own pieces.
-    """
-    render = _SCALAR_TEXT.get(type(value))
-    if render is not None:
-        yield render(value)
-        return
-    if isinstance(value, dict):
-        members = iter(value.items())
-        brackets = "{}"
-    elif isinstance(value, (list, tuple, Iterator)):
-        members = iter(value)
-        brackets = "[]"
-    # subclasses, such as str and int enum members
-    elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
-        return
-    elif isinstance(value, int):
-        yield int.__repr__(value)
-        return
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    inner = newline + "  "
-    opening = brackets[0]
-    while chunk := list(islice(members, _SLICE)):
-        keys, items = zip(*chunk) if brackets == "{}" else (None, chunk)
-        text = _uniform_text(keys, items, inner)
-        if text is not None:
-            yield opening + inner
-            yield text
-        else:
-            if keys is None:
-                heads = chain((opening + inner,), repeat("," + inner))
-            else:
-                heads = _key_heads(keys, inner, opening)
-            for head, item in zip(heads, items):
-                yield head
-                yield from _pieces(item, inner)
+    opening = "{"
+    for key, value in document.items():
+        out.write(f"{opening}\n  {_quote(key)}: ")
         opening = ","
-        if len(chunk) < _SLICE:
-            break
-    yield brackets if opening != "," else newline + brackets[1]
+        if value is None or isinstance(value, (str, int)):
+            out.write(json.dumps(value))
+        elif isinstance(value, (list, tuple, Iterator)):
+            _write_members(out, "[]", "\n    ", map(_alert_text, value))
+        elif isinstance(value, AlertDiff):
+            for head, name in (("{", "new"), (",", "unchanged"), (",", "resolved")):
+                out.write(f'{head}\n    "{name}": ')
+                _write_members(out, "[]", "\n      ", map(_quote, getattr(value, name)))
+            out.write("\n  }")
+        elif isinstance(value, Mapping):
+            keys = sorted(value)
+            entries = map(": ".join, zip(map(_quote, keys), map(_quote, map(value.__getitem__, keys))))
+            _write_members(out, "{}", "\n    ", entries)
+        else:
+            raise TypeError(f"cannot write a {type(value).__name__} in a document")
+    out.write("{}\n" if opening == "{" else "\n}\n")
 
 
-def _uniform_text(keys: Sequence[object] | None, members: Sequence[object], inner: str) -> str | None:
-    """The text of a uniform slice of members at ``inner``, without the first separator.
+def _write_members(out: TextIO, brackets: str, indent: str, texts: Iterator[str]) -> None:
+    """Write an array or object of the member ``texts``, each at ``indent``, ``_BATCH`` at a time.
 
-    ``keys`` are the slice's dict keys, or None for array members. A slice
-    is uniform when its keys are exact ``str`` and its members are uniform
-    cells (see ``_cell_texts``), or when it holds dicts that share one key
-    tuple of exact ``str`` and each column of their values is uniform. Its
-    text is a few C calls per slice or column and no Python work per
-    member. Any other slice gives None.
+    No member's text is empty, so an empty join means no member is left.
     """
-    texts = _cell_texts(members, inner)
-    if keys is not None:
-        if texts is None or set(map(type, keys)) != {str}:
-            return None
-        return ("," + inner).join(map(": ".join, zip(map(encode_basestring_ascii, keys), texts)))
-    if texts is not None:
-        return ("," + inner).join(texts)
-    # rows: dicts that share one key tuple
-    if set(map(type, members)) != {dict} or set(map(type, chain.from_iterable(members))) != {str}:
-        return None
-    shapes = set(map(tuple, members))
-    if len(shapes) != 1:
-        return None
-    (shape,) = shapes
-    if len(shape) > _SLICE:
-        return None
-    parts = _rows_template(shape, inner, len(members)).copy()
-    parts[1::2] = chain.from_iterable(map(dict.values, members))
-    step = 2 * len(shape)
-    for column in range(1, step, 2):
-        texts = _cell_texts(parts[column::step], inner + "  ")
-        if texts is None:
-            return None
-        parts[column::step] = texts
-    return "".join(parts)
+    opening = brackets[0]
+    while batch := f",{indent}".join(islice(texts, _BATCH)):
+        out.write(opening + indent + batch)
+        opening = ","
+    out.write(brackets if opening != "," else indent[:-2] + brackets[1])
 
 
-@lru_cache
-def _rows_template(shape: tuple[str, ...], inner: str, size: int) -> list[str | None]:
-    """The text of ``size`` dicts with the key tuple ``shape`` at ``inner``, None for each value.
-
-    Values sit at odd places, row by row; the first row's separator is left
-    out. Callers fill a copy.
-    """
-    first, *rest = _key_heads(shape, inner + "  ")
-    heads = [first, *rest, *[inner + "}," + inner + first, *rest] * (size - 1), inner + "}"]
-    template: list[str | None] = [None] * (2 * len(heads) - 1)
-    template[::2] = heads
-    return template
-
-
-def _cell_texts(cells: Sequence[object], newline: str) -> Iterable[str] | None:
-    """The texts of ``cells`` at the depth ``newline`` ends at, if they are uniform.
-
-    Cells are uniform when they share one exact scalar type, or are lists or
-    tuples of at most ``_SLICE`` members that share one exact scalar type;
-    each distinct array is rendered once. Anything else, such as ``True``
-    beside ``1``, a str subclass or a nested container, gives None.
-    """
-    kinds = set(map(type, cells))
-    if len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    render = _SCALAR_TEXT.get(kind)
-    if render is not None:
-        return map(render, cells)
-    if kind not in (list, tuple) or max(map(len, cells)) > _SLICE:
-        return None
-    # of one exact scalar type, equal arrays have equal texts (True and 1 never meet)
-    kinds = set(map(type, chain.from_iterable(cells)))
-    if len(kinds) > 1 or not kinds <= _SCALAR_TEXT.keys():
-        return None
-    arrays = list(map(tuple, cells))
-    text_of = {array: "".join(_pieces(array, newline)) for array in set(arrays)}
-    return map(text_of.__getitem__, arrays)
+def _alert_text(alert: dict) -> str:
+    """An ``alert_to_dict`` dict as json.dumps(indent=2) writes it as a member of the alerts array."""
+    fired = alert["fired_conditions"]
+    fired_text = "[\n        " + ",\n        ".join(map(int.__repr__, fired)) + "\n      ]" if fired else "[]"
+    return (
+        f'{{\n      "bucket_name": {_quote(alert["bucket_name"])},'
+        f'\n      "rule_id": {_quote(alert["rule_id"])},'
+        f'\n      "severity": {_quote(alert["severity"])},'
+        f'\n      "fired_conditions": {fired_text},'
+        f'\n      "explanation": {_quote(alert["explanation"])},'
+        f'\n      "fingerprint": {_quote(alert["fingerprint"])}\n    }}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +449,10 @@ def save_state(first_seen: Mapping[str, str], path: str | Path) -> None:
     then renamed over ``path``; on any error the temp file is removed.
     """
     path = Path(path)
-    payload = {
-        "schema_version": STATE_SCHEMA_VERSION,
-        "first_seen": {fp: first_seen[fp] for fp in sorted(first_seen)},
-    }
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            write_json(handle, payload)
+            write_json(handle, {"schema_version": STATE_SCHEMA_VERSION, "first_seen": first_seen})
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, path)

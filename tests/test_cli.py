@@ -358,10 +358,78 @@ def test_streamed_documents_are_byte_equal_to_json_dumps(small_fleet, tmp_path, 
     assert _as_json_dumps_writes_it(silent)
     assert _as_json_dumps_writes_it((tmp_path / "clean-state.json").read_text(encoding="utf-8"))
 
+    # an empty fleet scanned over a non-empty state resolves every fingerprint
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["scan", "--input", str(empty), "--state", str(state), "--scan-id", "s2"]) == 0
+    resolved = capsys.readouterr().out
+    assert json.loads(resolved)["alerts"] == []
+    assert json.loads(resolved)["diff"] == {"new": [], "unchanged": [], "resolved": json.loads(stateful)["diff"]["new"]}
+    assert _as_json_dumps_writes_it(resolved)
+    assert state.read_text(encoding="utf-8") == '{\n  "schema_version": 1,\n  "first_seen": {}\n}\n'
+
+    for rule, matched in (("RULE always SEVERITY Low WHEN TRUE\n", 100), ("RULE never SEVERITY Low WHEN FALSE\n", 0)):
+        rule_file = tmp_path / "rule.rule"
+        rule_file.write_text(rule)
+        assert main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["total_alerts"] == matched
+        assert _as_json_dumps_writes_it(out)
+
+
+_ODD_TEXT = '"\\\x01\u2028\U0001f600éü'  # quote, backslash, a C0 control, U+2028, non-BMP, non-ASCII
+
+
+def _odd_fleet(path):
+    """Two buckets whose alert explanations quote a grantee URI and a sid holding ``_ODD_TEXT``."""
+    open_block = dict.fromkeys(
+        ("block_public_acls", "ignore_public_acls", "block_public_policy", "restrict_public_buckets"), False
+    )
+    buckets = [
+        {
+            "name": "odd-acl-bucket",
+            "acl_grants": [{
+                "grantee_type": "Group",
+                "grantee_uri": "http://acs.amazonaws.com/groups/global/AllUsers" + _ODD_TEXT,
+                "permission": "READ",
+            }],
+            "public_access_block": open_block,
+        },
+        {
+            "name": "odd-policy-bucket",
+            "policy": [{
+                "sid": "sid-" + _ODD_TEXT,
+                "effect": "Allow",
+                "principal_aws": ["*"],
+                "actions": ["s3:GetObject"],
+                "resources": ["arn:aws:s3:::odd-policy-bucket/*"],
+            }],
+            "public_access_block": open_block,
+        },
+    ]
+    path.write_text("".join(json.dumps(bucket, ensure_ascii=False) + "\n" for bucket in buckets), encoding="utf-8")
+    return path
+
+
+def test_documents_with_escaped_text_are_byte_equal_to_json_dumps(tmp_path, capsys):
+    fleet = _odd_fleet(tmp_path / "odd.jsonl")
+    state = tmp_path / "state.json"
+    for scan_id in ("scan-été", "scan-\U0001f600"):
+        assert main(["scan", "--input", str(fleet), "--rules", "both", "--state", str(state), "--scan-id", scan_id]) == 0
+        out = capsys.readouterr().out
+        assert _as_json_dumps_writes_it(out)
+        assert _as_json_dumps_writes_it(state.read_text(encoding="utf-8"))
+        explanations = [alert["explanation"] for alert in json.loads(out)["alerts"]]
+        assert any("AllUsers" + _ODD_TEXT in text for text in explanations)
+        assert any("sid-" + _ODD_TEXT in text for text in explanations)
+    assert set(json.loads(state.read_text(encoding="utf-8"))["first_seen"].values()) == {"scan-été"}
+
     rule_file = tmp_path / "always.rule"
-    rule_file.write_text("RULE always SEVERITY Low WHEN TRUE\n")
-    assert main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)]) == 0
-    assert _as_json_dumps_writes_it(capsys.readouterr().out)
+    rule_file.write_text("RULE always SEVERITY High WHEN TRUE\n")
+    assert main(["rules", "run", "--file", str(rule_file), "--input", str(fleet)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["total_alerts"] == 2
+    assert _as_json_dumps_writes_it(out)
 
 
 def test_scan_rejects_held_lock(small_fleet, tmp_path, capsys):

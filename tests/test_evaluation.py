@@ -5,10 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from enum import Enum
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +18,7 @@ from bucketlens import evaluation
 from bucketlens.errors import StateCorruptionError, StateLockError, UnknownBucketError
 from bucketlens.evaluation import (
     CSV_HEADER,
+    AlertDiff,
     alert_fingerprint,
     alert_to_dict,
     classify_alerts,
@@ -35,7 +36,8 @@ from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
 from bucketlens.model import Alert, Severity
 
 from conftest import (
-    FIXTURES, allusers_read_bucket, locked_bucket, needs_builtin_sha256, public_policy_bucket, run_fresh_interpreter,
+    FIXTURES, JSON_TEXT, allusers_read_bucket, locked_bucket, needs_builtin_sha256, public_policy_bucket,
+    run_fresh_interpreter,
 )
 
 
@@ -412,147 +414,147 @@ def test_state_lock_is_exclusive(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# streamed JSON writer
+# JSON documents
 # ---------------------------------------------------------------------------
 
-_JSON_VALUES = st.recursive(
-    st.one_of(
-        st.text(st.characters(exclude_categories=())),  # surrogates and control characters too
-        st.integers(),
-        st.booleans(),
-        st.none(),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-    ),
-    max_leaves=16,
+# dicts of alert_to_dict's keys, in its order, holding any text: lone surrogates too, which no fingerprint could hash
+_ALERT_DICTS = st.tuples(
+    JSON_TEXT,
+    JSON_TEXT,
+    st.sampled_from([severity.value for severity in Severity]),
+    st.frozensets(st.integers(1, 9)).map(sorted),
+    JSON_TEXT,
+    JSON_TEXT,
+).map(lambda values: dict(zip(alert_to_dict(_alert("a-bucket")), values)))
+_FINGERPRINTS = st.lists(JSON_TEXT, max_size=6)
+
+
+def _alert_dicts(count: int) -> list[dict]:
+    """``count`` alert_to_dict dicts, some with fired conditions."""
+    return [alert_to_dict(_alert(f"bucket-{i:04}", f"RULE-{i % 7}", tuple(range(1, i % 4)))) for i in range(count)]
+
+
+def _fingerprints(count: int) -> list[str]:
+    return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(count)]
+
+
+def _sized_diff(count: int) -> tuple[list[str], list[str], list[str]]:
+    fingerprints = _fingerprints(count)
+    return fingerprints, fingerprints[: count // 2], fingerprints[count // 2:]
+
+
+def _written(document) -> str:
+    out = io.StringIO()
+    write_json(out, document)
+    return out.getvalue()
+
+
+@given(
+    st.lists(_ALERT_DICTS, max_size=5),
+    st.none() | st.tuples(_FINGERPRINTS, _FINGERPRINTS, _FINGERPRINTS),
+    JSON_TEXT,
+    JSON_TEXT,
 )
+@example([], None, "both", "scan-1")
+@example([], ([], [], []), "d\u00e9faut", "scan-\u00e9t\u00e9")
+@example(_alert_dicts(1), _sized_diff(1), "both", "scan-\U0001f600")
+@example(_alert_dicts(255), _sized_diff(255), "both", "scan-1")
+@example(_alert_dicts(256), _sized_diff(256), "unified", "scan-1")
+@example(_alert_dicts(257), _sized_diff(257), "default", "scan-1")
+@example(_alert_dicts(600), _sized_diff(600), "both", "scan-1")
+@example(_alert_dicts(600), None, "both", "scan-1")
+def test_write_json_matches_json_dumps(alerts, diff, rules, scan_id):
+    # the scan document as cmd_scan builds it, and the same document of plain lists
+    document = {"schema_version": 1, "rules": rules, "scan_id": scan_id, "total_alerts": len(alerts)}
+    expected = {
+        **document,
+        "alerts": alerts,
+        "diff": None if diff is None else dict(zip(("new", "unchanged", "resolved"), diff)),
+    }
+    document["alerts"] = map(dict, alerts)
+    document["diff"] = None if diff is None else AlertDiff(*map(tuple, diff), state={})
+    assert _written(document) == json.dumps(expected, indent=2) + "\n"
 
 
-def _with_arrays_as(value, container):
-    """``value`` with every list rebuilt by ``container`` (``list``, ``tuple`` or ``iter``)."""
-    if isinstance(value, list):
-        return container([_with_arrays_as(item, container) for item in value])
-    if isinstance(value, dict):
-        return {key: _with_arrays_as(item, container) for key, item in value.items()}
-    return value
+@given(st.lists(_ALERT_DICTS, max_size=5), JSON_TEXT, st.sampled_from(Severity))
+@example([], "quiet", Severity.LOW)
+@example(_alert_dicts(1), "r\u00e8gle-\U0001f600", Severity.HIGH)
+@example(_alert_dicts(255), "rule", Severity.HIGH)
+@example(_alert_dicts(256), "rule", Severity.MEDIUM)
+@example(_alert_dicts(257), "rule", Severity.LOW)
+@example(_alert_dicts(600), "rule", Severity.HIGH)
+def test_write_json_matches_json_dumps_for_rules_run(alerts, rule, severity):
+    # the rules-run document as cmd_rules_run builds it
+    expected = {
+        "schema_version": 1, "rule": rule, "severity": severity.value, "total_alerts": len(alerts), "alerts": alerts,
+    }
+    assert _written({**expected, "alerts": iter(alerts)}) == json.dumps(expected, indent=2) + "\n"
 
 
-_SCALARS = st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none())
-_COLUMNS = (
-    st.text(max_size=4), st.integers(), st.booleans(), st.none(), _SCALARS,
-    st.lists(st.integers(), max_size=3), st.lists(st.text(max_size=3), max_size=3),
-    st.lists(_SCALARS, max_size=3),
-)
+@given(st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=8))
+@example({})
+@example(dict.fromkeys(reversed(_fingerprints(1)), "scan-\u00e9"))
+@example(dict.fromkeys(reversed(_fingerprints(255)), "scan-1"))
+@example(dict.fromkeys(reversed(_fingerprints(256)), "scan-1"))
+@example(dict.fromkeys(reversed(_fingerprints(257)), "scan-1"))
+@example({fp: f"scan-{i % 3}" for i, fp in enumerate(reversed(_fingerprints(600)))})
+def test_write_json_matches_json_dumps_for_the_state(first_seen):
+    expected = {"schema_version": 1, "first_seen": {key: first_seen[key] for key in sorted(first_seen)}}
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "state.json"
+        save_state(first_seen, path)
+        assert path.read_bytes().decode("ascii") == json.dumps(expected, indent=2) + "\n"
 
 
-@st.composite
-def _shared_key_rows(draw):
-    """A list of at least three dicts that share one drawn key tuple.
-
-    Each column draws its cells from one kind: one scalar type, lists of one
-    scalar type, or any scalar, so most slices are uniform and some are not.
-    """
-    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    row = st.fixed_dictionaries({key: draw(st.sampled_from(_COLUMNS)) for key in keys})
-    return draw(st.lists(row, min_size=3, max_size=8))
-
-
-class _Tone(str, Enum):
-    LOUD = "loud"
-
-
-def _rows(*cells):
-    """One dict with the key tuple ("a", "b") per (a, b) pair."""
-    return [{"a": a, "b": b} for a, b in cells]
-
-
-@given(st.one_of(_JSON_VALUES, _shared_key_rows()))
-@example({"quote\"back\\slash": ["\x00\x1f\u00e9\U0001f600", -(2**70), True, None, {}, []]})
-@example(list(range(10_000)))  # more pieces than one write takes
-@example([f"fp-{i:04d}" for i in range(1_000)])
-@example([*range(255), {"row": [1, 2]}, {"deep": {"list": [3]}}, *range(257)])  # dicts at slice ends
-@example({f"key-{i}": i for i in range(600)})
-@example({"fired_conditions": [1, 3], "total": 2})
-@example([True, 1, None])
-@example({"a": {}, "b": [], "c": [{}, []], "d": [[], {}]})
-@example({"percent %s and %%": "100%", "%(x)s": [1]})
-# slices that are uniform, and slices that look uniform until one cell
-@example(_rows(("x", True), ("y", 1), ("z", False)))  # True beside 1 in a column
-@example(_rows(("x", "s"), ("y", None), ("z", "t")))  # str beside None
-@example(_rows(("x", _Tone.LOUD), ("y", _Tone.LOUD), ("z", _Tone.LOUD)))  # a str enum member
-@example(_rows(("x", []), ("y", [1, 2]), ("z", []), ("w", [3])))  # empty and non-empty lists
-@example(_rows(("x", [1]), ("y", [True]), ("z", [])))  # True beside 1 in a list column
-@example(_rows(("x", [1]), ("y", [{"c": 1}]), ("z", [2])))  # one row's list holds a dict
-@example([{"a": "x", "b": "y"}, {"b": "z", "a": "w"}, {"a": "v", "b": "u"}])  # equal keys, another order
-@example([{"%s": "100%", "b%%": "%(x)s"}, {"%s": "%d", "b%%": "%"}, {"%s": "", "b%%": "%%"}])
-@example([{"k": [f"v{i}"] * (i % 3), "n": -i, "s": "%s"} for i in range(600)])  # slices of 256 rows
-@example({**{f"k{i:03}": f"v{i}" for i in range(599)}, "k599": 7})  # one int value late
-def test_write_json_matches_json_dumps(value):
-    expected = json.dumps(value, indent=2) + "\n"
-    # With slices of 2 members, hypothesis's short containers cross slice ends too.
-    for slice_size in (evaluation._SLICE, 2):
-        with patch.object(evaluation, "_SLICE", slice_size):
-            for container in (list, tuple, iter):
-                out = io.StringIO()
-                write_json(out, _with_arrays_as(value, container))
-                assert out.getvalue() == expected
+_ALERT_DICT = alert_to_dict(_alert("a-bucket"))
 
 
 @pytest.mark.parametrize(
     "value",
     [
         1.5,
-        {"a": [0.25]},
-        {1: "x"},
+        {"a": [0.25]},  # a map value that is not a str
+        {1: "x"},  # a map key that is not a str
         {"a": {1, 2}},
-        [{"ok": 1, 2: "x"}],  # a non-str key in a dict of scalars
+        [1.5],  # an alert that is not a dict
         {"row": {"ok": [1], None: 2}},
-        {**{f"k{i}": i for i in range(300)}, 3: "x"},  # in a dict longer than one slice
-        # in slices that would be uniform but for one member
-        [{"a": "x"}, {"a": 1.5}],
+        {**{f"k{i}": i for i in range(300)}, 3: "x"},  # map keys that do not sort
+        [{**_ALERT_DICT, "fired_conditions": [1.5]}],
         ["a", 1.5],
         {**{f"k{i}": "v" for i in range(300)}, 3: "x"},
-        {i: "v" for i in range(300)},  # no str key in a whole slice
+        {i: "v" for i in range(300)},
+        {1, 2},
+        AlertDiff(new=(1,), unchanged=(), resolved=(), state={}),  # a fingerprint that is not a str
+        [{**_ALERT_DICT, "explanation": None}],
     ],
 )
 def test_write_json_rejects_unsupported_values(value):
-    for slice_size in (evaluation._SLICE, 2):
-        with patch.object(evaluation, "_SLICE", slice_size), pytest.raises(TypeError):
-            write_json(io.StringIO(), value)
+    with pytest.raises(TypeError):
+        write_json(io.StringIO(), {"schema_version": 1, "value": value})
+
+
+def test_write_json_rejects_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError):
+        write_json(io.StringIO(), {1: "x"})
 
 
 def test_write_json_bounds_each_write():
-    fingerprints = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(20_000)]
-    diff = {"new": fingerprints, "unchanged": [], "resolved": fingerprints[:5]}
-    state = {"schema_version": 1, "first_seen": dict.fromkeys(fingerprints, "scan-1")}
-    # the longest member line of each document; one slice holds _SLICE of them
-    for document, member in ((diff, f',\n    "{fingerprints[0]}"'), (state, f',\n    "{fingerprints[0]}": "scan-1"')):
+    fingerprints = _fingerprints(20_000)
+    diff = AlertDiff(new=tuple(fingerprints), unchanged=(), resolved=tuple(fingerprints[:5]), state={})
+    first_seen = dict.fromkeys(fingerprints, "scan-1")
+    documents = (
+        ({"diff": diff}, {"diff": {"new": fingerprints, "unchanged": [], "resolved": fingerprints[:5]}}),
+        (
+            {"schema_version": 1, "first_seen": first_seen},
+            {"schema_version": 1, "first_seen": dict(sorted(first_seen.items()))},
+        ),
+    )
+    for document, expected in documents:
         writes: list[str] = []
         write_json(SimpleNamespace(write=writes.append), document)
-        assert "".join(writes) == json.dumps(document, indent=2) + "\n"
-        assert len(writes) > 1
-        assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + evaluation._SLICE * len(member)
-        assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
-
-
-def test_write_json_bounds_each_write_member_by_member():
-    fingerprints = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(2_000)]
-    # str beside None and mixed values: no slice of either container is uniform
-    array = [fingerprints[i % 2_000] if i % 2 else None for i in range(20_000)]
-    array[10_001] = fingerprints  # a long list inside, itself taken a slice at a time
-    kinds = (lambda i: fingerprints[i], int, lambda i: None, lambda i: i % 3 == 0, lambda i: fingerprints[i:i + 8])
-    entries = {f"key-{i:03}": kinds[i % 5](i) for i in range(600)}
-    for document in (array, entries):
-        expected = json.dumps(document, indent=2) + "\n"
-        slice_text = evaluation._SLICE * max(map(len, expected.splitlines(keepends=True)))
-        writes: list[str] = []
-        write_json(SimpleNamespace(write=writes.append), document)
-        assert "".join(writes) == expected
-        assert len(writes) > 1
-        assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + slice_text
-        assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
+        assert "".join(writes) == json.dumps(expected, indent=2) + "\n"
+        # one line per member: no write holds more than one batch of them
+        assert max(text.count("\n") for text in writes) == evaluation._BATCH
 
 
 def test_write_json_bounds_each_write_of_alert_rows():
@@ -561,31 +563,22 @@ def test_write_json_bounds_each_write_of_alert_rows():
         for i in range(2_000)
     ]
     expected = json.dumps({"total_alerts": len(alerts), "alerts": list(map(alert_to_dict, alerts))}, indent=2)
-    # each alert row as the document holds it, after its separator
-    rows = [",\n    " + json.dumps(alert_to_dict(alert), indent=2).replace("\n", "\n    ") for alert in alerts]
-    slice_text = evaluation._SLICE * max(map(len, rows))
-    batch_rows = evaluation._WRITE_BUDGET // min(map(len, rows)) + 1  # rows that one batch can hold
     drawn = 0
     writes: list[str] = []
 
-    def written_rows() -> int:
+    def written_alerts() -> int:
         return sum(text.count('"fingerprint"') for text in writes)
 
     def counting(items):
         nonlocal drawn
         for item in items:
+            # the writer holds at most one batch of alerts that it drew and has not written
+            assert drawn - written_alerts() < evaluation._BATCH
             drawn += 1
-            # at most one slice beyond what is written or waiting in the batch
-            assert drawn - written_rows() <= evaluation._SLICE + batch_rows
             yield item
 
-    def write(text: str) -> None:
-        writes.append(text)
-        assert drawn - written_rows() <= evaluation._SLICE
-
     document = {"total_alerts": len(alerts), "alerts": map(alert_to_dict, counting(alerts))}
-    write_json(SimpleNamespace(write=write), document)
+    write_json(SimpleNamespace(write=writes.append), document)
     assert "".join(writes) == expected + "\n"
-    assert drawn == len(alerts) and len(writes) > 1
-    assert max(map(len, writes)) <= evaluation._WRITE_BUDGET + slice_text
-    assert all(len(text) >= evaluation._WRITE_BUDGET for text in writes[:-1])
+    assert drawn == len(alerts)
+    assert max(text.count('"fingerprint"') for text in writes) == evaluation._BATCH
