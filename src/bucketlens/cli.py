@@ -237,7 +237,7 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     try:
         ast = parse_rule(source)
     except (LexError, ParseError, SchemaError) as exc:  # each carries the offending token's offset
-        raise BucketlensError(f"{args.file}:{exc.offset}: {exc}") from exc
+        raise BucketlensError(f"{args.file}:{exc.offset}: {exc.message}") from exc
     explanation = f"rule {ast.name!r} matched"
     alerts: list[Alert] = []
     for config in iter_fleet(args.input):

@@ -12,7 +12,7 @@ Grammar (keywords case-insensitive, identifiers resolved case-insensitively):
               | predicate
     predicate := path ( ('=' | '!=' | LIKE) literal | IS [NOT] NULL )
     path      := IDENT
-    literal   := STRING | NUMBER | TRUE | FALSE
+    literal   := STRING | TRUE | FALSE
 
 OR binds looser than AND; NOT binds tightest. Strings are single-quoted with
 doubled-quote escaping; ``--`` starts a line comment.
@@ -27,6 +27,8 @@ Evaluation is two-valued. A path holding an absent optional value compares
 unequal to every literal, fails every LIKE, and satisfies IS NULL; EXISTS
 over an absent or empty collection is false. Comparisons against list-valued
 fields (Action, Principal_AWS, ...) hold if any element satisfies them.
+``IS NOT NULL`` parses to ``Not(IsNull(path))``. There are no number
+literals: no field of the record holds a number.
 
 A ``RuleAst`` compiles its body once, on construction, into nested closures
 with every path resolved at compile time; ``bind_record`` only wraps the
@@ -37,7 +39,6 @@ interpreter the compiler is tested against lives in ``tests/dsl_oracle.py``.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -65,7 +66,6 @@ class TokenKind(enum.Enum):
     KEYWORD = "Keyword"
     IDENT = "Ident"
     STRING = "String"
-    NUMBER = "Number"
     PUNCT = "Punct"
     EOF = "Eof"
 
@@ -86,19 +86,17 @@ KEYWORDS = frozenset(
 
 # One alternative per token class, tried in this order; the ``(?!')`` keeps
 # a closing quote from being the first half of a doubled quote, so ``'a''``
-# stays unterminated. Numbers are ASCII digits: ``\d`` would also take the
-# decimal digits of other scripts, which ``int`` reads as the same number.
+# stays unterminated. A digit may follow an identifier's first character
+# but starts no token.
 _TOKEN_RE = re.compile(
     r"""
     (?P<skip>[ \t\r\n]+|--[^\n]*\n?)
     |'(?P<string>[^']*(?:''[^']*)*)'(?!')
-    |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    |(?P<number>[0-9]+(?:\.[0-9]+)?)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<punct>!=|[()=])
     """,
     re.VERBOSE,
 )
-_TOKEN_KINDS = {"word": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -114,12 +112,12 @@ def tokenize(source: str) -> list[Token]:
             raise LexError(f"illegal character {source[i]!r}", offset)
         group = match.lastgroup
         text = match.group(group)
-        if group == "word" and text.upper() in KEYWORDS:
+        if group == "ident" and text.upper() in KEYWORDS:
             tokens.append(Token(TokenKind.KEYWORD, text.upper(), offset))
         elif group == "string":
             tokens.append(Token(TokenKind.STRING, text.replace("''", "'"), offset))
         elif group != "skip":
-            tokens.append(Token(_TOKEN_KINDS[group], text, offset))
+            tokens.append(Token(TokenKind[group.upper()], text, offset))
         try:
             offset += len(match.group().encode("utf-8"))
         except UnicodeEncodeError as exc:  # a lone surrogate, which UTF-8 cannot hold
@@ -140,7 +138,7 @@ class CompareOp(enum.Enum):
     LIKE = "LIKE"
 
 
-Literal = Union[str, bool, int, float]
+Literal = Union[str, bool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,16 +175,11 @@ class IsNull:
 
 
 @dataclass(frozen=True, slots=True)
-class IsNotNull:
-    path: str
-
-
-@dataclass(frozen=True, slots=True)
 class LiteralBool:
     value: bool
 
 
-Node = Union[And, Or, Not, Exists, Compare, IsNull, IsNotNull, LiteralBool]
+Node = Union[And, Or, Not, Exists, Compare, IsNull, LiteralBool]
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,28 +414,23 @@ class _Parser:
         path_token = self._peek()
         raw = self._raw_path()
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in ("=", "!="):
+        # "=" and "!=" are only ever punctuation, and "LIKE" a keyword
+        if token.kind in (TokenKind.PUNCT, TokenKind.KEYWORD) and token.text in ("=", "!=", "LIKE"):
             path = _resolve(raw, self._scopes, "compare", path_token.offset)[1]
             self._advance()
+            literal_token = self._peek()
             literal = self._literal()
-            return Compare(path, CompareOp.EQ if token.text == "=" else CompareOp.NE, literal)
-        if token.kind is TokenKind.KEYWORD and token.text == "LIKE":
-            path = _resolve(raw, self._scopes, "compare", path_token.offset)[1]
-            self._advance()
-            pattern_token = self._peek()
-            literal = self._literal()
-            if not isinstance(literal, str):
-                raise ParseError("LIKE pattern must be a string", pattern_token.offset)
-            return Compare(path, CompareOp.LIKE, literal)
+            if token.text == "LIKE" and not isinstance(literal, str):
+                raise ParseError("LIKE pattern must be a string", literal_token.offset)
+            return Compare(path, CompareOp(token.text), literal)
         if token.kind is TokenKind.KEYWORD and token.text == "IS":
             path = _resolve(raw, self._scopes, "null", path_token.offset)[1]
             self._advance()
-            negated = False
-            if self._peek().kind is TokenKind.KEYWORD and self._peek().text == "NOT":
+            negated = self._peek().kind is TokenKind.KEYWORD and self._peek().text == "NOT"
+            if negated:
                 self._advance()
-                negated = True
             self._expect_keyword("NULL")
-            return IsNotNull(path) if negated else IsNull(path)
+            return Not(IsNull(path)) if negated else IsNull(path)
         raise self._error(
             f"expected a predicate operator after {raw!r}",
             {"=", "!=", "LIKE", "IS"},
@@ -453,21 +441,10 @@ class _Parser:
         if token.kind is TokenKind.STRING:
             self._advance()
             return token.text
-        if token.kind is TokenKind.NUMBER:
-            try:
-                value = float(token.text) if "." in token.text else int(token.text)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise self._error("integer literal has too many digits") from None
-            if value == math.inf:
-                raise self._error("number literal is too large")
-            if value == 0 and token.text.strip("0."):  # a nonzero float that underflows
-                raise self._error("number literal is too small")
-            self._advance()
-            return value
         if token.kind is TokenKind.KEYWORD and token.text in ("TRUE", "FALSE"):
             self._advance()
             return token.text == "TRUE"
-        raise self._error("expected a literal", {"string", "number", "TRUE", "FALSE"})
+        raise self._error("expected a literal", {"string", "TRUE", "FALSE"})
 
 
 def parse_rule(source: str) -> RuleAst:
@@ -485,20 +462,6 @@ def parse_rule(source: str) -> RuleAst:
 
 def _quote(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
-
-
-def _render_literal(literal: Literal) -> str:
-    if isinstance(literal, bool):
-        return "TRUE" if literal else "FALSE"
-    if isinstance(literal, str):
-        return _quote(literal)
-    if isinstance(literal, float):
-        from decimal import Decimal  # only rendering needs it; no command renders
-
-        # positional digits of the shortest repr: the lexer reads no exponent
-        text = format(Decimal(repr(literal)), "f")
-        return text if "." in text else text + ".0"
-    return str(literal)
 
 
 def _render(node: Node) -> str:
@@ -520,11 +483,11 @@ def _render(node: Node) -> str:
     if isinstance(node, Exists):
         return f"EXISTS({node.path} WHERE {_render(node.inner)})"
     if isinstance(node, Compare):
-        return f"{node.path} {node.op.value} {_render_literal(node.literal)}"
+        literal = node.literal
+        text = _render(LiteralBool(literal)) if isinstance(literal, bool) else _quote(literal)
+        return f"{node.path} {node.op.value} {text}"
     if isinstance(node, IsNull):
         return f"{node.path} IS NULL"
-    if isinstance(node, IsNotNull):
-        return f"{node.path} IS NOT NULL"
     if isinstance(node, LiteralBool):
         return "TRUE" if node.value else "FALSE"
     raise TypeError(f"unknown node type {type(node).__name__}")
@@ -562,14 +525,9 @@ def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
             return lambda v: v is literal
         return lambda v: v is not literal
     # a str literal equals only an equal str; None is unequal
-    if isinstance(literal, str):
-        if op is CompareOp.EQ:
-            return lambda v: v == literal
-        return lambda v: v != literal
-    # a number literal equals only an equal non-bool value
     if op is CompareOp.EQ:
-        return lambda v: v == literal and not isinstance(v, bool)
-    return lambda v: v != literal or isinstance(v, bool)
+        return lambda v: v == literal
+    return lambda v: v != literal
 
 
 def _compile_value(path: str, scopes: tuple[str, ...], use: str) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
@@ -619,11 +577,9 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
                         return True
             return False
         return match_exists
-    if isinstance(node, (IsNull, IsNotNull)):
+    if isinstance(node, IsNull):
         _, get = _compile_value(node.path, scopes, "null")
-        if isinstance(node, IsNull):
-            return lambda rec, env: get(rec, env) is None
-        return lambda rec, env: get(rec, env) is not None
+        return lambda rec, env: get(rec, env) is None
     if isinstance(node, Compare):
         name, get = _compile_value(node.path, scopes, "compare")
         test = _literal_test(node.op, node.literal)

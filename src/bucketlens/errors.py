@@ -52,20 +52,21 @@ class LexError(BucketlensError):
     """Rule source could not be tokenized."""
 
     def __init__(self, message: str, offset: int) -> None:
+        self.message = message
         self.offset = offset
         super().__init__(f"{message} (offset {offset})")
 
 
 class ParseError(BucketlensError):
-    """Rule source tokenized but does not match the grammar."""
+    """Rule source tokenized but does not match the grammar; ``message`` is
+    the text without the offset, the expected tokens included."""
 
     def __init__(self, message: str, offset: int, expected: frozenset[str] = frozenset()) -> None:
         self.offset = offset
         self.expected = expected
-        suffix = f" (offset {offset})"
-        if expected:
-            suffix += f", expected one of: {', '.join(sorted(expected))}"
-        super().__init__(message + suffix)
+        listed = f", expected one of: {', '.join(sorted(expected))}" if expected else ""
+        self.message = message + listed
+        super().__init__(f"{message} (offset {offset}){listed}")
 
 
 class MixError(BucketlensError):

@@ -221,12 +221,21 @@ def _fmt_rate(value: Fraction | None) -> str:
     return "" if value is None else f"{float(value):.4f}"
 
 
+def _fmt_minutes(value: float) -> str:
+    """The JSON report's digits, with no exponent and no trailing ``.0``."""
+    text = repr(value)
+    if "e" in text:  # below 1e-4, or from 1e16 up
+        from decimal import Decimal
+        text = format(Decimal(text), "f")
+    return text.removesuffix(".0")
+
+
 def _render_csv(report: EvaluationReport) -> str:
     lines = [CSV_HEADER]
     for name, m in (("default", report.default), ("unified", report.unified)):
         lines.append(
             f"{name},{m.total_alerts},{m.alerted_buckets},{m.tp},{m.fp},"
-            f"{_fmt_rate(_fp_rate(m))},{_fmt_rate(m.precision)},{m.modeled_triage_minutes:g}"
+            f"{_fmt_rate(_fp_rate(m))},{_fmt_rate(m.precision)},{_fmt_minutes(m.modeled_triage_minutes)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -248,8 +257,8 @@ def _render_table(report: EvaluationReport) -> str:
         ),
         (
             "Investigation Time (modeled)",
-            f"{report.default.modeled_triage_minutes:g} min",
-            f"{report.unified.modeled_triage_minutes:g} min",
+            f"{_fmt_minutes(report.default.modeled_triage_minutes)} min",
+            f"{_fmt_minutes(report.unified.modeled_triage_minutes)} min",
         ),
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(3)]

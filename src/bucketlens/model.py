@@ -821,7 +821,9 @@ def import_aws_artifacts(directory: str | Path) -> BucketConfig:
     values the snapshot parser applies; one is absent only when nothing
     exists at its path. A malformed artifact, or one that is not a regular
     file, raises a SchemaError whose message starts with the file's path:
-    ``directory``, as given, joined to the file name.
+    ``directory``, as given, joined to the file name. A directory name that
+    is no valid bucket name is an error too, checked after the artifacts,
+    whose message starts with ``directory``.
     """
     directory = Path(directory)
     acl_path = directory / "acl.json"
@@ -829,14 +831,12 @@ def import_aws_artifacts(directory: str | Path) -> BucketConfig:
         raise MissingArtifactError(f"mandatory artifact {acl_path} is missing")
     # website.json is only decoded: its presence enables the website
     website = _artifact(directory / "website.json", None, object, lambda document: True, False)
-    return BucketConfig(
-        name=directory.name,
-        region="us-east-1",
-        acl_grants=_artifact(acl_path, "Grants", list, _import_acl),
-        policy=_artifact(directory / "policy.json", "Policy", str, _import_policy, None),
-        public_access_block=_artifact(
-            directory / "public-access-block.json", "PublicAccessBlockConfiguration", dict, _import_bpa, _NO_BPA
-        ),
-        tags=_artifact(directory / "tagging.json", "TagSet", list, _import_tags, {}),
-        website_enabled=website,
-    )
+    acl_grants = _artifact(acl_path, "Grants", list, _import_acl)
+    policy = _artifact(directory / "policy.json", "Policy", str, _import_policy, None)
+    bpa_path = directory / "public-access-block.json"
+    bpa = _artifact(bpa_path, "PublicAccessBlockConfiguration", dict, _import_bpa, _NO_BPA)
+    tags = _artifact(directory / "tagging.json", "TagSet", list, _import_tags, {})
+    try:
+        return BucketConfig(directory.name, "us-east-1", acl_grants, policy, bpa, tags, website)
+    except SchemaError as exc:  # the name, the one field left unchecked
+        raise SchemaError(f"{directory}: {exc.message}", field=exc.field) from None

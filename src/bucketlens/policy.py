@@ -4,8 +4,8 @@ Three layers live here:
 
 * statement-level checks: restrictive-condition detection, wildcard action
   matching;
-* the exposure heuristic (``classify_exposure``) and the derived-property
-  bundle (``derive``) that the rule engines consume;
+* the derived-property bundle (``derive``) that the rule engines consume,
+  with its exposure heuristic (``_public_facing``);
 * an independent ground-truth oracle (``effective_anonymous_access``) that
   simulates what an unauthenticated caller can actually do, used to label
   synthetic fleets. It decides each of four capabilities from one table,
@@ -27,7 +27,7 @@ from .errors import SchemaError
 from .model import BucketConfig, Effect, Permission, PolicyStatement, read_json
 
 #: Condition keys that scope an otherwise-public statement to callers from a
-#: known network, VPC, organization or principal. Overridable per call.
+#: known network, VPC, organization or principal; the rule engines take an override.
 RESTRICTIVE_CONDITION_KEYS: frozenset[str] = frozenset(
     {
         "aws:SourceIp",
@@ -164,10 +164,12 @@ def _matched(patterns: list[str]) -> set[str]:
     }
 
 
-def effective_anonymous_access(
-    config: BucketConfig, restrictive_keys: frozenset[str] | None = None
-) -> AccessSet:
+def effective_anonymous_access(config: BucketConfig) -> AccessSet:
     """Ground-truth simulation of unauthenticated access to the bucket.
+
+    The oracle models AWS, so its restrictive condition keys are always
+    ``RESTRICTIVE_CONDITION_KEYS``, whatever ``BUCKETLENS_RESTRICTIVE_KEYS``
+    sets for the rule engines.
 
     A capability is held when either of two paths gives it (their union):
 
@@ -193,7 +195,7 @@ def effective_anonymous_access(
                 continue
             if stmt.effect is Effect.DENY:
                 denied.extend(stmt.actions)
-            elif not has_restrictive_condition(stmt, restrictive_keys):
+            elif not has_restrictive_condition(stmt):
                 allowed.extend(stmt.actions)
         if allowed:
             held |= _matched(allowed) - _matched(denied)
@@ -207,21 +209,13 @@ def _has_public_group_grant(config: BucketConfig) -> bool:
     )
 
 
-def classify_exposure(
-    config: BucketConfig, restrictive_keys: frozenset[str] | None = None
-) -> Exposure:
-    """Heuristic exposure class: public_facing on any of three indicators.
+def _public_facing(config: BucketConfig, policy_public: bool) -> bool:
+    """The exposure heuristic: public_facing on any of three indicators.
 
     (a) a public-group ACL grant not neutralized by IgnorePublicAcls;
     (b) a public policy not neutralized by RestrictPublicBuckets;
     (c) static-website hosting not neutralized by RestrictPublicBuckets.
     """
-    if _public_facing(config, is_policy_public(config.policy, restrictive_keys)):
-        return Exposure.PUBLIC_FACING
-    return Exposure.INTERNAL
-
-
-def _public_facing(config: BucketConfig, policy_public: bool) -> bool:
     bpa = config.public_access_block
     if config.acl_grants and not bpa.ignore_public_acls and _has_public_group_grant(config):
         return True

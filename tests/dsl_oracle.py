@@ -25,7 +25,6 @@ from bucketlens.dsl import (
     Compare,
     CompareOp,
     Exists,
-    IsNotNull,
     IsNull,
     Literal,
     LiteralBool,
@@ -76,21 +75,13 @@ def _lookup(env: list[Mapping[str, Any]], path: str) -> Any:
     raise SchemaError(f"unresolvable path {path!r}")  # unreachable post-parse
 
 
-def _scalar_eq(value: Any, literal: Literal) -> bool:
-    # bools only equal bools, so TRUE never equals the number 1
-    if isinstance(value, bool) or isinstance(literal, bool):
-        return isinstance(value, bool) and isinstance(literal, bool) and value == literal
-    return bool(value == literal)
-
-
 def _compare_scalar(value: Any, op: CompareOp, literal: Literal) -> bool:
     if op is CompareOp.LIKE:
         return isinstance(value, str) and like_match(str(literal), value)
     if value is None:
         return op is CompareOp.NE
-    if op is CompareOp.EQ:
-        return _scalar_eq(value, literal)
-    return not _scalar_eq(value, literal)
+    # no field holds a number, so == equates a bool only with a bool
+    return (value == literal) is (op is CompareOp.EQ)
 
 
 def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
@@ -109,8 +100,6 @@ def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
         return any(_eval(node.inner, env + [element]) for element in collection)
     if isinstance(node, IsNull):
         return _lookup(env, node.path) is None
-    if isinstance(node, IsNotNull):
-        return _lookup(env, node.path) is not None
     if isinstance(node, Compare):
         value = _lookup(env, node.path)
         if isinstance(value, list):
@@ -120,7 +109,6 @@ def _eval(node: Node, env: list[Mapping[str, Any]]) -> bool:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 def reference_tokenize(source: str) -> list[Token]:
@@ -178,11 +166,6 @@ def reference_tokenize(source: str) -> list[Token]:
             upper = text.upper()
             kind = TokenKind.KEYWORD if upper in KEYWORDS else TokenKind.IDENT
             tokens.append(Token(kind, upper if kind is TokenKind.KEYWORD else text, off(i)))
-            i = match.end()
-            continue
-        match = _NUMBER_RE.match(source, i)
-        if match:
-            tokens.append(Token(TokenKind.NUMBER, match.group(0), off(i)))
             i = match.end()
             continue
         if source.startswith("!=", i):

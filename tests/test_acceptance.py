@@ -30,7 +30,7 @@ from bucketlens.model import (
     parse_snapshot_line,
     serialize_snapshot_line,
 )
-from bucketlens.policy import Exposure, classify_exposure, derive, effective_anonymous_access
+from bucketlens.policy import Exposure, derive, effective_anonymous_access
 from bucketlens.unified import evaluate_unified, unified_dsl_source
 
 from conftest import FIXTURES, random_bucket_config
@@ -175,8 +175,8 @@ def test_criterion_4_oracle_property_suite():
             if getattr(strict_oracle, capability) and not getattr(oracle, capability):
                 counterexamples += 1
         if (
-            classify_exposure(config) is Exposure.INTERNAL
-            and classify_exposure(stricter) is Exposure.PUBLIC_FACING
+            derived.exposure is Exposure.INTERNAL
+            and derive(stricter).exposure is Exposure.PUBLIC_FACING
         ):
             counterexamples += 1
 

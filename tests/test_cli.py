@@ -7,8 +7,11 @@ import importlib
 import json
 import multiprocessing
 import os
+import shlex
+import shutil
 import signal
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,22 @@ def test_import_duplicate_names_exit_three(tmp_path, capsys):
     assert main(["import", *dirs]) == 3
     colliding = ", ".join(str(tmp_path / d) for d in ("a/dup-x", "a/dup-y", "b/dup-x", "b/dup-y", "c/dup-y"))
     assert capsys.readouterr().err == f"error: duplicate bucket directories: {colliding}\n"
+
+
+def test_import_error_names_a_directory_that_is_no_bucket_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    bucket = tmp_path / "t" / "Bad_Name"
+    bucket.mkdir(parents=True)
+    (bucket / "acl.json").write_text('{"Grants": []}')
+    assert main(["import", "t/Bad_Name"]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: t/Bad_Name: invalid bucket name 'Bad_Name': expected 3-63 chars of lowercase letters, "
+        "digits, dots, hyphens (field: name)\n"
+    ))
+    # a bad artifact is still the error reported
+    (bucket / "tagging.json").write_text("{")
+    assert main(["import", "t/Bad_Name"]) == 3
+    assert capsys.readouterr().err.startswith("error: t/Bad_Name/tagging.json: invalid JSON")
 
 
 @pytest.mark.parametrize("kind", ["directory", "dangling-symlink"])
@@ -745,13 +764,18 @@ def test_rules_run_when_true_alerts_everywhere(small_fleet, capsys, tmp_path):
 
 
 def test_rules_run_malformed_rule_reports_offset(small_fleet, capsys, tmp_path):
+    # FILE:OFFSET: and the bare message, for each of the three rule errors
     rule_file = tmp_path / "broken.rule"
-    rule_file.write_text("RULE broken SEVERITY High WHEN 'unclosed")
-    rc = main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)])
-    assert rc == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {rule_file}:31: unterminated string (offset 31)\n"
+    for source, offset, message in [
+        ("RULE broken SEVERITY High WHEN 'unclosed", 31, "unterminated string"),
+        ("RULE r SEVERITY High WHEN WebsiteEnabled = 1", 43, "illegal character '1'"),
+        ("RULE r SEVERITY High WHEN Exposure =", 36, "expected a literal, expected one of: FALSE, TRUE, string"),
+        ("RULE r SEVERITY High WHEN nosuch = 'x'", 26, "unknown path 'nosuch'"),
+    ]:
+        rule_file.write_text(source)
+        rc = main(["rules", "run", "--file", str(rule_file), "--input", str(small_fleet)])
+        assert rc == 3
+        assert capsys.readouterr() == ("", f"error: {rule_file}:{offset}: {message}\n")
 
 
 def test_restrictive_keys_env_override(small_fleet, tmp_path, capsys, monkeypatch):
@@ -906,10 +930,6 @@ def _artifact_dir(tmp_path, files):
         pytest.param(lambda t, fleet: _generate(t, '{"S1": NaN}'), id="mix-nan"),
         pytest.param(lambda t, fleet: _generate(t, '{"S1": 1%s}' % ("0" * 400)), id="mix-too-large-for-a-float"),
         pytest.param(
-            lambda t, fleet: _rule_run(t, fleet, "RULE r SEVERITY High WHEN Name = 1%s.5" % ("0" * 400)),
-            id="rule-float-literal-too-large",
-        ),
-        pytest.param(
             lambda t, fleet: _rule_run(t, fleet, "RULE r SEVERITY High WHEN Exposure.x = 'internal'"),
             id="rule-dotted-path",
         ),
@@ -1025,3 +1045,31 @@ def test_escapes_that_spell_text_come_out_unchanged(escape, text, tmp_path, caps
     fleet = _write(tmp_path / "fleet.jsonl", '{"name": "abc", "region": "%s"}\n' % escape)
     assert main(["explain", "abc", "--input", fleet]) == 0
     assert capsys.readouterr().out.startswith(f"bucket: abc (region {text})\n")
+
+
+def _readme_block(readme: str, heading: str, fence: str) -> str:
+    """The first ``fence`` code block after ``heading`` in the README."""
+    return readme.split(heading, 1)[1].split(fence + "\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, capsys, monkeypatch):
+    # each command of the quick start exits 0 in a fresh directory, and the
+    # evaluate table is the one the README shows
+    repo = Path(__file__).resolve().parent.parent
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line, comments=True) for line in
+                _readme_block(readme, "## Quick start", "```sh").replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert [argv[:2] for argv in commands] == [
+        ["bucketlens", "generate"], ["bucketlens", "evaluate"], ["bucketlens", "scan"], ["bucketlens", "explain"],
+        ["bucketlens", "rules"], ["bucketlens", "rules"],
+    ]
+    (tmp_path / "rules").mkdir()
+    shutil.copyfile(repo / "rules" / "unified.rule", tmp_path / "rules" / "unified.rule")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if argv[1] == "evaluate":
+            assert out == _readme_block(readme, "A typical `evaluate` table", "```")
+    assert (tmp_path / "report.json").is_file() and (tmp_path / "state.json").is_file()

@@ -173,6 +173,36 @@ def test_render_is_deterministic():
         assert render_report(report, fmt) == render_report(report, fmt)
 
 
+def test_triage_minutes_are_rendered_exactly():
+    # 23,850 default alerts at 51.7 minutes each, the seed-42 10k paper fleet's
+    # count; six significant digits would print 1.23304e+06
+    truth = {"fp-0": _truth(False)}
+    report = compute_metrics([_alert("fp-0")] * 23850, [_alert("fp-0")] * 3, truth, 51.7, 0.5)
+    assert json.loads(render_report(report, "json"))["rulesets"]["default"]["modeled_triage_minutes"] == 1233045.0
+    csv_rows = render_report(report, "csv").splitlines()
+    assert csv_rows[1].endswith(",1233045") and csv_rows[2].endswith(",1.5")
+    table = render_report(report, "table")
+    assert "Investigation Time (modeled)  1233045 min      1.5 min\n" in table
+
+
+@pytest.mark.parametrize("minutes,text", [(19080.0, "19080"), (190800.0, "190800"), (400.0, "400"), (0.0, "0"),
+                                          (715.5, "715.5")])
+def test_triage_minutes_that_g_writes_exactly_keep_their_text(minutes, text):
+    assert evaluation._fmt_minutes(minutes) == format(minutes, "g") == text
+
+
+@given(st.floats(min_value=0, allow_infinity=False))
+@example(1e-5)
+@example(1e16)
+@example(0.30000000000000004)
+def test_triage_minutes_read_back_and_keep_every_exact_g_text(minutes):
+    text = evaluation._fmt_minutes(minutes)
+    assert float(text) == minutes
+    assert "e" not in text and not text.endswith(".0")
+    if float(format(minutes, "g")) == minutes and "e" not in format(minutes, "g"):
+        assert text == format(minutes, "g")
+
+
 # ---------------------------------------------------------------------------
 # scan_fleet
 # ---------------------------------------------------------------------------

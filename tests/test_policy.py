@@ -27,8 +27,8 @@ from bucketlens.policy import (
     AccessSet,
     DerivedProperties,
     Exposure,
+    _public_facing,
     action_matches,
-    classify_exposure,
     derive,
     effective_anonymous_access,
     has_restrictive_condition,
@@ -241,12 +241,12 @@ def test_restricted_allow_grants_nothing():
 
 
 # ---------------------------------------------------------------------------
-# classify_exposure / derive
+# derive
 # ---------------------------------------------------------------------------
 
 def test_website_alone_is_public_facing():
     config = BucketConfig(name="site-bucket", website_enabled=True)
-    assert classify_exposure(config) is Exposure.PUBLIC_FACING
+    assert derive(config).exposure is Exposure.PUBLIC_FACING
     # but the oracle has no path to it
     assert effective_anonymous_access(config) == AccessSet()
 
@@ -265,7 +265,7 @@ def test_bpa_all_on_is_internal():
             tags=config.tags,
             website_enabled=config.website_enabled,
         )
-        assert classify_exposure(hardened) is Exposure.INTERNAL
+        assert derive(hardened).exposure is Exposure.INTERNAL
 
 
 def test_internal_wildcard_is_internal():
@@ -273,7 +273,7 @@ def test_internal_wildcard_is_internal():
         name="internal-bucket",
         policy=(_stmt(condition={"aws:SourceVpc": ("vpc-1",)}),),
     )
-    assert classify_exposure(config) is Exposure.INTERNAL
+    assert derive(config).exposure is Exposure.INTERNAL
 
 
 def test_derive_tag_only():
@@ -305,9 +305,10 @@ def test_derive_equals_a_freshly_built_bundle(keys):
     seen = set()
     for config in agreement_configs():
         derived = derive(config, keys)
+        policy_public = is_policy_public(config.policy, keys)
         fresh = DerivedProperties(
-            policy_status_public=is_policy_public(config.policy, keys),
-            exposure=classify_exposure(config, keys),
+            policy_status_public=policy_public,
+            exposure=Exposure.PUBLIC_FACING if _public_facing(config, policy_public) else Exposure.INTERNAL,
             sensitive_data=is_sensitive(config),
         )
         assert derived == fresh
@@ -405,8 +406,8 @@ def test_restrictive_condition_monotonicity():
         config = random_bucket_config(rng)
         stricter = _with_extra_condition_key(config, "aws:SourceIp")
         assert _leq(effective_anonymous_access(stricter), effective_anonymous_access(config))
-        if classify_exposure(config) is Exposure.INTERNAL:
-            assert classify_exposure(stricter) is Exposure.INTERNAL
+        if derive(config).exposure is Exposure.INTERNAL:
+            assert derive(stricter).exposure is Exposure.INTERNAL
 
 
 def test_heuristic_dominates_oracle():
@@ -414,7 +415,7 @@ def test_heuristic_dominates_oracle():
     for _ in range(2000):
         config = random_bucket_config(rng)
         if effective_anonymous_access(config):
-            assert classify_exposure(config) is Exposure.PUBLIC_FACING
+            assert derive(config).exposure is Exposure.PUBLIC_FACING
 
 
 # ---------------------------------------------------------------------------
