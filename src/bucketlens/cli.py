@@ -8,11 +8,19 @@ error. All bucket-keyed output is sorted by bucket name.
 The environment variable ``BUCKETLENS_RESTRICTIVE_KEYS`` may point at a JSON
 file (array of strings) overriding the built-in restrictive condition-key
 set.
+
+A command runs with CPython's cyclic garbage collector off: what it leaves in
+reference cycles does not grow with the fleet, so the collector's passes
+would only rescan live buckets. ``main`` turns it back on afterwards only if
+it was on. A command imports only the layers it calls: the rule engines and
+the fleet generator are imported inside the commands that run them, and
+``scan_fleet`` imports each ruleset only when it runs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import stat
@@ -21,7 +29,6 @@ from collections import Counter
 from pathlib import Path
 
 from . import evaluation
-from .defaults import default_catalog, evaluate_default
 from .errors import BucketlensError, LexError, ParseError, SchemaError, UnknownBucketError
 from .evaluation import (
     alert_to_dict,
@@ -36,7 +43,6 @@ from .model import (
     write_fleet,
 )
 from .policy import derive, load_restrictive_keys
-from .unified import _CONDITION_SUMMARIES, UNIFIED_RULE_ID, UNIFIED_RULE_TITLE, condition_verdicts
 
 RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
 
@@ -172,6 +178,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from .defaults import evaluate_default
+    from .unified import UNIFIED_RULE_ID, condition_verdicts
+
     keys = _restrictive_keys()
     config = None
     # every line is parsed and checked, so a malformed line or a repeated
@@ -214,11 +223,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_rules_list(args: argparse.Namespace) -> int:
     if args.set == "default":
+        from .defaults import default_catalog
+
         lines = [f"{'ID':35} {'SEVERITY':8} TITLE", f"{'-' * 35} {'-' * 8} {'-' * 40}"]
         for rule in default_catalog():
             lines.append(f"{rule.id:35} {rule.severity.value:8} {rule.title}")
         _emit("\n".join(lines))
     else:
+        from .unified import _CONDITION_SUMMARIES, UNIFIED_RULE_ID, UNIFIED_RULE_TITLE
+
         lines = [
             f"{UNIFIED_RULE_ID} [High] {UNIFIED_RULE_TITLE}",
             "fires when any condition holds; one alert per bucket:",
@@ -362,6 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # no command builds a reference cycle per bucket (tests/test_cli.py checks
+    # that), so the collector would only rescan the fleet; an in-process
+    # caller gets it back as it was
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BucketlensError as exc:
@@ -370,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def run() -> None:

@@ -28,7 +28,12 @@ unequal to every literal, fails every LIKE, and satisfies IS NULL; EXISTS
 over an absent or empty collection is false. Comparisons against list-valued
 fields (Action, Principal_AWS, ...) hold if any element satisfies them.
 ``IS NOT NULL`` parses to ``Not(IsNull(path))``. There are no number
-literals: no field of the record holds a number.
+literals: no field of the record holds a number. A collection and the
+map-valued ``Condition`` take only ``IS [NOT] NULL``: any other comparison is
+a ``SchemaError``, where it would otherwise never hold (or always, for ``!=``).
+A directly built ``Compare`` is checked as the parser checks one: its
+operator is a ``CompareOp``, ``LIKE`` takes a string, and ``=`` and ``!=`` a
+string or a boolean.
 
 A ``RuleAst`` compiles its body once, on construction, into nested closures
 with every path resolved at compile time; ``bind_record`` only wraps the
@@ -241,6 +246,9 @@ _ELEMENT_FIELDS: dict[str, dict[str, Callable[[Any, frozenset[str]], Any]]] = {
 # Element fields holding a sequence (or None): comparisons hold if any element does.
 _LIST_FIELDS = frozenset({"Principal_AWS", "Action", "Resource", "RestrictedAccessCondition"})
 
+# Element fields holding a map (or None): no literal compares to a map.
+_MAP_FIELDS = frozenset({"Condition"})
+
 # lowered name -> canonical spelling: record fields, and each collection's element fields
 _RECORD_NAMES = {name.lower(): name for name in _RECORD_FIELDS}
 _ELEMENT_NAMES = {
@@ -287,6 +295,8 @@ def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = No
         raise SchemaError(f"unknown path {path!r}", offset=offset)
     elif is_collection and use == "compare":
         raise SchemaError(f"collection {path!r} cannot be compared to a literal", offset=offset)
+    elif name in _MAP_FIELDS and use == "compare":
+        raise SchemaError(f"map {path!r} cannot be compared to a literal", offset=offset)
     return depth, name
 
 
@@ -511,7 +521,7 @@ def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
     """One value against the literal: bools equal only bools, ``None`` is
     unequal to every literal, and LIKE holds only for strings."""
     if op is CompareOp.LIKE:
-        pattern = str(literal)
+        pattern = literal
         chunks = pattern.split("%")
         if len(chunks) == 1:
             return lambda v: isinstance(v, str) and v == pattern
@@ -582,6 +592,13 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
         return lambda rec, env: get(rec, env) is None
     if isinstance(node, Compare):
         name, get = _compile_value(node.path, scopes, "compare")
+        # what the parser accepts, so that render_rule's text parses back
+        if not isinstance(node.op, CompareOp):
+            raise SchemaError(f"unknown comparison operator {node.op!r}")
+        if node.op is CompareOp.LIKE and not isinstance(node.literal, str):
+            raise SchemaError(f"LIKE pattern must be a string, got {node.literal!r}")
+        if not isinstance(node.literal, (str, bool)):
+            raise SchemaError(f"{node.op.value} needs a string or boolean literal, got {node.literal!r}")
         test = _literal_test(node.op, node.literal)
         if name not in _LIST_FIELDS:
             return lambda rec, env: test(get(rec, env))

@@ -4,7 +4,8 @@ An alert counts as a true positive iff ground truth marks its bucket as
 carrying business risk (exploitable, or publicly exposed sensitive data), so
 sensitive-exposure alerts score as intended. Precision and the reduction rate
 are kept as exact rationals on the report object and rendered to four decimal
-places.
+places. ``fractions`` is imported by the functions that score, so a scan
+never loads it.
 
 An alert's fingerprint is the SHA-256 of its bucket name, rule id and fired
 conditions. The constructor, ``_sha256``, is picked once at import:
@@ -40,20 +41,19 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
-from .defaults import evaluate_default
 from .errors import BucketlensError, StateCorruptionError, StateLockError, UnknownBucketError
 from .model import Alert, BucketConfig, read_json
 from .policy import derive
-from .unified import evaluate_unified
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .fleetgen import GroundTruth
 
 # the one SHA-256 of the package; hashlib, which loads OpenSSL, only as a fallback
@@ -100,6 +100,12 @@ def scan_fleet(
 
     run_default = rules in ("default", "both")
     run_unified = rules in ("unified", "both")
+    # a ruleset's module is imported only when it runs, and read from the
+    # module at call time, so a wrapper put there sees every call
+    if run_default:
+        from .defaults import evaluate_default
+    if run_unified:
+        from .unified import evaluate_unified
     alerts: list[Alert] = []
     for config in buckets:
         derived = derive(config, restrictive_keys)
@@ -135,6 +141,8 @@ def classify_alerts(
 def _ruleset_metrics(
     alerts: Sequence[Alert], truth: Mapping[str, GroundTruth], minutes_per_alert: float
 ) -> RulesetMetrics:
+    from fractions import Fraction
+
     tp, fp = classify_alerts(alerts, truth)
     total = len(alerts)
     return RulesetMetrics(
@@ -162,6 +170,8 @@ def compute_metrics(
 
     Raises ``BucketlensError`` when a modeled triage total is not finite.
     """
+    from fractions import Fraction
+
     default = _ruleset_metrics(default_alerts, truth, minutes_per_alert_default)
     unified = _ruleset_metrics(unified_alerts, truth, minutes_per_alert_unified)
     for name, metrics in (("default", default), ("unified", unified)):
@@ -184,6 +194,8 @@ def _round4(value: Fraction | None) -> float | None:
 
 
 def _fp_rate(metrics: RulesetMetrics) -> Fraction | None:
+    from fractions import Fraction
+
     return Fraction(metrics.fp, metrics.total_alerts) if metrics.total_alerts else None
 
 

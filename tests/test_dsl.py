@@ -209,6 +209,48 @@ def test_collection_cannot_be_compared():
         _parse_body("AclGrants = 'x'")
 
 
+# Comparisons against the map-valued Condition, which could never hold (or,
+# for !=, always held); only IS [NOT] NULL applies to a map.
+CONDITION_COMPARISONS = [
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition = 'x')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != 'x')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%SourceIp%')",
+    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE condition != FALSE)",
+]
+
+
+@pytest.mark.parametrize("source", CONDITION_COMPARISONS, ids=["eq", "ne", "like-any", "like-part", "ne-bool-lowercase"])
+def test_map_field_cannot_be_compared(source):
+    with pytest.raises(SchemaError) as exc:
+        parse_rule(source)
+    assert exc.value.offset == source.lower().index("condition")
+    assert str(exc.value).lower().startswith("map 'condition' cannot be compared to a literal")
+
+
+def test_built_map_field_comparison_is_a_schema_error():
+    for op, literal in ((CompareOp.EQ, "x"), (CompareOp.NE, False), (CompareOp.LIKE, "%")):
+        with pytest.raises(SchemaError, match="map 'Condition' cannot be compared"):
+            RuleAst("r", Severity.LOW, Exists("PolicyStatements", Compare("Condition", op, literal)))
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (Compare("Name", CompareOp.LIKE, True), "LIKE pattern must be a string, got True"),
+        (Compare("Name", CompareOp.EQ, 5), "= needs a string or boolean literal, got 5"),
+        (Compare("Name", CompareOp.NE, None), "!= needs a string or boolean literal, got None"),
+        (Compare("Name", "=", "x"), "unknown comparison operator '='"),
+    ],
+    ids=["like-bool", "eq-int", "ne-none", "op-str"],
+)
+def test_built_compare_operator_and_literal_are_checked(body, message):
+    # render_rule's text must parse back, and the parser takes no such literal
+    with pytest.raises(SchemaError) as exc:
+        RuleAst("r", Severity.LOW, body)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "body,message",
     [
@@ -531,20 +573,16 @@ def test_no_record_field_holds_a_number():
 # compiled matcher vs the reference interpreter
 # ---------------------------------------------------------------------------
 
-# Cases where the two evaluators could plausibly part ways: dict-valued and
-# absent Condition, None Sid, bool literals against str fields, and an
-# identifier inside a nested EXISTS that resolves to the outer element.
+# Cases where the two evaluators could plausibly part ways: a dict-valued or
+# absent Condition under IS NOT NULL, None Sid, bool literals against str
+# fields, and an identifier inside a nested EXISTS that resolves to the outer
+# element.
 EDGE_RULES = [
-    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition = 'x')",
-    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != 'x')",
-    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%')",
-    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition LIKE '%SourceIp%')",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition IS NOT NULL)",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid != 'sid-0000')",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Sid LIKE 'sid-%')",
     "RULE e SEVERITY Low WHEN Region != TRUE",
     "RULE e SEVERITY Low WHEN WebsiteEnabled = 'True'",
-    "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Condition != FALSE)",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE Action = TRUE)",
     "RULE e SEVERITY Low WHEN Exposure LIKE 'public%' AND Name LIKE '%-%'",
     "RULE e SEVERITY Low WHEN EXISTS(PolicyStatements WHERE RestrictedAccessCondition != 'aws:SourceIp')",
