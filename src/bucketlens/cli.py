@@ -15,6 +15,10 @@ would only rescan live buckets. ``main`` turns it back on afterwards only if
 it was on. A command imports only the layers it calls: the rule engines and
 the fleet generator are imported inside the commands that run them, and
 ``scan_fleet`` imports each ruleset only when it runs it.
+
+``scan`` and ``evaluate`` read the fleet whole with ``load_fleet``, so a
+fleet error wins over a truth error, and their last pass over it drains the
+list (``_drain``): each bucket is freed once its alerts are made.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import stat
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import evaluation
@@ -39,8 +44,8 @@ from .evaluation import (
     write_json,
 )
 from .model import (
-    BPA_FLAGS, Alert, import_aws_artifacts, iter_fleet, load_fleet, new_alert, read_utf8, serialize_snapshot_line,
-    write_fleet,
+    BPA_FLAGS, Alert, BucketConfig, import_aws_artifacts, iter_fleet, load_fleet, new_alert, read_utf8,
+    serialize_snapshot_line, write_fleet,
 )
 from .policy import derive, load_restrictive_keys
 
@@ -126,12 +131,22 @@ def _default_scan_id(path: str | Path) -> str:
     return f"scan-{digest.hexdigest()[:12]}"
 
 
+def _drain(buckets: list[BucketConfig]) -> Iterator[BucketConfig]:
+    """Yield ``buckets`` in order, dropping each from the list as it is yielded.
+
+    A bucket is then freed once its pass is done with it, so a command's
+    last pass over the fleet ends holding none of it.
+    """
+    buckets.reverse()  # popped from the end, in the list's order
+    while buckets:
+        yield buckets.pop()
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     keys = _restrictive_keys()
     scan_id = args.scan_id or _default_scan_id(args.input)  # an empty --scan-id is a usage error
     buckets = load_fleet(args.input)
-    alerts = scan_fleet(buckets, rules=args.rules, restrictive_keys=keys)
-    del buckets  # freed before the diff and the document are built
+    alerts = scan_fleet(_drain(buckets), rules=args.rules, restrictive_keys=keys)
 
     diff = None
     if args.state:
@@ -160,10 +175,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .fleetgen import load_truth
 
     keys = _restrictive_keys()
-    buckets = load_fleet(args.input)  # read first, so its errors win
-    truth = load_truth(args.truth)
-    default_alerts = scan_fleet(buckets, rules="default", restrictive_keys=keys)
+    buckets = load_fleet(args.input)  # read before the truth, so its errors win
+    # the default pass, which makes most alerts, runs last and frees each bucket as its alerts grow
     unified_alerts = scan_fleet(buckets, rules="unified", restrictive_keys=keys)
+    default_alerts = scan_fleet(_drain(buckets), rules="default", restrictive_keys=keys)
+    truth = load_truth(args.truth)
     report = compute_metrics(
         default_alerts,
         unified_alerts,

@@ -7,6 +7,12 @@ are kept as exact rationals on the report object and rendered to four decimal
 places. ``fractions`` is imported by the functions that score, so a scan
 never loads it.
 
+``scan_fleet`` takes any iterable of buckets and keeps none of them: the
+``scan`` and ``evaluate`` commands still read the fleet with ``load_fleet``,
+which the benchmark's per-layer metrics time, but hand their last pass a
+generator that drains that list, so each bucket is freed once its alerts
+are made, and ``evaluate`` reads the truth only after both passes.
+
 An alert's fingerprint is the SHA-256 of its bucket name, rule id and fired
 conditions. The constructor, ``_sha256``, is picked once at import:
 CPython's built-in SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), which
@@ -19,7 +25,8 @@ first produced it. It persists as a single JSON document with a
 schema-version field, replaced atomically on every save. Scans that update
 state hold an exclusive ``flock`` on a sidecar ``<state>.lock`` file, which
 the kernel releases when the scan exits, however it exits. ``diff_alerts``
-holds each current fingerprint once, in one sorted list.
+builds no set: it walks the current fingerprints in one sorted list, repeats
+skipped, and tests each previous key against the new state.
 
 The scan and rules-run documents and the alert state are written by
 ``write_json``, byte for byte as ``json.dumps(document, indent=2)`` lays
@@ -413,14 +420,20 @@ def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: 
     unchanged + resolved covers every previous one. The returned state holds
     exactly the current fingerprints, preserving first_seen for unchanged.
 
-    The current fingerprints are sorted once, and one pass over them fills
-    ``new``, ``unchanged`` and the state, so each fingerprint is held once
-    there; only ``resolved`` is a set difference, against the state's keys.
+    The current fingerprints are sorted once, repeats included, and one pass
+    over them, skipping a fingerprint equal to the one before it, fills
+    ``new``, ``unchanged`` and the state. ``resolved`` is the previous keys
+    the state lacks. No set is built: besides the result, only the sorted
+    list, a pointer per alert, is held.
     """
     new: list[str] = []
     unchanged: list[str] = []
     first_seen: dict[str, str] = {}
-    for fp in sorted({alert_fingerprint(alert) for alert in current}):
+    last = None
+    for fp in sorted(map(alert_fingerprint, current)):
+        if fp == last:
+            continue
+        last = fp
         seen = previous.get(fp)
         if seen is None:
             new.append(fp)
@@ -428,7 +441,7 @@ def diff_alerts(previous: Mapping[str, str], current: Sequence[Alert], scan_id: 
         else:
             unchanged.append(fp)
             first_seen[fp] = seen
-    resolved = sorted(previous.keys() - first_seen.keys())
+    resolved = sorted([fp for fp in previous if fp not in first_seen])
     return AlertDiff(new=tuple(new), unchanged=tuple(unchanged), resolved=tuple(resolved), state=first_seen)
 
 

@@ -710,6 +710,17 @@ def _with_second_line(source, path, line):
     return str(path)
 
 
+def test_evaluate_truth_error_writes_no_report(small_fleet, tmp_path, capsys):
+    # the truth is read after both passes over the fleet, and still before any output
+    truth = _with_second_line(small_fleet.with_name("fleet.truth.jsonl"), tmp_path / "truth.jsonl", _TRUTH_LINE.encode())
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--input", str(small_fleet), "--truth", truth, "--report", str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {truth}: field 'exploitable' missing or mistyped (field: exploitable) (line 2)\n"
+    assert not report.exists()
+
+
 # (second line, message) of each bad input; None repeats the first line, whose name is {name}
 _INPUT_FAULTS = {
     ("fleet", "malformed"): (_FLEET_LINE.encode(), "field 'region' must be str, got int (field: region)"),

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ from bucketlens.evaluation import (
     state_lock,
     write_json,
 )
-from bucketlens.fleetgen import GroundTruth, MixSpec, generate_fleet
+from bucketlens.fleetgen import ADVERSARIAL_MIX, GroundTruth, MixSpec, generate_fleet
 from bucketlens.model import Alert, Severity
 
 from conftest import (
@@ -286,6 +287,28 @@ def test_diff_alerts_is_the_set_algebra_of_its_fingerprints(current, previous, s
     assert diff.resolved == tuple(sorted(previous.keys() - fps))
     assert diff.state == {fp: previous.get(fp, scan_id) for fp in fps}
     assert previous == before
+
+
+def _diff_excess(previous: dict[str, str], alerts: list[Alert], scan_id: str) -> tuple[AlertDiff, int]:
+    """``diff_alerts``'s result, and the bytes by which its traced peak exceeds what the result keeps."""
+    tracemalloc.start()
+    try:
+        diff = diff_alerts(previous, alerts, scan_id)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return diff, peak - kept
+
+
+def test_diff_alerts_holds_little_beyond_its_result():
+    alerts = scan_fleet((config for config, _ in generate_fleet(MixSpec(dict(ADVERSARIAL_MIX), 5000, 42))), "both")
+    # a set of the current fingerprints, or of the previous keys, would cost
+    # tens of bytes a member at its peak; the sorted fingerprint list costs 8
+    first, excess = _diff_excess({}, alerts, "scan-1")
+    assert excess / len(alerts) < 40, excess
+    second, excess = _diff_excess(first.state, alerts, "scan-2")
+    assert excess / len(alerts) < 40, excess
+    assert len(second.unchanged) == len(alerts)
 
 
 def test_diff_conservation():
