@@ -23,7 +23,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "parse_rule", "render_rule", "tokenize",
     ),
     "errors": (
-        "BucketlensError", "DuplicateNameError", "LexError", "MissingArtifactError",
+        "BucketlensError", "DuplicateNameError", "FrozenInstanceError", "LexError", "MissingArtifactError",
         "MixError", "ParseError", "SchemaError", "StateCorruptionError",
         "StateLockError", "UnknownBucketError", "UnknownScenarioError",
     ),

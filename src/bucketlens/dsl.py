@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Sequence, Union
 
 from .errors import LexError, ParseError, SchemaError
-from .model import BPA_FLAGS, BucketConfig, PolicyStatement, Severity
+from .model import BPA_FLAGS, BucketConfig, PolicyStatement, Record, Severity, field
 from .policy import (
     RESTRICTIVE_CONDITION_KEYS,
     DerivedProperties,
@@ -75,8 +74,7 @@ class TokenKind(enum.Enum):
     EOF = "Eof"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(Record):
     kind: TokenKind
     text: str
     offset: int  # byte position in the UTF-8 encoding of the source
@@ -146,49 +144,41 @@ class CompareOp(enum.Enum):
 Literal = Union[str, bool]
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+class And(Record):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+class Or(Record):
     children: tuple["Node", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+class Not(Record):
     child: "Node"
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
+class Exists(Record):
     path: str
     inner: "Node"
 
 
-@dataclass(frozen=True, slots=True)
-class Compare:
+class Compare(Record):
     path: str
     op: CompareOp
     literal: Literal
 
 
-@dataclass(frozen=True, slots=True)
-class IsNull:
+class IsNull(Record):
     path: str
 
 
-@dataclass(frozen=True, slots=True)
-class LiteralBool:
+class LiteralBool(Record):
     value: bool
 
 
 Node = Union[And, Or, Not, Exists, Compare, IsNull, LiteralBool]
 
 
-@dataclass(frozen=True, slots=True)
-class RuleAst:
+class RuleAst(Record):
     name: str
     severity: Severity
     body: Node

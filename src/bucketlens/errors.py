@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error raised by bucketlens derives from :class:`BucketlensError`, so
-callers (notably the CLI) can map the whole family onto one exit code.
+callers (notably the CLI) can map the whole family onto one exit code. The
+one exception is :class:`FrozenInstanceError`, which only a program that
+writes to a record raises.
 """
 
 from __future__ import annotations
@@ -87,3 +89,11 @@ class StateCorruptionError(BucketlensError):
 
 class StateLockError(BucketlensError):
     """Another scan currently holds the alert-state advisory lock."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a record (``model.Record``) was assigned to or deleted.
+
+    A misuse of the library, not bad input, so it is an ``AttributeError``
+    and no ``BucketlensError``.
+    """

@@ -14,7 +14,7 @@ generator that drains that list, so each bucket is freed once its alerts
 are made, and ``evaluate`` reads the truth only after both passes.
 
 An alert's fingerprint is the SHA-256 of its bucket name, rule id and fired
-conditions. The constructor, ``_sha256``, is picked once at import:
+conditions. The constructor, ``_sha256``, is picked on first use:
 CPython's built-in SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), which
 costs about 0.1 MB to load, and ``hashlib.sha256`` only on an interpreter
 built without it, since hashlib loads OpenSSL (about 3.5 MB resident). The
@@ -47,15 +47,14 @@ import os
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, TextIO
+from typing import TYPE_CHECKING, Any, TextIO
 
 from .errors import BucketlensError, StateCorruptionError, StateLockError, UnknownBucketError
-from .model import Alert, BucketConfig, read_json
+from .model import Alert, BucketConfig, Record, read_json
 from .policy import derive
 
 if TYPE_CHECKING:
@@ -63,20 +62,29 @@ if TYPE_CHECKING:
 
     from .fleetgen import GroundTruth
 
-# the one SHA-256 of the package; hashlib, which loads OpenSSL, only as a fallback
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
+
+def _sha256(data: bytes = b"") -> Any:
+    """A new SHA-256 hash object fed ``data``: the one SHA-256 of the package.
+
+    The first call imports the constructor and binds it to this name in its
+    place, so a command that hashes nothing loads no hash module.
+    """
+    global _sha256
     try:
-        from _sha256 import sha256 as _sha256
+        from _sha2 import sha256
     except ImportError:
-        from hashlib import sha256 as _sha256
+        try:
+            from _sha256 import sha256
+        except ImportError:  # hashlib, which loads OpenSSL, only as a fallback
+            from hashlib import sha256
+    _sha256 = sha256
+    return sha256(data)
+
 
 STATE_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
-class RulesetMetrics:
+class RulesetMetrics(Record):
     total_alerts: int
     alerted_buckets: int
     tp: int
@@ -85,8 +93,7 @@ class RulesetMetrics:
     modeled_triage_minutes: float
 
 
-@dataclass(frozen=True, slots=True)
-class EvaluationReport:
+class EvaluationReport(Record):
     default: RulesetMetrics
     unified: RulesetMetrics
     reduction_rate: Fraction | None  # None when the default ruleset is silent
@@ -405,8 +412,7 @@ def alert_to_dict(alert: Alert) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class AlertDiff:
+class AlertDiff(Record):
     new: tuple[str, ...]
     unchanged: tuple[str, ...]
     resolved: tuple[str, ...]

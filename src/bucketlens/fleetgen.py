@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -42,6 +41,7 @@ from .model import (
     Permission,
     PolicyStatement,
     PublicAccessBlock,
+    Record,
     parse_json,
     read_json,
     read_jsonl,
@@ -49,8 +49,7 @@ from .model import (
 from .policy import SENSITIVE_TAG_KEY, Exposure, derive, effective_anonymous_access
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
+class GroundTruth(Record):
     """Oracle-backed labels for one bucket."""
 
     exploitable: bool
@@ -58,8 +57,7 @@ class GroundTruth:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(Record):
     id: str
     description: str
     builder: Callable[[str, random.Random], BucketConfig]
@@ -69,8 +67,7 @@ class Scenario:
     expected_default_rule_count_min: int
 
 
-@dataclass(frozen=True, slots=True)
-class MixSpec:
+class MixSpec(Record):
     """Scenario proportions (summing to 1), fleet size and RNG seed."""
 
     proportions: Mapping[str, float]

@@ -24,6 +24,13 @@ templates; parsing it back yields a field-by-field identical record.
 The module also holds :class:`Alert`, the one record both rulesets emit
 (``defaults`` and ``unified`` build it with ``new_alert``).
 
+Every record class of the package derives from :class:`Record`, which gives
+it what ``@dataclass(frozen=True, slots=True)`` would: slots, ``__init__``,
+``==``, ``hash``, ``repr``, pickling, ``replace`` and frozen fields, all read
+from the class's ``_fields`` table. Its methods are copies of fixed templates
+with the field names put in, so no source is compiled when a class is made,
+and no command imports ``dataclasses``, which would also load ``inspect``.
+
 Every input file is read through ``read_utf8``, ``read_json`` or
 ``read_jsonl``, and decoded by ``parse_json``; they turn each way a file fails
 to decode (not UTF-8, invalid JSON, nested too deeply, an integer with too
@@ -39,11 +46,10 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import DuplicateNameError, MissingArtifactError, SchemaError
+from .errors import DuplicateNameError, FrozenInstanceError, MissingArtifactError, SchemaError
 
 _NAME_RE = re.compile(r"^[a-z0-9.-]{3,63}\Z")  # \Z: "$" would also match before a final newline
 
@@ -89,8 +95,319 @@ class Severity(enum.Enum):
     HIGH = "High"
 
 
-@dataclass(frozen=True, slots=True)
-class AclGrant:
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_NO_DEFAULT: Any = object()
+
+
+class Field:
+    """One field of a record class, as its ``_fields`` table holds it.
+
+    ``hash`` None means "as ``compare``"; a field with ``init`` false is
+    set by the class's ``__post_init__``.
+    """
+
+    __slots__ = ("name", "default", "default_factory", "init", "repr", "hash", "compare")
+
+    def __init__(
+        self,
+        default: Any = _NO_DEFAULT,
+        default_factory: Callable[[], Any] | None = None,
+        init: bool = True,
+        repr: bool = True,
+        hash: bool | None = None,
+        compare: bool = True,
+    ) -> None:
+        self.name = ""  # set when the class is built
+        self.default = default
+        self.default_factory = default_factory
+        self.init = init
+        self.repr = repr
+        self.hash = compare if hash is None else hash
+        self.compare = compare
+
+
+def field(**options: Any) -> Any:
+    """A field declaration for a record class body: ``x: T = field(...)``
+    with ``Field``'s options, as ``dataclasses.field`` takes them."""
+    return Field(**options)
+
+
+# Templates of the methods built for a record class, by field count. A copy
+# of one has each placeholder ``_<i>`` renamed to the class's i-th field
+# (``_renamed``), so the copy is the method a dataclass would compile from
+# source, without compiling anything: ``__init__`` binds its arguments, and
+# ``==`` and ``hash`` read the fields, as fast as hand-written methods do.
+# An ``__init__`` sets each field through its slot's setter and then calls
+# ``post`` (the class's ``__post_init__``) if there is one.
+
+def _init_1(s0, post):
+    def __init__(self, _0):
+        s0(self, _0)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_2(s0, s1, post):
+    def __init__(self, _0, _1):
+        s0(self, _0), s1(self, _1)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_3(s0, s1, s2, post):
+    def __init__(self, _0, _1, _2):
+        s0(self, _0), s1(self, _1), s2(self, _2)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_4(s0, s1, s2, s3, post):
+    def __init__(self, _0, _1, _2, _3):
+        s0(self, _0), s1(self, _1), s2(self, _2), s3(self, _3)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_5(s0, s1, s2, s3, s4, post):
+    def __init__(self, _0, _1, _2, _3, _4):
+        s0(self, _0), s1(self, _1), s2(self, _2), s3(self, _3), s4(self, _4)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_6(s0, s1, s2, s3, s4, s5, post):
+    def __init__(self, _0, _1, _2, _3, _4, _5):
+        s0(self, _0), s1(self, _1), s2(self, _2), s3(self, _3), s4(self, _4), s5(self, _5)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init_7(s0, s1, s2, s3, s4, s5, s6, post):
+    def __init__(self, _0, _1, _2, _3, _4, _5, _6):
+        s0(self, _0), s1(self, _1), s2(self, _2), s3(self, _3), s4(self, _4), s5(self, _5), s6(self, _6)
+        if post:
+            post(self)
+    return __init__
+
+
+def _eq_1(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0,) == (other._0,)
+    return NotImplemented
+
+
+def _eq_2(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1) == (other._0, other._1)
+    return NotImplemented
+
+
+def _eq_3(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
+    return NotImplemented
+
+
+def _eq_4(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2, self._3) == (other._0, other._1, other._2, other._3)
+    return NotImplemented
+
+
+def _eq_5(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2, self._3, self._4) == (other._0, other._1, other._2, other._3, other._4)
+    return NotImplemented
+
+
+def _eq_6(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2, self._3, self._4, self._5) == (
+            other._0, other._1, other._2, other._3, other._4, other._5
+        )
+    return NotImplemented
+
+
+def _eq_7(self, other):
+    if other.__class__ is self.__class__:
+        return (self._0, self._1, self._2, self._3, self._4, self._5, self._6) == (
+            other._0, other._1, other._2, other._3, other._4, other._5, other._6
+        )
+    return NotImplemented
+
+
+def _hash_1(self):
+    return hash((self._0,))
+
+
+def _hash_2(self):
+    return hash((self._0, self._1))
+
+
+def _hash_3(self):
+    return hash((self._0, self._1, self._2))
+
+
+def _hash_4(self):
+    return hash((self._0, self._1, self._2, self._3))
+
+
+def _hash_5(self):
+    return hash((self._0, self._1, self._2, self._3, self._4))
+
+
+def _hash_6(self):
+    return hash((self._0, self._1, self._2, self._3, self._4, self._5))
+
+
+def _hash_7(self):
+    return hash((self._0, self._1, self._2, self._3, self._4, self._5, self._6))
+
+
+_INITS = (_init_1, _init_2, _init_3, _init_4, _init_5, _init_6, _init_7)
+_EQS = (_eq_1, _eq_2, _eq_3, _eq_4, _eq_5, _eq_6, _eq_7)
+_HASHES = (_hash_1, _hash_2, _hash_3, _hash_4, _hash_5, _hash_6, _hash_7)
+
+
+def _renamed(function: Any, cls: type, fields: Iterable[Field]) -> Any:
+    """A copy of the template ``function``, a method of ``cls``, whose
+    placeholders ``_0``, ``_1``, ... are the names of ``fields``."""
+    names = {f"_{i}": f.name for i, f in enumerate(fields)}
+    code = function.__code__
+    code = code.replace(
+        co_varnames=tuple(names.get(name, name) for name in code.co_varnames),
+        co_names=tuple(names.get(name, name) for name in code.co_names),
+    )
+    method = type(function)(code, function.__globals__, code.co_name, None, function.__closure__)
+    method.__qualname__ = f"{cls.__qualname__}.{code.co_name}"
+    method.__module__ = cls.__module__
+    return method
+
+
+def _slot_setters(cls: type) -> tuple[Any, ...]:
+    """The ``__set__`` of each field's member descriptor, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in cls._fields)
+
+
+def _factory_setter(set_field: Callable[[Any, Any], None], factory: Callable[[], Any]) -> Callable[[Any, Any], None]:
+    """``set_field``, with ``factory()`` set in place of the missing-argument default."""
+
+    def set_or_make(record: Any, value: Any) -> None:
+        set_field(record, factory() if value is _NO_DEFAULT else value)
+
+    return set_or_make
+
+
+class _RecordType(type):
+    """The metaclass of ``Record``: a class's annotated names become its
+    slots and its ``_fields`` table, from which its methods are built."""
+
+    def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, Any]) -> type:
+        table = []
+        for field_name in namespace.get("__annotations__", {}):
+            value = namespace.pop(field_name, _NO_DEFAULT)
+            spec = value if isinstance(value, Field) else Field(default=value)
+            spec.name = field_name
+            table.append(spec)
+        namespace["__slots__"] = tuple(spec.name for spec in table)
+        cls = super().__new__(mcls, name, bases, namespace)
+        if table:
+            if any(getattr(base, "_fields", ()) for base in bases):
+                raise TypeError(f"{name}: a record class with fields cannot be extended with more")
+            _build_record(cls, tuple(table))
+        return cls
+
+
+def _build_record(cls: Any, table: tuple[Field, ...]) -> None:
+    """Give ``cls`` its field table, ``__init__``, ``==``, ``hash`` and ``__match_args__``."""
+    cls._fields = table
+    params = [f for f in table if f.init]
+    defaults = []
+    for f in params:
+        if f.default_factory is not None:
+            defaults.append(_NO_DEFAULT)
+        elif f.default is not _NO_DEFAULT:
+            defaults.append(f.default)
+        elif defaults:
+            raise TypeError(f"{cls.__name__}: field {f.name!r} without a default follows one with a default")
+    compared = [f for f in table if f.compare]
+    hashed = [f for f in table if f.hash]
+    if not all(1 <= len(group) <= 7 for group in (params, compared, hashed)):
+        raise TypeError(f"{cls.__name__}: a record has 1 to 7 fields that __init__, == and hash each read")
+    if any(f.name == "self" for f in params):
+        raise TypeError(f"{cls.__name__}: no field can be named 'self', the name of __init__'s first argument")
+    setters = dict(zip(table, _slot_setters(cls)))
+    init = _INITS[len(params) - 1](
+        *(setters[f] if f.default_factory is None else _factory_setter(setters[f], f.default_factory) for f in params),
+        cls.__dict__.get("__post_init__"),
+    )
+    cls.__init__ = _renamed(init, cls, params)
+    cls.__init__.__defaults__ = tuple(defaults) or None
+    cls.__eq__ = _renamed(_EQS[len(compared) - 1], cls, compared)
+    cls.__hash__ = _renamed(_HASHES[len(hashed) - 1], cls, hashed)
+    cls.__match_args__ = tuple(f.name for f in params)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's immutable records, which behave as
+    ``@dataclass(frozen=True, slots=True)`` classes do.
+
+    A subclass declares its fields as annotated class attributes, in order,
+    a default as the value and other options with ``field(...)``. Each name
+    becomes a slot, and the class gets ``__init__`` (positional or keyword
+    arguments, then ``__post_init__`` if the class defines it), ``==`` and
+    ``hash`` over its compared and hashed fields, ``repr``, pickling and
+    ``replace``; assigning to or deleting a field raises
+    ``FrozenInstanceError``. ``_fields`` is the class's table of ``Field``
+    specs, in order.
+    """
+
+    __slots__ = ()
+    _fields = ()  # a tuple of Field; not annotated, as an annotation would make it a field
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._fields if f.repr)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list[Any]:
+        return [getattr(self, f.name) for f in self._fields]
+
+    def __setstate__(self, state: list[Any]) -> None:
+        for set_field, value in zip(_slot_setters(self.__class__), state):
+            set_field(self, value)
+
+    def replace(self, **changes: Any) -> Any:
+        """A copy with the given fields changed, built through ``__init__``
+        (as ``dataclasses.replace`` does); also ``copy.replace`` from Python 3.13."""
+        for f in self._fields:
+            if not f.init:
+                if f.name in changes:
+                    raise TypeError(
+                        f"field {f.name} is declared with init=False, it cannot be specified with replace()"
+                    )
+            elif f.name not in changes:
+                changes[f.name] = getattr(self, f.name)
+        return self.__class__(**changes)
+
+    __replace__ = replace
+
+
+class AclGrant(Record):
     """One bucket ACL grant."""
 
     grantee_type: GranteeType
@@ -102,8 +419,7 @@ class AclGrant:
             raise SchemaError("grantee_uri must be non-empty", field="grantee_uri")
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyStatement:
+class PolicyStatement(Record):
     """One normalized bucket-policy statement."""
 
     effect: Effect
@@ -127,8 +443,7 @@ def _any_wildcard(principals: tuple[str, ...]) -> bool:
     return any("*" in principal for principal in principals)
 
 
-@dataclass(frozen=True, slots=True)
-class PublicAccessBlock:
+class PublicAccessBlock(Record):
     """The four Block Public Access flags; absent configuration is all-false."""
 
     block_public_acls: bool = False
@@ -146,8 +461,7 @@ BPA_FLAGS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BucketConfig:
+class BucketConfig(Record):
     """Full security posture of one bucket.
 
     Immutable after construction; safe to share across concurrent readers.
@@ -176,8 +490,7 @@ class BucketConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Alert:
+class Alert(Record):
     """One finding emitted by a ruleset for one bucket.
 
     ``fired_conditions`` holds the numbers of the unified rule's conditions
@@ -346,18 +659,11 @@ def _string_list(raw: Any, fieldname: str) -> tuple[str, ...]:
     raise SchemaError(f"field {fieldname!r} must be a list of strings", field=fieldname)
 
 
-# Frozen dataclasses set every field in __init__ through object.__setattr__.
 # The parser builds a BucketConfig for every bucket, and a PolicyStatement
 # for every third or so, so it sets their slots through the member
-# descriptors instead, in about a third of the time, after making the checks
-# of __post_init__ itself.
+# descriptors, without a call of __init__, after making the checks of
+# __post_init__ itself.
 _new = object.__new__
-
-
-def _slot_setters(cls: type) -> tuple[Any, ...]:
-    """The ``__set__`` of each field's member descriptor, in field order."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
 
 _STMT_SLOTS = _slot_setters(PolicyStatement)
 _BUCKET_SLOTS = _slot_setters(BucketConfig)
@@ -367,7 +673,7 @@ _ALERT_SLOTS = _slot_setters(Alert)
 def new_alert(
     bucket_name: str, rule_id: str, severity: Severity, fired_conditions: tuple[int, ...], explanation: str
 ) -> Alert:
-    """``Alert(...)`` without the frozen dataclass's ``__init__``: the same
+    """``Alert(...)`` without a call of ``Alert.__init__``: the same
     instance, built in about half the time, for the rule engines' hot loops."""
     alert = _new(Alert)
     set_bucket, set_rule, set_severity, set_fired, set_explanation = _ALERT_SLOTS

@@ -33,8 +33,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # ``--hypothesis-profile=deep`` runs each property test on 3000 examples
 # instead of 100; CI's deep job runs the JSON writer's document tests, the
-# snapshot and truth line writers', load_fleet's property test and
-# diff_alerts's with it.
+# snapshot and truth line writers', load_fleet's property test,
+# diff_alerts's and the record classes' (tests/test_records.py) with it.
 # A test whose own ``@settings`` sets ``max_examples`` keeps that count.
 settings.register_profile("deep", max_examples=3000, deadline=None)
 

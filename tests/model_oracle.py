@@ -2,7 +2,7 @@
 fast-path rewrites: their test oracles.
 
 ``parse_snapshot_line`` and its helpers are kept here unchanged, each check in
-its own helper and every object built through its dataclass constructor,
+its own helper and every object built through its record constructor,
 so the one-pass parser in ``bucketlens.model`` is checked against an
 independent reading of the same schema: it must return an equal
 ``BucketConfig`` or raise a ``SchemaError`` with the same message and field.

@@ -7,7 +7,6 @@ the rest exercise the library surfaces directly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import re
@@ -137,21 +136,17 @@ def test_criterion_3_dsl_builtin_equivalence(paper_run):
 
 
 def _with_bpa(config: BucketConfig, **flags) -> BucketConfig:
-    return dataclasses.replace(
-        config,
-        public_access_block=dataclasses.replace(config.public_access_block, **flags),
-    )
+    return config.replace(public_access_block=config.public_access_block.replace(**flags))
 
 
 def _with_restriction(config: BucketConfig) -> BucketConfig:
     if config.policy is None:
         return config
-    return dataclasses.replace(
-        config,
+    return config.replace(
         policy=tuple(
-            dataclasses.replace(s, condition={**(s.condition or {}), "aws:SourceIp": ("198.51.100.0/24",)})
+            s.replace(condition={**(s.condition or {}), "aws:SourceIp": ("198.51.100.0/24",)})
             for s in config.policy
-        ),
+        )
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -219,7 +218,7 @@ def test_buckets_of_one_signature_keep_their_own_names():
     assert first_alerts and len(first_alerts) == len(second_alerts)
     assert {a.bucket_name for a in first_alerts} == {"first-twin"}
     assert {a.bucket_name for a in second_alerts} == {"second-twin"}
-    assert [dataclasses.replace(a, bucket_name="second-twin") for a in first_alerts] == second_alerts
+    assert [a.replace(bucket_name="second-twin") for a in first_alerts] == second_alerts
 
 
 @pytest.mark.parametrize("reads", [None, "acl_grants"], ids=repr)
@@ -251,7 +250,7 @@ def test_rules_never_fire_on_their_empty_input(empty):
     (name,) = empty
     declared = [rule for rule in default_catalog() if rule.reads == name]
     for config in agreement_configs():
-        emptied = dataclasses.replace(config, **empty)
+        emptied = config.replace(**empty)
         for derived in (derive(config), derive(emptied)):
             for rule in declared:
                 assert rule.predicate(emptied, derived) is None, rule.id

@@ -402,11 +402,9 @@ def _parse_body_rule(expr: str) -> RuleAst:
 
 
 def test_absent_sid_is_null():
-    import dataclasses
-
     bucket = public_policy_bucket()
-    no_sid = dataclasses.replace(bucket.policy[0], sid=None)
-    bucket = dataclasses.replace(bucket, policy=(no_sid,))
+    no_sid = bucket.policy[0].replace(sid=None)
+    bucket = bucket.replace(policy=(no_sid,))
     assert (
         eval_rule(
             _parse_body_rule("EXISTS(PolicyStatements WHERE Sid IS NULL)"), _record(bucket)

@@ -365,9 +365,9 @@ def test_fingerprint_and_scan_id_fall_back_to_hashlib(tmp_path):
         "import hashlib\n"
         "from bucketlens import cli, evaluation\n"
         "from bucketlens.model import Severity, new_alert\n"
-        "assert evaluation._sha256 is hashlib.sha256\n"
         "alert = new_alert('a-bucket', 'UNIFIED', Severity.HIGH, (1, 3), 'x')\n"
         "assert evaluation.alert_fingerprint(alert) == hashlib.sha256(b'a-bucket\\nUNIFIED\\n1,3').hexdigest()\n"
+        "assert evaluation._sha256 is hashlib.sha256  # picked by the first hash\n"
         f"print(cli._default_scan_id({str(fleet)!r}), file=sys.stderr)\n"
     )
     assert run_fresh_interpreter(script) == f"scan-{hashlib.sha256(data).hexdigest()[:12]}\n"

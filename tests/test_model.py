@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import pickle
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bucketlens import model
-from bucketlens.errors import DuplicateNameError, MissingArtifactError, MixError, SchemaError
+from bucketlens.errors import DuplicateNameError, FrozenInstanceError, MissingArtifactError, MixError, SchemaError
 from bucketlens.fleetgen import ADVERSARIAL_MIX, PAPER_MIX, MixSpec, generate_fleet
 from bucketlens.model import (
     ALL_USERS_URI,
@@ -450,7 +449,7 @@ def _reference_snapshot_dict(config):
                 stmt["condition"] = {key: list(s.condition[key]) for key in sorted(s.condition)}
             out["policy"].append(stmt)
     bpa = config.public_access_block
-    out["public_access_block"] = {f.name: getattr(bpa, f.name) for f in dataclasses.fields(bpa)}
+    out["public_access_block"] = {f.name: getattr(bpa, f.name) for f in bpa._fields}
     out["tags"] = {key: config.tags[key] for key in sorted(config.tags)}
     out["website_enabled"] = config.website_enabled
     return out
@@ -505,8 +504,8 @@ def test_load_fleet_reports_line_numbers(tmp_path):
 
 def _typed(value):
     """``value`` as nested (type, contents) pairs, dict order and slot values included."""
-    if dataclasses.is_dataclass(value):
-        return type(value), tuple((f.name, _typed(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, model.Record):
+        return type(value), tuple((f.name, _typed(getattr(value, f.name))) for f in value._fields)
     if type(value) is dict:
         return dict, tuple((key, _typed(item)) for key, item in value.items())
     if type(value) in (tuple, list):
@@ -856,9 +855,9 @@ def test_statement_wildcard_flag_stays_out_of_equality_hash_and_repr():
     ).policy[0]
     assert parsed == stmt and hash(parsed) == hash(stmt) and repr(parsed) == repr(stmt)
     assert parsed.wildcard_principal
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         parsed.wildcard_principal = False
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         parsed.sid = "t"
 
 
@@ -870,8 +869,8 @@ def test_records_with_tags_or_conditions_are_hashable():
     parsed = parse_snapshot_line(serialize_snapshot_line(tagged))
     assert parsed == tagged and hash(parsed) == hash(tagged)
     assert {tagged, parsed, BucketConfig("abc")} == {tagged, BucketConfig("abc")}
-    retagged = dataclasses.replace(tagged, tags={"SensitiveData": "false"})
-    other_vpc = dataclasses.replace(stmt, condition={"aws:SourceVpc": ("vpc-2",)})
+    retagged = tagged.replace(tags={"SensitiveData": "false"})
+    other_vpc = stmt.replace(condition={"aws:SourceVpc": ("vpc-2",)})
     assert len({tagged, retagged}) == 2 and len({stmt, other_vpc}) == 2
     assert "tags={'SensitiveData': 'true'}" in repr(tagged)
     assert "condition={'aws:SourceVpc': ('vpc-1',)}" in repr(stmt)

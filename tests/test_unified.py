@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -10,6 +9,7 @@ import re
 import pytest
 
 from bucketlens.dsl import bind_record, eval_rule, parse_rule
+from bucketlens.errors import FrozenInstanceError
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
@@ -134,8 +134,8 @@ def test_dsl_equivalence_on_random_configs():
 
 
 def _with_rpb(config: BucketConfig, value: bool) -> BucketConfig:
-    bpa = dataclasses.replace(config.public_access_block, restrict_public_buckets=value)
-    return dataclasses.replace(config, public_access_block=bpa)
+    bpa = config.public_access_block.replace(restrict_public_buckets=value)
+    return config.replace(public_access_block=bpa)
 
 
 def test_bpa_monotonicity():
@@ -158,7 +158,7 @@ def test_condition_one_invariant_under_all_bpa_flags():
         config = random_bucket_config(rng)
         fired = {1} & set(_eval(config).fired_conditions if _eval(config) else ())
         for flags in (PublicAccessBlock(True, True, True, True), PublicAccessBlock()):
-            variant = dataclasses.replace(config, public_access_block=flags)
+            variant = config.replace(public_access_block=flags)
             variant_fired = {1} & set(_eval(variant).fired_conditions if _eval(variant) else ())
             assert fired == variant_fired
 
@@ -170,10 +170,10 @@ def test_restrictive_condition_monotonicity():
         if config.policy is None:
             continue
         stricter_policy = tuple(
-            dataclasses.replace(s, condition={**(s.condition or {}), "aws:SourceVpc": ("vpc-x",)})
+            s.replace(condition={**(s.condition or {}), "aws:SourceVpc": ("vpc-x",)})
             for s in config.policy
         )
-        stricter = dataclasses.replace(config, policy=stricter_policy)
+        stricter = config.replace(policy=stricter_policy)
         before = _eval(config)
         after = _eval(stricter)
         before_set = set(before.fired_conditions if before else ())
@@ -245,7 +245,7 @@ def test_new_alert_is_the_same_frozen_alert():
     )
     assert made != new_alert(*fields[:4], "C1: y")
     for alert in (built, made):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             alert.rule_id = "OTHER"
 
 
