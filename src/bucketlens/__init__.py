@@ -47,7 +47,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "policy": (
         "RESTRICTIVE_CONDITION_KEYS", "SENSITIVE_TAG_KEY", "AccessSet",
         "DerivedProperties", "Exposure", "action_matches", "derive", "effective_anonymous_access",
-        "has_restrictive_condition", "is_policy_public", "is_sensitive", "load_restrictive_keys",
+        "has_restrictive_condition", "is_policy_public", "is_sensitive",
     ),
     "unified": (
         "RISKY_ACTION_MARKERS", "UNIFIED_RULE_ID", "UNIFIED_RULE_TITLE",

@@ -5,10 +5,6 @@ goes to stdout, diagnostics to stderr. Exit codes: 0 success, 1 findings
 present (``scan --fail-on-findings``), 2 usage error, 3 input/schema/state
 error. All bucket-keyed output is sorted by bucket name.
 
-The environment variable ``BUCKETLENS_RESTRICTIVE_KEYS`` may point at a JSON
-file (array of strings) overriding the built-in restrictive condition-key
-set.
-
 A command runs with CPython's cyclic garbage collector off: what it leaves in
 reference cycles does not grow with the fleet, so the collector's passes
 would only rescan live buckets. ``main`` turns it back on afterwards only if
@@ -47,16 +43,7 @@ from .model import (
     BPA_FLAGS, Alert, BucketConfig, import_aws_artifacts, iter_fleet, load_fleet, new_alert, read_utf8,
     serialize_snapshot_line, write_fleet,
 )
-from .policy import derive, load_restrictive_keys
-
-RESTRICTIVE_KEYS_ENV = "BUCKETLENS_RESTRICTIVE_KEYS"
-
-
-def _restrictive_keys() -> frozenset[str] | None:
-    override = os.environ.get(RESTRICTIVE_KEYS_ENV)
-    if not override:
-        return None
-    return load_restrictive_keys(override)
+from .policy import derive
 
 
 def _emit(text: str) -> None:
@@ -143,10 +130,9 @@ def _drain(buckets: list[BucketConfig]) -> Iterator[BucketConfig]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    keys = _restrictive_keys()
     scan_id = args.scan_id or _default_scan_id(args.input)  # an empty --scan-id is a usage error
     buckets = load_fleet(args.input)
-    alerts = scan_fleet(_drain(buckets), rules=args.rules, restrictive_keys=keys)
+    alerts = scan_fleet(_drain(buckets), rules=args.rules)
 
     diff = None
     if args.state:
@@ -174,11 +160,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .fleetgen import load_truth
 
-    keys = _restrictive_keys()
     buckets = load_fleet(args.input)  # read before the truth, so its errors win
     # the default pass, which makes most alerts, runs last and frees each bucket as its alerts grow
-    unified_alerts = scan_fleet(buckets, rules="unified", restrictive_keys=keys)
-    default_alerts = scan_fleet(_drain(buckets), rules="default", restrictive_keys=keys)
+    unified_alerts = scan_fleet(buckets, rules="unified")
+    default_alerts = scan_fleet(_drain(buckets), rules="default")
     truth = load_truth(args.truth)
     report = compute_metrics(
         default_alerts,
@@ -197,7 +182,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .defaults import evaluate_default
     from .unified import UNIFIED_RULE_ID, condition_verdicts
 
-    keys = _restrictive_keys()
     config = None
     # every line is parsed and checked, so a malformed line or a repeated
     # name anywhere in the file wins over a missing bucket
@@ -206,8 +190,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             config = bucket
     if config is None:
         raise UnknownBucketError(f"bucket {args.bucket!r} not found in {args.input}")
-    derived = derive(config, keys)
-    verdicts = condition_verdicts(config, derived, keys)
+    derived = derive(config)
+    verdicts = condition_verdicts(config, derived)
     default_alerts = evaluate_default(config, derived)
 
     bpa = config.public_access_block
@@ -261,7 +245,6 @@ def cmd_rules_list(args: argparse.Namespace) -> int:
 def cmd_rules_run(args: argparse.Namespace) -> int:
     from .dsl import bind_record, eval_rule, parse_rule
 
-    keys = _restrictive_keys()
     source = read_utf8(args.file, lambda reason: SchemaError(f"rule file {args.file} is {reason}"))
     try:
         ast = parse_rule(source)
@@ -270,8 +253,8 @@ def cmd_rules_run(args: argparse.Namespace) -> int:
     explanation = f"rule {ast.name!r} matched"
     alerts: list[Alert] = []
     for config in iter_fleet(args.input):
-        derived = derive(config, keys)
-        if eval_rule(ast, bind_record(config, derived, keys)):
+        derived = derive(config)
+        if eval_rule(ast, bind_record(config, derived)):
             alerts.append(new_alert(config.name, ast.name, ast.severity, (), explanation))
     alerts.sort(key=lambda alert: alert.bucket_name)  # names are unique
     document = {

@@ -193,14 +193,14 @@ class RuleAst(Record):
 # Record schema
 # ---------------------------------------------------------------------------
 
-def _restricted_access_keys(stmt: PolicyStatement, keys: frozenset[str]) -> list[str] | None:
+def _restricted_access_keys(stmt: PolicyStatement) -> list[str] | None:
     if stmt.condition is None:
         return None
-    return sorted(k for k in stmt.condition if k in keys) or None
+    return sorted(k for k in stmt.condition if k in RESTRICTIVE_CONDITION_KEYS) or None
 
 
 # The one schema table. Record fields (scalars and collections) read
-# (config, derived); element fields read (element, restrictive keys).
+# (config, derived); element fields read the element.
 _RECORD_FIELDS: dict[str, Callable[[BucketConfig, DerivedProperties], Any]] = {
     "Name": lambda c, d: c.name,
     "Region": lambda c, d: c.region,
@@ -216,19 +216,19 @@ _RECORD_FIELDS: dict[str, Callable[[BucketConfig, DerivedProperties], Any]] = {
     "PolicyStatements": lambda c, d: c.policy,
 }
 
-_ELEMENT_FIELDS: dict[str, dict[str, Callable[[Any, frozenset[str]], Any]]] = {
+_ELEMENT_FIELDS: dict[str, dict[str, Callable[[Any], Any]]] = {
     "AclGrants": {
-        "GranteeType": lambda g, k: g.grantee_type.value,
-        "GranteeURI": lambda g, k: g.grantee_uri,
-        "Permission": lambda g, k: g.permission.value,
+        "GranteeType": lambda g: g.grantee_type.value,
+        "GranteeURI": lambda g: g.grantee_uri,
+        "Permission": lambda g: g.permission.value,
     },
     "PolicyStatements": {
-        "Sid": lambda s, k: s.sid,
-        "Effect": lambda s, k: s.effect.value,
-        "Principal_AWS": lambda s, k: s.principal_aws,
-        "Action": lambda s, k: s.actions,
-        "Resource": lambda s, k: s.resources,
-        "Condition": lambda s, k: s.condition,
+        "Sid": lambda s: s.sid,
+        "Effect": lambda s: s.effect.value,
+        "Principal_AWS": lambda s: s.principal_aws,
+        "Action": lambda s: s.actions,
+        "Resource": lambda s: s.resources,
+        "Condition": lambda s: s.condition,
         "RestrictedAccessCondition": _restricted_access_keys,
     },
 }
@@ -251,12 +251,11 @@ _SEVERITIES = {"low": Severity.LOW, "medium": Severity.MEDIUM, "high": Severity.
 class BoundRecord:
     """One bucket as a rule sees it; fields are read only when a rule reaches them."""
 
-    __slots__ = ("config", "derived", "keys")
+    __slots__ = ("config", "derived")
 
-    def __init__(self, config: BucketConfig, derived: DerivedProperties, keys: frozenset[str]) -> None:
+    def __init__(self, config: BucketConfig, derived: DerivedProperties) -> None:
         self.config = config
         self.derived = derived
-        self.keys = keys
 
 
 def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = None) -> tuple[int | None, str]:
@@ -290,14 +289,9 @@ def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = No
     return depth, name
 
 
-def bind_record(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None = None,
-) -> BoundRecord:
+def bind_record(config: BucketConfig, derived: DerivedProperties) -> BoundRecord:
     """Bind a bucket and its derived properties for ``eval_rule``; O(1), copies nothing."""
-    keys = RESTRICTIVE_CONDITION_KEYS if restrictive_keys is None else restrictive_keys
-    return BoundRecord(config, derived, keys)
+    return BoundRecord(config, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +531,7 @@ def _compile_value(path: str, scopes: tuple[str, ...], use: str) -> tuple[str, C
         get_field = _RECORD_FIELDS[name]
         return name, lambda rec, env: get_field(rec.config, rec.derived)
     get_element_field = _ELEMENT_FIELDS[scopes[depth]][name]
-    return name, lambda rec, env: get_element_field(env[depth], rec.keys)
+    return name, lambda rec, env: get_element_field(env[depth])
 
 
 def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:

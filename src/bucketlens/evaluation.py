@@ -103,11 +103,7 @@ class EvaluationReport(Record):
 # Scanning
 # ---------------------------------------------------------------------------
 
-def scan_fleet(
-    buckets: Iterable[BucketConfig],
-    rules: str = "both",
-    restrictive_keys: frozenset[str] | None = None,
-) -> list[Alert]:
+def scan_fleet(buckets: Iterable[BucketConfig], rules: str = "both") -> list[Alert]:
     """Evaluate the chosen ruleset(s) over a fleet; alerts sorted by (bucket, rule id)."""
     if rules not in ("default", "unified", "both"):
         raise ValueError(f"rules must be default, unified or both, got {rules!r}")
@@ -122,11 +118,11 @@ def scan_fleet(
         from .unified import evaluate_unified
     alerts: list[Alert] = []
     for config in buckets:
-        derived = derive(config, restrictive_keys)
+        derived = derive(config)
         if run_default:
             alerts += evaluate_default(config, derived)
         if run_unified:
-            alert = evaluate_unified(config, derived, restrictive_keys)
+            alert = evaluate_unified(config, derived)
             if alert is not None:
                 alerts.append(alert)
     alerts.sort(key=attrgetter("bucket_name", "rule_id"))

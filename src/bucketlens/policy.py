@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-from pathlib import Path
 
-from .errors import SchemaError
-from .model import BucketConfig, Effect, Permission, PolicyStatement, Record, read_json
+from .model import BucketConfig, Effect, Permission, PolicyStatement, Record
 
 #: Condition keys that scope an otherwise-public statement to callers from a
-#: known network, VPC, organization or principal; the rule engines take an override.
+#: known network, VPC, organization or principal. The one key set: the oracle,
+#: ``derive``, both rule engines and the DSL's ``RestrictedAccessCondition``
+#: all read it, and nothing overrides it.
 RESTRICTIVE_CONDITION_KEYS: frozenset[str] = frozenset(
     {
         "aws:SourceIp",
@@ -77,47 +77,25 @@ class AccessSet(Record):
         return self.read or self.write or self.acl_read or self.acl_write
 
 
-def load_restrictive_keys(path: str | Path) -> frozenset[str]:
-    """Load an override for the restrictive condition-key set.
-
-    The file is a JSON array of condition-key strings. Each error's message
-    starts with ``path``.
-    """
-    raw = read_json(path, lambda reason: SchemaError(f"{path}: restrictive-key file is {reason}"))
-    if not isinstance(raw, list) or not all(isinstance(k, str) for k in raw):
-        raise SchemaError(f"{path}: restrictive-key file must be a JSON array of strings")
-    return frozenset(raw)
-
-
-def has_restrictive_condition(
-    stmt: PolicyStatement, restrictive_keys: frozenset[str] | None = None
-) -> bool:
-    """True iff the statement carries at least one recognized restrictive key."""
+def has_restrictive_condition(stmt: PolicyStatement) -> bool:
+    """True iff the statement carries at least one of ``RESTRICTIVE_CONDITION_KEYS``."""
     if stmt.condition is None:
         return False
-    keys = RESTRICTIVE_CONDITION_KEYS if restrictive_keys is None else restrictive_keys
-    return not keys.isdisjoint(stmt.condition)
+    return not RESTRICTIVE_CONDITION_KEYS.isdisjoint(stmt.condition)
 
 
-def _is_open_statement(stmt: PolicyStatement, restrictive_keys: frozenset[str] | None) -> bool:
+def _is_open_statement(stmt: PolicyStatement) -> bool:
     """An Allow to a wildcard principal without a restrictive condition."""
-    return (
-        stmt.effect is _ALLOW
-        and stmt.wildcard_principal
-        and not has_restrictive_condition(stmt, restrictive_keys)
-    )
+    return stmt.effect is _ALLOW and stmt.wildcard_principal and not has_restrictive_condition(stmt)
 
 
-def is_policy_public(
-    policy: tuple[PolicyStatement, ...] | None,
-    restrictive_keys: frozenset[str] | None = None,
-) -> bool:
+def is_policy_public(policy: tuple[PolicyStatement, ...] | None) -> bool:
     """True iff some Allow statement grants to a wildcard principal without
     a restrictive condition. Absent policy is never public."""
     if policy is None:
         return False
     for stmt in policy:
-        if _is_open_statement(stmt, restrictive_keys):
+        if _is_open_statement(stmt):
             return True
     return False
 
@@ -169,9 +147,9 @@ def _matched(patterns: list[str]) -> set[str]:
 def effective_anonymous_access(config: BucketConfig) -> AccessSet:
     """Ground-truth simulation of unauthenticated access to the bucket.
 
-    The oracle models AWS, so its restrictive condition keys are always
-    ``RESTRICTIVE_CONDITION_KEYS``, whatever ``BUCKETLENS_RESTRICTIVE_KEYS``
-    sets for the rule engines.
+    Its restrictive condition keys are ``RESTRICTIVE_CONDITION_KEYS``, the
+    same set ``derive`` and both rule engines read, so a statement the oracle
+    counts as open is open to the rules too.
 
     A capability is held when either of two paths gives it (their union):
 
@@ -246,9 +224,7 @@ _DERIVED = {
 }
 
 
-def derive(
-    config: BucketConfig, restrictive_keys: frozenset[str] | None = None
-) -> DerivedProperties:
+def derive(config: BucketConfig) -> DerivedProperties:
     """The derived-property bundle for one bucket: one of 8 shared instances."""
-    policy_public = is_policy_public(config.policy, restrictive_keys)
+    policy_public = is_policy_public(config.policy)
     return _DERIVED[policy_public, _public_facing(config, policy_public), is_sensitive(config)]

@@ -76,11 +76,7 @@ def _sid(stmt: PolicyStatement) -> str:
     return stmt.sid or "<no sid>"
 
 
-def _fired_evidence(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None,
-) -> dict[int, str]:
+def _fired_evidence(config: BucketConfig, derived: DerivedProperties) -> dict[int, str]:
     """Each condition that holds, ascending, mapped to its evidence text.
 
     This is the only place the five conditions are decided, each once; a
@@ -104,7 +100,7 @@ def _fired_evidence(
         fired[2] = "policy_status_public=true, exposure=public_facing"
     if config.policy and not config.public_access_block.restrict_public_buckets:
         # wildcard-principal Allow statements without a restrictive condition
-        open_stmts = [stmt for stmt in config.policy if _is_open_statement(stmt, restrictive_keys)]
+        open_stmts = [stmt for stmt in config.policy if _is_open_statement(stmt)]
         if open_stmts:
             if public_facing:
                 risky = [
@@ -143,31 +139,23 @@ def _unmet_reasons(config: BucketConfig, derived: DerivedProperties) -> tuple[st
     )
 
 
-def condition_verdicts(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None = None,
-) -> list[ConditionVerdict]:
+def condition_verdicts(config: BucketConfig, derived: DerivedProperties) -> list[ConditionVerdict]:
     """All five conditions, C1 to C5, decided by ``evaluate_unified``'s one pass.
 
     A fired condition carries that pass's evidence, an unmet one the reason.
     """
-    fired = _fired_evidence(config, derived, restrictive_keys)
+    fired = _fired_evidence(config, derived)
     unmet = _unmet_reasons(config, derived)
     return [ConditionVerdict(n, n in fired, fired.get(n, unmet[n - 1])) for n in range(1, 6)]
 
 
-def evaluate_unified(
-    config: BucketConfig,
-    derived: DerivedProperties,
-    restrictive_keys: frozenset[str] | None = None,
-) -> Alert | None:
+def evaluate_unified(config: BucketConfig, derived: DerivedProperties) -> Alert | None:
     """Emit at most one High alert per bucket, listing every fired condition.
 
     One pass decides the conditions and writes the evidence of those that
     fire; the explanation joins that evidence as ``C<n>: <text>``.
     """
-    fired = _fired_evidence(config, derived, restrictive_keys)
+    fired = _fired_evidence(config, derived)
     if not fired:
         return None
     explanation = "; ".join(f"C{number}: {text}" for number, text in fired.items())

@@ -40,7 +40,7 @@ from bucketlens.errors import LexError, SchemaError
 
 def _flatten(record: BoundRecord) -> dict[str, Any]:
     """The record as one dict keyed by lowered field name, lists as lists."""
-    config, derived, keys = record.config, record.derived, record.keys
+    config, derived = record.config, record.derived
     flat: dict[str, Any] = {}
     for name, get_field in _RECORD_FIELDS.items():
         value = get_field(config, derived)
@@ -48,7 +48,7 @@ def _flatten(record: BoundRecord) -> dict[str, Any]:
             fields = _ELEMENT_FIELDS[name]
             value = [
                 {
-                    field_name.lower(): _plain(field_name, get_element_field(element, keys))
+                    field_name.lower(): _plain(field_name, get_element_field(element))
                     for field_name, get_element_field in fields.items()
                 }
                 for element in value

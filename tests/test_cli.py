@@ -20,7 +20,7 @@ import pytest
 
 import bucketlens
 from bucketlens import cli
-from bucketlens.cli import RESTRICTIVE_KEYS_ENV, build_parser, main
+from bucketlens.cli import build_parser, main
 from bucketlens.evaluation import state_lock
 
 from conftest import FIXTURES, needs_builtin_sha256, run_fresh_interpreter
@@ -244,25 +244,19 @@ def test_import_error_names_the_artifact_file(name, content, message, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "option,content,message",
+    "content,message",
     [
-        ("keys", "{}", "restrictive-key file must be a JSON array of strings"),
-        ("keys", "[", "restrictive-key file is invalid JSON"),
-        ("mix", "[", "mix file is invalid JSON"),
-        ("mix", "[]", "mix file must map scenario ids to numeric proportions"),
-        ("mix", '{"S1": "1"}', "proportion for S1 must be a number"),
-        ("mix", '{"S1": Infinity}', "proportion for S1 must be a finite number"),
+        ("[", "mix file is invalid JSON"),
+        ("[]", "mix file must map scenario ids to numeric proportions"),
+        ('{"S1": "1"}', "proportion for S1 must be a number"),
+        ('{"S1": Infinity}', "proportion for S1 must be a finite number"),
     ],
-    ids=["keys-shape", "keys-invalid-json", "mix-invalid-json", "mix-shape", "mix-string", "mix-infinite"],
+    ids=["mix-invalid-json", "mix-shape", "mix-string", "mix-infinite"],
 )
-def test_mix_and_restrictive_key_errors_name_the_file(option, content, message, small_fleet, tmp_path, capsys,
-                                                      monkeypatch):
-    path = _write(tmp_path / f"{option}.json", content)
-    if option == "keys":
-        monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, path)
-        argv = ["scan", "--input", str(small_fleet)]
-    else:
-        argv = ["generate", "--total", "5", "--mix", path, "--out", str(tmp_path / "out.jsonl")]
+def test_mix_and_restrictive_key_errors_name_the_file(content, message, tmp_path, capsys):
+    # the restrictive condition keys are fixed, so only the mix file is left to name
+    path = _write(tmp_path / "mix.json", content)
+    argv = ["generate", "--total", "5", "--mix", path, "--out", str(tmp_path / "out.jsonl")]
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -917,26 +911,55 @@ def test_rules_run_malformed_rule_reports_offset(small_fleet, capsys, tmp_path):
         assert capsys.readouterr() == ("", f"error: {rule_file}:{offset}: {message}\n")
 
 
-def test_restrictive_keys_env_override(small_fleet, tmp_path, capsys, monkeypatch):
-    # an empty override set makes the S3-style VPC condition non-restrictive,
-    # so internal-wildcard buckets start firing the unified rule
-    override = tmp_path / "keys.json"
-    override.write_text("[]")
-    names_s3 = [
-        json.loads(l)["name"]
-        for l in small_fleet.read_text().splitlines()
-        if json.loads(l)["name"].startswith("s3-")
+def test_restrictive_keys_variable_has_no_effect(small_fleet, tmp_path, capsys, monkeypatch):
+    # the restrictive condition keys are fixed: the variable that once
+    # overrode them is not read, so an empty key list, a malformed file or a
+    # missing path all leave every command's bytes as they are
+    truth = tmp_path / "fleet.truth.jsonl"
+    names = [json.loads(line)["name"] for line in small_fleet.read_text().splitlines()]
+    bucket = next(name for name in names if name.startswith("s3-"))  # a VPC-conditioned wildcard Allow
+    commands = [
+        ["scan", "--rules", "both", "--input", str(small_fleet), "--scan-id", "x"],
+        ["evaluate", "--input", str(small_fleet), "--truth", str(truth)],
+        ["explain", bucket, "--input", str(small_fleet)],
+        ["rules", "run", "--file", _UNIFIED_RULE_FILE, "--input", str(small_fleet)],
     ]
-    assert names_s3
-    assert main(["scan", "--input", str(small_fleet), "--rules", "unified"]) == 0
-    base = json.loads(capsys.readouterr().out)
-    base_names = {a["bucket_name"] for a in base["alerts"]}
-    assert not base_names & set(names_s3)
+    monkeypatch.delenv("BUCKETLENS_RESTRICTIVE_KEYS", raising=False)
+    unset = []
+    for argv in commands:
+        assert main(argv) == 0
+        unset.append(capsys.readouterr().out)
+    for value in (_write(tmp_path / "empty.json", "[]"), _write(tmp_path / "bad.json", "{"), str(tmp_path / "absent")):
+        monkeypatch.setenv("BUCKETLENS_RESTRICTIVE_KEYS", value)
+        for argv, expected in zip(commands, unset):
+            assert main(argv) == 0, (value, argv)
+            assert capsys.readouterr() == (expected, ""), (value, argv)
 
-    monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, str(override))
-    assert main(["scan", "--input", str(small_fleet), "--rules", "unified"]) == 0
-    overridden = json.loads(capsys.readouterr().out)
-    assert set(names_s3) <= {a["bucket_name"] for a in overridden["alerts"]}
+
+def test_user_agent_condition_is_open_to_the_oracle_and_every_rule(tmp_path, capsys):
+    # aws:UserAgent is no restrictive key: the caller picks its user agent.
+    # The oracle reads this bucket as anonymous read, and the exposure
+    # heuristic, the default catalog, the unified rule and its DSL text must
+    # all see the same open statement
+    from bucketlens.defaults import evaluate_default
+    from bucketlens.model import BucketConfig, Effect, PolicyStatement, write_fleet
+    from bucketlens.policy import AccessSet, Exposure, derive, effective_anonymous_access
+    from bucketlens.unified import evaluate_unified
+
+    stmt = PolicyStatement(
+        effect=Effect.ALLOW, principal_aws=("*",), actions=("s3:GetObject",), condition={"aws:UserAgent": ("curl",)}
+    )
+    config = BucketConfig(name="user-agent-bucket", policy=(stmt,))
+    assert effective_anonymous_access(config) == AccessSet(read=True)
+    derived = derive(config)
+    assert derived.exposure is Exposure.PUBLIC_FACING and derived.policy_status_public
+    assert {"EXPOSURE-PUBLIC-FACING", "POLICY-PUBLIC-STATUS"} <= {a.rule_id for a in evaluate_default(config, derived)}
+    assert evaluate_unified(config, derived).fired_conditions == (2, 3, 4)
+
+    fleet = tmp_path / "fleet.jsonl"
+    write_fleet([config], fleet)
+    assert main(["rules", "run", "--file", _UNIFIED_RULE_FILE, "--input", str(fleet)]) == 0
+    assert [a["bucket_name"] for a in json.loads(capsys.readouterr().out)["alerts"]] == ["user-agent-bucket"]
 
 
 def test_usage_error_exits_two():
@@ -994,11 +1017,6 @@ def _rule_run(t, fleet, source):
 
 def _generate(t, mix):
     return ["generate", "--total", "5", "--mix", _write(t / "mix.json", mix), "--out", str(t / "out.jsonl")]
-
-
-def _scan_with_long_int_keys(t, fleet):
-    _write(t / "keys.json", f"[{_LONG_INT}]")  # the test points the restrictive-key override at it
-    return ["scan", "--input", str(fleet)]
 
 
 def _write(path, content):
@@ -1086,7 +1104,6 @@ def _artifact_dir(tmp_path, files):
             id="truth-long-int", marks=_LONG_INT_CASE,
         ),
         pytest.param(lambda t, fleet: _generate(t, '{"S1": %s}' % _LONG_INT), id="mix-long-int", marks=_LONG_INT_CASE),
-        pytest.param(_scan_with_long_int_keys, id="restrictive-keys-long-int", marks=_LONG_INT_CASE),
         pytest.param(
             lambda t, fleet: ["scan", "--input", str(fleet), "--state",
                               _write(t / "state.json", '{"schema_version": %s}' % _LONG_INT)],
@@ -1104,10 +1121,8 @@ def _artifact_dir(tmp_path, files):
         ),
     ],
 )
-def test_malformed_input_exits_three_without_traceback(make_argv, small_fleet, tmp_path, capsys, monkeypatch):
+def test_malformed_input_exits_three_without_traceback(make_argv, small_fleet, tmp_path, capsys):
     argv = make_argv(tmp_path, small_fleet)
-    if (tmp_path / "keys.json").exists():  # a case's restrictive-key override
-        monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, str(tmp_path / "keys.json"))
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -1122,12 +1137,6 @@ def test_deeply_nested_rule_is_a_parse_error(small_fleet, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "nested too deeply" in err
     assert "Traceback" not in err
-
-
-def test_restrictive_keys_file_not_utf8_exits_three(small_fleet, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(RESTRICTIVE_KEYS_ENV, _write(tmp_path / "keys.json", b'["\xff"]'))
-    assert main(["scan", "--input", str(small_fleet)]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_scan_id_must_be_utf8(small_fleet, tmp_path, capsys):

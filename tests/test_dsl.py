@@ -550,7 +550,7 @@ def _field_values(config: BucketConfig):
         yield value
         for element in (value or ()) if name in _ELEMENT_FIELDS else ():
             for get_element_field in _ELEMENT_FIELDS[name].values():
-                element_value = get_element_field(element, record.keys)
+                element_value = get_element_field(element)
                 yield element_value
                 if isinstance(element_value, (tuple, list)):
                     yield from element_value

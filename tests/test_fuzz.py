@@ -28,7 +28,6 @@ from bucketlens.model import (
     serialize_snapshot_line,
     to_snapshot_dict,
 )
-from bucketlens.policy import load_restrictive_keys
 
 import model_oracle
 from conftest import agreement_configs, allusers_read_bucket, public_policy_bucket
@@ -78,7 +77,6 @@ _POLICY = {"Version": "2012-10-17", "Statement": [_STATEMENT]}
 _STATE = {"schema_version": 1, "first_seen": {"0" * 64: "scan-1"}}
 _TRUTH = {"name": "fuzz-bucket", "exploitable": True, "business_risk": False, "reason": "r"}
 _MIX = {"S1": 0.5, "S2": 0.5}
-_KEYS = ["aws:SourceIp", "aws:SourceVpce"]
 
 _SCALARS = (
     st.none()
@@ -265,16 +263,14 @@ def test_rule_text(source):
     _file_content(_STATE),
     st.lists(_file_content(_TRUTH).map(lambda c: c if isinstance(c, bytes) else c.replace("\n", " ")), max_size=3),
     _file_content(_MIX),
-    _file_content(_KEYS),
 )
-def test_state_truth_mix_and_key_files(state, truth_lines, mix, keys):
+def test_state_truth_mix_and_key_files(state, truth_lines, mix):
     truth = b"\n".join(line if isinstance(line, bytes) else line.encode("utf-8") for line in truth_lines)
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
         _rejects_or_accepts(load_state, _write(root / "state.json", state))
         _rejects_or_accepts(load_truth, _write(root / "truth.jsonl", truth))
         _rejects_or_accepts(_generate_from_mix_file, _write(root / "mix.json", mix))
-        _rejects_or_accepts(load_restrictive_keys, _write(root / "keys.json", keys))
 
 
 def _sometimes(other, usual, every):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bucketlens.dsl import bind_record, eval_rule, parse_rule
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
@@ -34,7 +35,6 @@ from bucketlens.policy import (
     has_restrictive_condition,
     is_policy_public,
     is_sensitive,
-    load_restrictive_keys,
 )
 
 from conftest import agreement_configs, random_bucket_config
@@ -67,17 +67,6 @@ def test_prefix_key_is_not_restrictive():
 def test_every_documented_restrictive_key_counts():
     for key in RESTRICTIVE_CONDITION_KEYS:
         assert has_restrictive_condition(_stmt(condition={key: ("x",)}))
-
-
-def test_restrictive_key_override(tmp_path):
-    override = tmp_path / "keys.json"
-    override.write_text('["x-corp:approved-network"]')
-    keys = load_restrictive_keys(override)
-    stmt = _stmt(condition={"x-corp:approved-network": ("yes",)})
-    assert has_restrictive_condition(stmt, keys)
-    assert not has_restrictive_condition(stmt)
-    # and the default key no longer counts under the override
-    assert not has_restrictive_condition(_stmt(condition={"aws:SourceIp": ("10.0.0.0/8",)}), keys)
 
 
 def test_policy_public_basic():
@@ -298,14 +287,13 @@ def test_derive_public_policy():
     assert derived.sensitive_data is False
 
 
-@pytest.mark.parametrize("keys", [None, frozenset({"s3:prefix"})], ids=["default-keys", "prefix-key"])
-def test_derive_equals_a_freshly_built_bundle(keys):
+def test_derive_equals_a_freshly_built_bundle():
     # derive hands out one of 8 shared instances; each must equal the bundle
     # built from the three public checks
     seen = set()
     for config in agreement_configs():
-        derived = derive(config, keys)
-        policy_public = is_policy_public(config.policy, keys)
+        derived = derive(config)
+        policy_public = is_policy_public(config.policy)
         fresh = DerivedProperties(
             policy_status_public=policy_public,
             exposure=Exposure.PUBLIC_FACING if _public_facing(config, policy_public) else Exposure.INTERNAL,
@@ -508,3 +496,20 @@ def test_oracle_equals_a_reference_on_a_bounded_domain():
                     assert derive(config).exposure is Exposure.PUBLIC_FACING, config
                 checked += 1
     assert checked == 150_592
+
+
+def test_policy_and_dsl_share_one_meaning_of_restrictive():
+    # has_restrictive_condition and the DSL's RestrictedAccessCondition both
+    # read RESTRICTIVE_CONDITION_KEYS: a statement is restrictive to one iff
+    # it is to the other
+    ast = parse_rule("RULE r SEVERITY High WHEN EXISTS(PolicyStatements WHERE NOT RestrictedAccessCondition IS NULL)")
+    statements = [stmt for stmt, _ in _domain_statements()]
+    statements += [stmt for config in agreement_configs() for stmt in config.policy or ()]
+    statements += [_stmt(condition={key: ("x",)}) for key in (*sorted(RESTRICTIVE_CONDITION_KEYS), "aws:UserAgent")]
+    seen = set()
+    for stmt in statements:
+        config = BucketConfig(name="one-statement-bucket", policy=(stmt,))
+        restrictive = has_restrictive_condition(stmt)
+        assert eval_rule(ast, bind_record(config, derive(config))) is restrictive, stmt
+        seen.add(restrictive)
+    assert seen == {False, True}

@@ -8,8 +8,10 @@ import re
 
 import pytest
 
+from bucketlens.defaults import evaluate_default
 from bucketlens.dsl import bind_record, eval_rule, parse_rule
 from bucketlens.errors import FrozenInstanceError
+from bucketlens.fleetgen import get_scenario, ground_truth_for
 from bucketlens.model import (
     ALL_USERS_URI,
     AUTHENTICATED_USERS_URI,
@@ -196,18 +198,17 @@ def test_alerts_and_verdicts_share_one_decision():
     # evaluate_unified and condition_verdicts both read one pass's fired
     # conditions and evidence; the alert keeps the ascending fired numbers,
     # and its text is the fired verdicts' evidence
-    for keys in (None, frozenset({"s3:prefix"})):
-        for config in agreement_configs():
-            derived = derive(config, keys)
-            verdicts = condition_verdicts(config, derived, keys)
-            assert [v.number for v in verdicts] == [1, 2, 3, 4, 5]
-            fired = tuple(v.number for v in verdicts if v.fired)
-            alert = evaluate_unified(config, derived, keys)
-            if not fired:
-                assert alert is None
-                continue
-            assert alert.fired_conditions == fired == tuple(sorted(set(fired)))
-            assert alert.explanation == "; ".join(f"C{v.number}: {v.detail}" for v in verdicts if v.fired)
+    for config in agreement_configs():
+        derived = derive(config)
+        verdicts = condition_verdicts(config, derived)
+        assert [v.number for v in verdicts] == [1, 2, 3, 4, 5]
+        fired = tuple(v.number for v in verdicts if v.fired)
+        alert = evaluate_unified(config, derived)
+        if not fired:
+            assert alert is None
+            continue
+        assert alert.fired_conditions == fired == tuple(sorted(set(fired)))
+        assert alert.explanation == "; ".join(f"C{v.number}: {v.detail}" for v in verdicts if v.fired)
 
 
 def _condition_rules():
@@ -225,13 +226,12 @@ def _condition_rules():
 
 def test_each_fired_condition_agrees_with_its_dsl_condition():
     rules = _condition_rules()
-    for keys in (None, frozenset({"s3:prefix"})):
-        for config in agreement_configs():
-            derived = derive(config, keys)
-            record = bind_record(config, derived, keys)
-            expected = tuple(n for n, ast in sorted(rules.items()) if eval_rule(ast, record))
-            alert = evaluate_unified(config, derived, keys)
-            assert (alert.fired_conditions if alert else ()) == expected, config.name
+    for config in agreement_configs():
+        derived = derive(config)
+        record = bind_record(config, derived)
+        expected = tuple(n for n, ast in sorted(rules.items()) if eval_rule(ast, record))
+        alert = evaluate_unified(config, derived)
+        assert (alert.fired_conditions if alert else ()) == expected, config.name
 
 
 def test_new_alert_is_the_same_frozen_alert():
@@ -422,16 +422,12 @@ def _domain_policies():
         yield (PolicyStatement(effect, (principal,), (action,), condition=condition),)
 
 
-def test_dsl_equals_built_in_on_a_bounded_domain():
+def _bounded_domain():
     """4 flag pairs x 121 grant sets x 49 policies x 4 website/tag pairs: 94,864 configs.
 
-    Only IgnorePublicAcls and RestrictPublicBuckets reach ``derive`` and the
-    rule. Per config: the parsed DSL rule matches iff the built-in rule
-    alerts, the per-condition DSL slices fire exactly the alert's
-    conditions, C3 implies C4, and the alert's text is the fired verdicts'.
+    Only IgnorePublicAcls and RestrictPublicBuckets reach ``derive``, the
+    oracle and the rules, so the other two flags stay off.
     """
-    ast = parse_rule(unified_dsl_source())
-    slices = sorted(_condition_rules().items())
     single = [
         _grant(uri, permission)
         for uri in (ALL_USERS_URI, AUTHENTICATED_USERS_URI, LOG_DELIVERY_URI)
@@ -440,13 +436,12 @@ def test_dsl_equals_built_in_on_a_bounded_domain():
     grant_sets = [()] + [(g,) for g in single] + list(itertools.combinations(single, 2))
     policies = list(_domain_policies())
     assert (len(grant_sets), len(policies)) == (121, 49)
-    checked = 0
     for ignore, restrict, website, sensitive in itertools.product((False, True), repeat=4):
         bpa = PublicAccessBlock(ignore_public_acls=ignore, restrict_public_buckets=restrict)
         tags = _SENSITIVE if sensitive else {}
         for policy in policies:
             for grants in grant_sets:
-                config = BucketConfig(
+                yield BucketConfig(
                     name="bounded-bucket",
                     acl_grants=grants,
                     policy=policy,
@@ -454,17 +449,44 @@ def test_dsl_equals_built_in_on_a_bounded_domain():
                     tags=tags,
                     website_enabled=website,
                 )
-                derived = derive(config)
-                alert = evaluate_unified(config, derived)
-                record = bind_record(config, derived)
-                fired = alert.fired_conditions if alert else ()
-                assert eval_rule(ast, record) == bool(fired), config
-                assert tuple(n for n, rule in slices if eval_rule(rule, record)) == fired, config
-                assert 3 not in fired or 4 in fired, config
-                if alert:
-                    verdicts = condition_verdicts(config, derived)
-                    assert alert.explanation == "; ".join(
-                        f"C{v.number}: {v.detail}" for v in verdicts if v.fired
-                    ), config
-                checked += 1
+
+
+def test_dsl_equals_built_in_on_a_bounded_domain():
+    """Per config of ``_bounded_domain``: the parsed DSL rule matches iff the
+    built-in rule alerts, the per-condition DSL slices fire exactly the
+    alert's conditions, C3 implies C4, and the alert's text is the fired
+    verdicts'.
+    """
+    ast = parse_rule(unified_dsl_source())
+    slices = sorted(_condition_rules().items())
+    checked = 0
+    for config in _bounded_domain():
+        derived = derive(config)
+        alert = evaluate_unified(config, derived)
+        record = bind_record(config, derived)
+        fired = alert.fired_conditions if alert else ()
+        assert eval_rule(ast, record) == bool(fired), config
+        assert tuple(n for n, rule in slices if eval_rule(rule, record)) == fired, config
+        assert 3 not in fired or 4 in fired, config
+        if alert:
+            verdicts = condition_verdicts(config, derived)
+            assert alert.explanation == "; ".join(
+                f"C{v.number}: {v.detail}" for v in verdicts if v.fired
+            ), config
+        checked += 1
     assert checked == 94_864
+
+
+def test_every_business_risk_config_gets_exposure_public_facing():
+    # the label is exploitable or (public_facing and sensitive), and the
+    # oracle, derive and the default catalog read one restrictive-key set, so
+    # exploitable implies public_facing: EXPOSURE-PUBLIC-FACING has recall 1
+    # under this label, and no ruleset can beat it on recall
+    scenario = get_scenario("S1")
+    risky = 0
+    for config in _bounded_domain():
+        if ground_truth_for(scenario, config).business_risk:
+            rule_ids = {alert.rule_id for alert in evaluate_default(config, derive(config))}
+            assert "EXPOSURE-PUBLIC-FACING" in rule_ids, config
+            risky += 1
+    assert 0 < risky < 94_864
