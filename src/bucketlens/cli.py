@@ -20,6 +20,7 @@ list (``_drain``): each bucket is freed once its alerts are made.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import math
 import os
@@ -379,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     # caller gets it back as it was
     collecting = gc.isenabled()
     gc.disable()
+    # stdout is UTF-8, the snapshot format's encoding, whatever the locale;
+    # an in-process caller gets its stream's encoding back
+    encoding = getattr(sys.stdout, "encoding", None)
+    recode = encoding is not None and codecs.lookup(encoding).name != "utf-8" and hasattr(sys.stdout, "reconfigure")
+    if recode:
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     try:
         return args.func(args)
     except BucketlensError as exc:
@@ -388,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:
+        if recode:
+            sys.stdout.reconfigure(encoding=encoding, errors=sys.stdout.errors)
         if collecting:
             gc.enable()
 

@@ -36,9 +36,10 @@ operator is a ``CompareOp``, ``LIKE`` takes a string, and ``=`` and ``!=`` a
 string or a boolean.
 
 A ``RuleAst`` compiles its body once, on construction, into nested closures
-with every path resolved at compile time; ``bind_record`` only wraps the
-bucket, and fields are read when a rule reaches them. The reference
-interpreter the compiler is tested against lives in ``tests/dsl_oracle.py``.
+with every path resolved at compile time; ``bind_record`` only pairs the
+bucket with its derived properties, and fields are read when a rule reaches
+them. The reference interpreter the compiler is tested against lives in
+``tests/dsl_oracle.py``.
 """
 
 from __future__ import annotations
@@ -248,16 +249,6 @@ _ELEMENT_NAMES = {
 _SEVERITIES = {"low": Severity.LOW, "medium": Severity.MEDIUM, "high": Severity.HIGH}
 
 
-class BoundRecord:
-    """One bucket as a rule sees it; fields are read only when a rule reaches them."""
-
-    __slots__ = ("config", "derived")
-
-    def __init__(self, config: BucketConfig, derived: DerivedProperties) -> None:
-        self.config = config
-        self.derived = derived
-
-
 def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = None) -> tuple[int | None, str]:
     """Resolve a field name to (index of the binding EXISTS scope, or None for
     the record; canonical field name).
@@ -289,9 +280,10 @@ def _resolve(path: str, scopes: Sequence[str], use: str, offset: int | None = No
     return depth, name
 
 
-def bind_record(config: BucketConfig, derived: DerivedProperties) -> BoundRecord:
-    """Bind a bucket and its derived properties for ``eval_rule``; O(1), copies nothing."""
-    return BoundRecord(config, derived)
+def bind_record(config: BucketConfig, derived: DerivedProperties) -> tuple[BucketConfig, DerivedProperties]:
+    """A bucket and its derived properties, as ``eval_rule`` takes them: the
+    pair ``(config, derived)``; O(1), copies nothing."""
+    return config, derived
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +488,10 @@ def render_rule(ast: RuleAst) -> str:
 # Compiler
 # ---------------------------------------------------------------------------
 
-# A compiled node takes the bound record and the elements bound by the
-# enclosing EXISTS clauses, outermost first.
-_Matcher = Callable[[BoundRecord, tuple], bool]
+# A compiled node takes the bound record, the pair ``(config, derived)``
+# whose fields it reads only when it reaches them, and the elements bound by
+# the enclosing EXISTS clauses, outermost first.
+_Matcher = Callable[[tuple[BucketConfig, DerivedProperties], tuple], bool]
 
 
 def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
@@ -524,12 +517,12 @@ def _literal_test(op: CompareOp, literal: Literal) -> Callable[[Any], bool]:
     return lambda v: v != literal
 
 
-def _compile_value(path: str, scopes: tuple[str, ...], use: str) -> tuple[str, Callable[[BoundRecord, tuple], Any]]:
+def _compile_value(path: str, scopes: tuple[str, ...], use: str) -> tuple[str, Callable[[tuple, tuple], Any]]:
     """(canonical field, reader of its value) for a path."""
     depth, name = _resolve(path, scopes, use)
     if depth is None:
         get_field = _RECORD_FIELDS[name]
-        return name, lambda rec, env: get_field(rec.config, rec.derived)
+        return name, lambda rec, env: get_field(rec[0], rec[1])
     get_element_field = _ELEMENT_FIELDS[scopes[depth]][name]
     return name, lambda rec, env: get_element_field(env[depth])
 
@@ -539,14 +532,14 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
     if isinstance(node, (Or, And)):
         children = tuple(_compile(child, scopes) for child in node.children)
         if isinstance(node, Or):
-            def match_or(rec: BoundRecord, env: tuple) -> bool:
+            def match_or(rec: tuple, env: tuple) -> bool:
                 for child in children:
                     if child(rec, env):
                         return True
                 return False
             return match_or
 
-        def match_and(rec: BoundRecord, env: tuple) -> bool:
+        def match_and(rec: tuple, env: tuple) -> bool:
             for child in children:
                 if not child(rec, env):
                     return False
@@ -563,8 +556,8 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
         get_items = _RECORD_FIELDS[collection]
         inner = _compile(node.inner, scopes + (collection,))
 
-        def match_exists(rec: BoundRecord, env: tuple) -> bool:
-            items = get_items(rec.config, rec.derived)
+        def match_exists(rec: tuple, env: tuple) -> bool:
+            items = get_items(rec[0], rec[1])
             if items:
                 for item in items:
                     if inner(rec, env + (item,)):
@@ -587,7 +580,7 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
         if name not in _LIST_FIELDS:
             return lambda rec, env: test(get(rec, env))
 
-        def match_any(rec: BoundRecord, env: tuple) -> bool:
+        def match_any(rec: tuple, env: tuple) -> bool:
             values = get(rec, env)
             if values is None:
                 return test(None)
@@ -599,6 +592,6 @@ def _compile(node: Node, scopes: tuple[str, ...]) -> _Matcher:
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 
-def eval_rule(ast: RuleAst, record: BoundRecord) -> bool:
+def eval_rule(ast: RuleAst, record: tuple[BucketConfig, DerivedProperties]) -> bool:
     """Evaluate a parsed rule against one bound record (see ``bind_record``)."""
     return ast._match(record, ())

@@ -27,9 +27,11 @@ The module also holds :class:`Alert`, the one record both rulesets emit
 Every record class of the package derives from :class:`Record`, which gives
 it what ``@dataclass(frozen=True, slots=True)`` would: slots, ``__init__``,
 ``==``, ``hash``, ``repr``, pickling, ``replace`` and frozen fields, all read
-from the class's ``_fields`` table. Its methods are copies of fixed templates
-with the field names put in, so no source is compiled when a class is made,
-and no command imports ``dataclasses``, which would also load ``inspect``.
+from the class's ``_fields`` table. ``__init__`` and ``hash``, which the
+commands call per bucket, are copies of fixed templates with the field names
+put in, so no source is compiled when a class is made, and no command imports
+``dataclasses``, which would also load ``inspect``. ``==``, which no command
+calls, is one method of ``Record``.
 
 Every input file is read through ``read_utf8``, ``read_json`` or
 ``read_jsonl``, and decoded by ``parse_json``; they turn each way a file fails
@@ -139,9 +141,10 @@ def field(**options: Any) -> Any:
 # of one has each placeholder ``_<i>`` renamed to the class's i-th field
 # (``_renamed``), so the copy is the method a dataclass would compile from
 # source, without compiling anything: ``__init__`` binds its arguments, and
-# ``==`` and ``hash`` read the fields, as fast as hand-written methods do.
-# An ``__init__`` sets each field through its slot's setter and then calls
-# ``post`` (the class's ``__post_init__``) if there is one.
+# ``hash`` reads the fields, as fast as hand-written methods do. Both run per
+# bucket: ``generate`` builds records, and the default catalog hashes its
+# signature keys. An ``__init__`` sets each field through its slot's setter
+# and then calls ``post`` (the class's ``__post_init__``) if there is one.
 
 def _init_1(s0, post):
     def __init__(self, _0):
@@ -199,52 +202,6 @@ def _init_7(s0, s1, s2, s3, s4, s5, s6, post):
     return __init__
 
 
-def _eq_1(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0,) == (other._0,)
-    return NotImplemented
-
-
-def _eq_2(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1) == (other._0, other._1)
-    return NotImplemented
-
-
-def _eq_3(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2) == (other._0, other._1, other._2)
-    return NotImplemented
-
-
-def _eq_4(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2, self._3) == (other._0, other._1, other._2, other._3)
-    return NotImplemented
-
-
-def _eq_5(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2, self._3, self._4) == (other._0, other._1, other._2, other._3, other._4)
-    return NotImplemented
-
-
-def _eq_6(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2, self._3, self._4, self._5) == (
-            other._0, other._1, other._2, other._3, other._4, other._5
-        )
-    return NotImplemented
-
-
-def _eq_7(self, other):
-    if other.__class__ is self.__class__:
-        return (self._0, self._1, self._2, self._3, self._4, self._5, self._6) == (
-            other._0, other._1, other._2, other._3, other._4, other._5, other._6
-        )
-    return NotImplemented
-
-
 def _hash_1(self):
     return hash((self._0,))
 
@@ -274,7 +231,6 @@ def _hash_7(self):
 
 
 _INITS = (_init_1, _init_2, _init_3, _init_4, _init_5, _init_6, _init_7)
-_EQS = (_eq_1, _eq_2, _eq_3, _eq_4, _eq_5, _eq_6, _eq_7)
 _HASHES = (_hash_1, _hash_2, _hash_3, _hash_4, _hash_5, _hash_6, _hash_7)
 
 
@@ -328,7 +284,8 @@ class _RecordType(type):
 
 
 def _build_record(cls: Any, table: tuple[Field, ...]) -> None:
-    """Give ``cls`` its field table, ``__init__``, ``==``, ``hash`` and ``__match_args__``."""
+    """Give ``cls`` its field table, ``__init__``, ``hash``, ``__match_args__``,
+    and the getter of its compared fields that ``Record.__eq__`` reads."""
     cls._fields = table
     params = [f for f in table if f.init]
     defaults = []
@@ -339,10 +296,9 @@ def _build_record(cls: Any, table: tuple[Field, ...]) -> None:
             defaults.append(f.default)
         elif defaults:
             raise TypeError(f"{cls.__name__}: field {f.name!r} without a default follows one with a default")
-    compared = [f for f in table if f.compare]
     hashed = [f for f in table if f.hash]
-    if not all(1 <= len(group) <= 7 for group in (params, compared, hashed)):
-        raise TypeError(f"{cls.__name__}: a record has 1 to 7 fields that __init__, == and hash each read")
+    if not all(1 <= len(group) <= 7 for group in (params, hashed)):
+        raise TypeError(f"{cls.__name__}: a record has 1 to 7 fields that __init__ and hash each read")
     if any(f.name == "self" for f in params):
         raise TypeError(f"{cls.__name__}: no field can be named 'self', the name of __init__'s first argument")
     setters = dict(zip(table, _slot_setters(cls)))
@@ -352,7 +308,8 @@ def _build_record(cls: Any, table: tuple[Field, ...]) -> None:
     )
     cls.__init__ = _renamed(init, cls, params)
     cls.__init__.__defaults__ = tuple(defaults) or None
-    cls.__eq__ = _renamed(_EQS[len(compared) - 1], cls, compared)
+    # led by the class, which both sides of an == share, so the getter gives a tuple for one field too
+    cls._compared = operator.attrgetter("__class__", *(f.name for f in table if f.compare))
     cls.__hash__ = _renamed(_HASHES[len(hashed) - 1], cls, hashed)
     cls.__match_args__ = tuple(f.name for f in params)
 
@@ -364,15 +321,22 @@ class Record(metaclass=_RecordType):
     A subclass declares its fields as annotated class attributes, in order,
     a default as the value and other options with ``field(...)``. Each name
     becomes a slot, and the class gets ``__init__`` (positional or keyword
-    arguments, then ``__post_init__`` if the class defines it), ``==`` and
-    ``hash`` over its compared and hashed fields, ``repr``, pickling and
-    ``replace``; assigning to or deleting a field raises
-    ``FrozenInstanceError``. ``_fields`` is the class's table of ``Field``
-    specs, in order.
+    arguments, then ``__post_init__`` if the class defines it) and ``hash``
+    over its hashed fields; ``==`` over its compared fields, ``repr``,
+    pickling and ``replace`` are methods of ``Record`` that every class
+    shares. Assigning to or deleting a field raises ``FrozenInstanceError``.
+    ``_fields`` is the class's table of ``Field`` specs, in order.
     """
 
     __slots__ = ()
     _fields = ()  # a tuple of Field; not annotated, as an annotation would make it a field
+
+    def __eq__(self, other: object) -> Any:
+        """Equal to a record of the same class whose compared fields equal
+        this one's, as tuples compare; ``NotImplemented`` for anything else."""
+        if other.__class__ is self.__class__:
+            return self._compared(self) == self._compared(other)
+        return NotImplemented
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._fields if f.repr)

@@ -21,7 +21,6 @@ from bucketlens.dsl import (
     _LIST_FIELDS,
     _RECORD_FIELDS,
     And,
-    BoundRecord,
     Compare,
     CompareOp,
     Exists,
@@ -38,9 +37,10 @@ from bucketlens.dsl import (
 from bucketlens.errors import LexError, SchemaError
 
 
-def _flatten(record: BoundRecord) -> dict[str, Any]:
-    """The record as one dict keyed by lowered field name, lists as lists."""
-    config, derived = record.config, record.derived
+def _flatten(record: tuple) -> dict[str, Any]:
+    """The record, ``bind_record``'s ``(config, derived)`` pair, as one dict
+    keyed by lowered field name, lists as lists."""
+    config, derived = record
     flat: dict[str, Any] = {}
     for name, get_field in _RECORD_FIELDS.items():
         value = get_field(config, derived)

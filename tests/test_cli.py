@@ -13,6 +13,7 @@ import os
 import shlex
 import shutil
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from bucketlens import cli
 from bucketlens.cli import build_parser, main
 from bucketlens.evaluation import state_lock
 
-from conftest import FIXTURES, needs_builtin_sha256, run_fresh_interpreter
+from conftest import FIXTURES, fresh_interpreter_env, needs_builtin_sha256, run_fresh_interpreter
 
 
 @pytest.fixture
@@ -107,6 +108,31 @@ def test_import_to_stdout_sorted(capsys):
     assert names == sorted(names)
     golden = (FIXTURES / "golden" / "aws_import.jsonl").read_text().splitlines()
     assert out == golden
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(encoding, tmp_path):
+    # neither encoding writes the grantees as the snapshot format's UTF-8 does
+    bucket = tmp_path / "uni-bucket"
+    bucket.mkdir()
+    grants = [
+        {"Grantee": {"Type": "CanonicalUser", "ID": "\u00efd"}, "Permission": "READ"},
+        {"Grantee": {"Type": "AmazonCustomerByEmail", "EmailAddress": "\u00efd@example.com"}, "Permission": "READ"},
+    ]
+    (bucket / "acl.json").write_text(json.dumps({"Grants": grants}), encoding="utf-8")
+    fleet = tmp_path / "fleet.jsonl"
+    assert main(["import", str(bucket), "--out", str(fleet)]) == 0
+    env = {**fresh_interpreter_env(), "PYTHONIOENCODING": encoding}
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "bucketlens.cli", *argv], env=env, capture_output=True, timeout=60)
+
+    imported = cli("import", str(bucket))
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout == fleet.read_bytes()
+    explained = cli("explain", "uni-bucket", "--input", str(fleet))
+    assert explained.returncode == 0, explained.stderr
+    assert "non-owner grant to \u00efd@example.com".encode() in explained.stdout  # the email grantee
 
 
 def test_import_missing_acl_exits_three(tmp_path, capsys):

@@ -544,9 +544,9 @@ def test_is_not_null_parses_as_not_is_null():
 def _field_values(config: BucketConfig):
     """Every value a record or element field reader returns for the bucket,
     and each member of a list-valued one."""
-    record = _record(config)
+    _, derived = _record(config)
     for name, get_field in _RECORD_FIELDS.items():
-        value = get_field(config, record.derived)
+        value = get_field(config, derived)
         yield value
         for element in (value or ()) if name in _ELEMENT_FIELDS else ():
             for get_element_field in _ELEMENT_FIELDS[name].values():

@@ -9,15 +9,21 @@ called with the same Hypothesis-drawn arguments, and must give the same
 extra and duplicate arguments, and the ``__post_init__`` errors), the same
 failed assignments and deletions, and the same ``copy.copy``, ``pickle``
 and ``replace`` results.
+
+``==`` is one method of ``Record``, slower than a per-class copy would be,
+because no command calls it: ``test_no_command_compares_two_records`` counts
+each command's ``==`` and ``hash`` calls.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -27,6 +33,7 @@ from bucketlens import defaults, dsl, evaluation, fleetgen, model, policy, unifi
 from bucketlens.dsl import Compare, CompareOp, Exists, IsNull, LiteralBool, Not
 from bucketlens.errors import FrozenInstanceError
 from bucketlens.model import Effect, Record, Severity
+from conftest import run_fresh_interpreter
 
 RECORD_CLASSES = sorted(
     (
@@ -44,6 +51,9 @@ _IDS = [cls.__qualname__ for cls in RECORD_CLASSES]
 def test_the_package_has_24_record_classes():
     assert len(set(RECORD_CLASSES)) == 24
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORD_CLASSES)
+    # __init__ and hash are each class's own template copies; == is Record's alone
+    for cls in RECORD_CLASSES:
+        assert "__init__" in vars(cls) and "__hash__" in vars(cls) and "__eq__" not in vars(cls), cls
 
 
 def _twin(cls: type) -> type:
@@ -71,6 +81,17 @@ def test_each_record_class_has_its_twins_layout():
         assert cls.__match_args__ == twin.__match_args__, cls
         assert (cls.__dictoffset__, cls.__weakrefoffset__) == (twin.__dictoffset__, twin.__weakrefoffset__) == (0, 0)
         assert [f.name for f in cls._fields] == [f.name for f in dataclasses.fields(twin)]
+
+
+def test_a_record_class_has_1_to_7_fields_that_init_and_hash_each_read():
+    for table in ({f"f{i}": model.field() for i in range(8)}, {"x": model.field(hash=False)}):
+        with pytest.raises(TypeError, match="1 to 7 fields that __init__ and hash each read"):
+            type("Bad", (Record,), {"__annotations__": dict.fromkeys(table, "object"), **table})
+    # == may compare no field at all, as a dataclass's does
+    cls = type("Uncompared", (Record,), {"__annotations__": {"x": "object"}, "x": model.field(compare=False, hash=True)})
+    twin = _twin(cls)
+    assert (cls(1) == cls(2), hash(cls(1)) == hash(cls(2))) == (twin(1) == twin(2), hash(twin(1)) == hash(twin(2)))
+    assert cls(1) == cls(2) and hash(cls(1)) != hash(cls(2))
 
 
 # Hashable values of every kind the records hold, NaN left out: 3.13's
@@ -236,3 +257,64 @@ def test_a_record_behaves_as_its_dataclass_twin(cls, data):
     with pytest.raises(AttributeError):
         getattr(record, "not_a_field")
     assert _state(record) == _state(twin)  # nothing changed
+
+
+# Runs one command with every record class's == and hash counted by class,
+# and prints the counts on stderr as {"==": {class: calls}, "hash": {...}}.
+_COUNT_RECORD_CALLS = """
+import collections, contextlib, io, json, sys
+from bucketlens import defaults, dsl, evaluation, fleetgen, model, policy, unified
+from bucketlens.cli import main
+
+classes = {
+    value
+    for module in (model, policy, evaluation, unified, defaults, fleetgen, dsl)
+    for value in vars(module).values()
+    if isinstance(value, type) and issubclass(value, model.Record) and value is not model.Record
+}
+calls = {"==": collections.Counter(), "hash": collections.Counter()}
+
+def counting(kind, method):
+    def count(self, *args):
+        calls[kind][type(self).__name__] += 1
+        return method(self, *args)
+    return count
+
+methods = {cls: (cls.__eq__, cls.__hash__) for cls in classes}  # before any is wrapped
+for cls, (eq, hash_) in methods.items():
+    cls.__eq__, cls.__hash__ = counting("==", eq), counting("hash", hash_)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(%r) == 0
+print(json.dumps(calls), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("mix", ["paper", "adversarial"])
+def test_no_command_compares_two_records(mix, tmp_path):
+    """No command calls a record's ``==``, and the default catalog hashes one
+    signature key per bucket. Each command runs in a fresh interpreter:
+    ``defaults._signature_hits``'s cache outlives a command run in-process,
+    and a later fleet's keys, equal but distinct, would compare with ``==``."""
+    fleet, state = str(tmp_path / "fleet.jsonl"), str(tmp_path / "state.json")
+    rule_file = str(Path(__file__).resolve().parent.parent / "rules" / "unified.rule")
+    per_bucket = "one key per bucket"
+    commands = [
+        (["generate", "--total", "1000", "--mix", mix, "--seed", "42", "--out", fleet], None),
+        (["evaluate", "--input", fleet, "--truth", str(tmp_path / "fleet.truth.jsonl")], per_bucket),
+        (["scan", "--input", fleet, "--rules", "default", "--scan-id", "s"], per_bucket),
+        (["scan", "--input", fleet, "--rules", "unified", "--scan-id", "s"], "none"),
+        (["scan", "--input", fleet, "--rules", "both", "--scan-id", "s"], per_bucket),
+        (["scan", "--input", fleet, "--state", state, "--scan-id", "s1"], per_bucket),
+        (["scan", "--input", fleet, "--state", state, "--scan-id", "s2"], per_bucket),  # the rescan
+        (["rules", "run", "--file", rule_file, "--input", fleet], "none"),
+        (["explain", "BUCKET", "--input", fleet], None),
+    ]
+    for argv, hashes in commands:
+        if argv[0] == "explain":
+            argv[1] = json.loads(Path(fleet).read_text().splitlines()[0])["name"]
+        calls = json.loads(run_fresh_interpreter(_COUNT_RECORD_CALLS % (argv,)))
+        assert calls["=="] == {}, argv
+        if hashes == per_bucket:
+            assert calls["hash"]["PublicAccessBlock"] == calls["hash"]["DerivedProperties"] == 1000, argv
+        elif hashes == "none":
+            assert calls["hash"] == {}, argv
